@@ -415,11 +415,25 @@ impl StageCheckpoint {
     /// Removes every unit entry of this stage (called once the full
     /// stage artifact lands — the sub-entries are then redundant).
     /// Returns the number of entries removed.
+    ///
+    /// A checkpoint that neither stored nor resumed a unit returns at
+    /// once; otherwise entries are matched by file name alone, without
+    /// reading or verifying them (corrupt unit entries go too).
     pub fn clear(&self) -> io::Result<usize> {
+        if self.stored() == 0 && self.resumed() == 0 {
+            return Ok(0);
+        }
+        let Ok(entries) = std::fs::read_dir(self.store.root()) else {
+            return Ok(0);
+        };
         let mut removed = 0;
-        for row in self.store.ls() {
-            if checkpoint_base(&row.key) == Some(self.key.as_str()) {
-                self.store.remove(&row.key)?;
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let Some(key) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
+                continue;
+            };
+            if checkpoint_base(key) == Some(self.key.as_str()) {
+                self.store.remove(key)?;
                 removed += 1;
             }
         }

@@ -209,12 +209,7 @@ fn figure_payload(kind: &str, out: bench_harness::figures::StageOutput) -> Json 
 /// unit is already on disk.
 fn chip_campaign(ctx: &StageCtx<'_>) -> Result<Json, String> {
     let node: TechNode = ctx.str_param("node", "32nm")?.parse()?;
-    let corner = match ctx.str_param("corner", "severe")?.as_str() {
-        "none" => VariationCorner::None,
-        "typical" => VariationCorner::Typical,
-        "severe" => VariationCorner::Severe,
-        other => return Err(format!("unknown variation corner {other:?}")),
-    };
+    let corner: VariationCorner = ctx.str_param("corner", "severe")?.parse()?;
     let chips = ctx.u64_param("chips", u64::from(ctx.scale.mc_chips))?;
     if chips == 0 || chips > 1_000_000 {
         return Err(format!("param \"chips\" = {chips} out of range [1, 1e6]"));
@@ -516,12 +511,7 @@ fn trace_validate(ctx: &StageCtx<'_>) -> Result<Json, String> {
 fn dvfs_point(ctx: &StageCtx<'_>) -> Result<Json, String> {
     let node: TechNode = ctx.str_param("node", "32nm")?.parse()?;
     let kind: CellTechKind = ctx.str_param("technology", "3t1d")?.parse()?;
-    let corner = match ctx.str_param("corner", "severe")?.as_str() {
-        "none" => VariationCorner::None,
-        "typical" => VariationCorner::Typical,
-        "severe" => VariationCorner::Severe,
-        other => return Err(format!("unknown variation corner {other:?}")),
-    };
+    let corner: VariationCorner = ctx.str_param("corner", "severe")?.parse()?;
     let vdd = ctx.f64_param("vdd", node.vdd().volts())?;
     let freq_ghz = ctx.f64_param("freq_ghz", node.chip_frequency().ghz())?;
     let temp_c = ctx.f64_param("temp_c", SIM_TEMPERATURE_C)?;
@@ -1067,6 +1057,7 @@ mod tests {
             ("chip_campaign", r#"{"chips": 0}"#),
             ("retention_map", r#"{"hi_ns": -1}"#),
             ("dvfs_point", r#"{"technology": "5t"}"#),
+            ("dvfs_point", r#"{"corner": "apocalyptic"}"#),
             ("dvfs_point", r#"{"vdd": 9.0}"#),
             ("dvfs_point", r#"{"freq_ghz": 0}"#),
             ("dvfs_point", r#"{"temp_c": 500}"#),

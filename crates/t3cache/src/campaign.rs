@@ -12,18 +12,17 @@
 //!   `(seed, bench_i)` and pre-recorded by the shared
 //!   [`crate::evaluate::Evaluator`]), so no unit observes another's
 //!   scheduling;
-//! * the plain fan-out ([`map_indexed_with_workers`]) hands each worker
-//!   one **contiguous index shard** ([`shard_ranges`]): no shared claim
+//! * the fan-out ([`map_indexed_with_hooks`]) hands each worker one
+//!   **contiguous index shard** ([`shard_ranges`]): no shared claim
 //!   counter on the hot path, no per-unit synchronization — a worker
-//!   touches only its own cache-warm run of indices and the merge is a
-//!   straight concatenation. Shard-sized checkpointing rides the same
-//!   engine via [`map_shards_with_hooks`];
-//! * the per-unit hook engine ([`map_indexed_with_hooks`]) keeps the
-//!   atomic-counter claim loop for callers that need *unit*-granular
-//!   resume/persist (the orchestrator's crash-safe stages);
-//! * either way, results are merged into pre-indexed slots — position
-//!   `i` of the output always holds unit `i`'s result, whatever thread
-//!   or order computed it.
+//!   touches only its own cache-warm run of indices, and the merge is a
+//!   straight concatenation of the shards' slots, so position `i` of the
+//!   output always holds unit `i`'s result;
+//! * checkpointing and cancellation stay **per unit** ([`UnitHooks`]):
+//!   each shard's loop resumes, persists and checks for cancellation unit
+//!   by unit, so checkpoints are keyed by unit index and survive a change
+//!   of worker count. [`map_indexed_with_workers`] is the same fan-out
+//!   with no hooks.
 //!
 //! The pool is `std::thread::scope`-based: no dependencies, no `unsafe`,
 //! borrows of the campaign's shared inputs (chip populations, recorded
@@ -35,7 +34,6 @@
 //! clock next to the *estimated serial time* (the sum of unit times): the
 //! speedup banner the figure binaries print is measured, not assumed.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::chip::ChipModel;
@@ -73,9 +71,8 @@ pub struct CampaignReport {
     /// Sum of the individual unit times — what a serial loop over the
     /// same units would have cost (modulo cache warmth).
     pub serial_estimate: Duration,
-    /// Units each worker handled (shard sizes for the static-shard
-    /// fan-out, atomic-counter claim counts for the per-unit hook engine;
-    /// length = worker count).
+    /// Units in each worker's shard (length = worker count). Resumed
+    /// units count toward their shard like computed ones.
     pub per_worker_units: Vec<usize>,
     /// Per-unit execution times in seconds, indexed by unit (0 for
     /// resumed units — they were not recomputed).
@@ -98,7 +95,7 @@ impl CampaignReport {
     /// Folds another fan-out's timing into this one (for binaries that run
     /// several campaigns and report one aggregate banner): units, wall and
     /// serial estimate add; the worker count takes the maximum; per-worker
-    /// steal counts add slot-wise; unit timings concatenate.
+    /// shard sizes add slot-wise; unit timings concatenate.
     pub fn absorb(&mut self, other: &CampaignReport) {
         self.units += other.units;
         self.workers = self.workers.max(other.workers);
@@ -129,7 +126,7 @@ impl CampaignReport {
 
     /// Exports the campaign timing under the `campaign.` prefix: unit and
     /// worker counts, wall/serial seconds, measured speedup, per-worker
-    /// steal counts, and a 16-bucket histogram of unit times. All of these
+    /// shard sizes, and a 16-bucket histogram of unit times. All of these
     /// names fall under [`obs::MetricsRegistry::is_timing_metric`], so they
     /// are recorded in manifests but excluded from determinism
     /// fingerprints (scheduling is allowed to differ between runs).
@@ -202,11 +199,12 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let (shards, report) = map_shards_with_hooks(n, workers, UnitHooks::none(), f);
-    let mut results = Vec::with_capacity(n);
-    for (s, shard) in shards.into_iter().enumerate() {
-        results.append(&mut shard.unwrap_or_else(|| panic!("shard {s} never ran")));
-    }
+    let (slots, report) = map_indexed_with_hooks(n, workers, UnitHooks::none(), f);
+    let results = slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.unwrap_or_else(|| panic!("unit {i} never ran")))
+        .collect();
     (results, report)
 }
 
@@ -228,31 +226,75 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// The shard-granular fan-out: partitions `0..n` into contiguous shards
-/// ([`shard_ranges`]), runs one worker thread per shard, and treats the
-/// **whole shard as the checkpoint unit** — `hooks.resume`/`hooks.persist`
-/// are keyed by shard index and carry the shard's full result vector.
+/// Signature of the [`UnitHooks::resume`] hook.
+pub type ResumeHook<'a, R> = &'a (dyn Fn(usize) -> Option<R> + Sync);
+
+/// Signature of the [`UnitHooks::persist`] hook.
+pub type PersistHook<'a, R> = &'a (dyn Fn(usize, &R) + Sync);
+
+/// Checkpoint and cancellation hooks for [`map_indexed_with_hooks`].
 ///
-/// Rationale for shard = checkpoint unit: with the SoA batch kernels a
-/// single chip unit is milliseconds of work, so per-unit checkpoint I/O
-/// rivals the work itself; a shard amortizes one store over `n / workers`
-/// units while bounding recomputation after a crash to one shard.
+/// All three are optional; [`UnitHooks::none`] is the plain fan-out. The
+/// hooks keep the campaign engine free of any storage dependency — the
+/// orchestrator provides closures backed by its content-addressed store,
+/// tests provide closures over a `HashMap`.
 ///
-/// Cancellation is checked between units; a shard interrupted mid-run
-/// returns a `None` slot and is **not** persisted (a checkpoint is never
-/// torn mid-shard). Each shard emits a `campaign.shard` trace span and
-/// counter carrying its unit count.
+/// The determinism contract carries over: `resume` must return exactly
+/// what `f` would compute for the same index (the orchestrator guarantees
+/// this by keying checkpoints on the full stage fingerprint), and
+/// `persist`/`resume` may be called concurrently from several workers.
+/// Both are keyed by unit index, never by shard, so checkpoints written
+/// at one worker count resume at any other.
+pub struct UnitHooks<'a, R> {
+    /// Returns a previously persisted result for a unit, if one exists.
+    /// Tried before computing; a hit skips `f` and `persist` entirely.
+    pub resume: Option<ResumeHook<'a, R>>,
+    /// Called with each freshly computed unit result, before the merge.
+    /// Persistence is best-effort: a hook that drops the result on the
+    /// floor only costs recomputation on the next resume.
+    pub persist: Option<PersistHook<'a, R>>,
+    /// Cooperative cancellation, checked before each unit starts. Once
+    /// set, every worker stops at its next unit; units already in flight
+    /// finish (and are persisted), so a checkpoint is never torn mid-unit.
+    pub cancel: Option<&'a obs::CancelToken>,
+}
+
+impl<R> UnitHooks<'_, R> {
+    /// No hooks: behaves exactly like the plain fan-out.
+    pub fn none() -> Self {
+        Self {
+            resume: None,
+            persist: None,
+            cancel: None,
+        }
+    }
+}
+
+impl<R> Default for UnitHooks<'_, R> {
+    fn default() -> Self {
+        Self::none()
+    }
+}
+
+/// The campaign fan-out: partitions `0..n` into contiguous shards
+/// ([`shard_ranges`]), runs one worker thread per shard (the calling
+/// thread when there is only one), and applies the per-unit `hooks`
+/// inside each shard's loop — `resume(i)` before unit `i`, `persist(i, &r)`
+/// after it, and a cancellation check between units.
 ///
-/// # Panics
-///
-/// Panics if `hooks.resume` returns a shard whose length does not match
-/// the shard's range (a stale checkpoint from a different geometry).
-pub fn map_shards_with_hooks<R, F>(
+/// Returns one slot per unit, in index order: the shards' slot runs are
+/// simply concatenated. A slot is `None` only when cancellation stopped
+/// its unit from starting — an uncancelled run always fills every slot.
+/// Resumed units count toward [`CampaignReport::resumed_units`] and
+/// contribute zero unit time. Each completed shard emits a
+/// `campaign.shard` trace counter and a `campaign.shard.done` instant
+/// carrying its unit count.
+pub fn map_indexed_with_hooks<R, F>(
     n: usize,
     workers: usize,
-    hooks: UnitHooks<'_, Vec<R>>,
+    hooks: UnitHooks<'_, R>,
     f: F,
-) -> (Vec<Option<Vec<R>>>, CampaignReport)
+) -> (Vec<Option<R>>, CampaignReport)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -260,51 +302,46 @@ where
     let ranges = shard_ranges(n, workers);
     let shards = ranges.len();
     let start = Instant::now();
-    let _campaign_span =
-        obs::trace::span_with("t3cache", || format!("campaign.map:{n}x{shards}shards"));
-    let resumed = AtomicUsize::new(0);
+    let _campaign_span = obs::trace::span_with("t3cache", || format!("campaign.map:{n}x{shards}"));
 
-    type ShardOutcome<R> = (Option<Vec<R>>, Vec<(usize, Duration)>);
+    // One shard's unit slots, per-unit times, and resumed-unit count.
+    type ShardOutcome<R> = (Vec<Option<R>>, Vec<Duration>, usize);
     let run_shard = |s: usize, range: std::ops::Range<usize>| -> ShardOutcome<R> {
-        if hooks.cancel.is_some_and(obs::CancelToken::is_cancelled) {
-            return (None, Vec::new());
-        }
-        let len = range.end - range.start;
-        if let Some(resume) = hooks.resume {
-            if let Some(r) = resume(s) {
-                assert_eq!(
-                    r.len(),
-                    len,
-                    "resumed shard {s} holds {} units, expected {len}",
-                    r.len()
-                );
-                resumed.fetch_add(len, Ordering::Relaxed);
-                obs::trace::instant_with("t3cache", || format!("campaign.shard.resumed:{s}"));
-                return (Some(r), Vec::new());
-            }
-        }
+        let len = range.len();
         let _shard_span =
             obs::trace::span_with("t3cache", || format!("campaign.shard:{s}:{len}units"));
-        let mut local = Vec::with_capacity(len);
-        let mut times = Vec::with_capacity(len);
+        let mut slots = Vec::with_capacity(len);
+        let mut times = vec![Duration::ZERO; len];
+        let mut resumed = 0;
         for i in range {
             if hooks.cancel.is_some_and(obs::CancelToken::is_cancelled) {
-                return (None, times); // torn shard: dropped, never persisted
+                break;
+            }
+            if let Some(r) = hooks.resume.and_then(|resume| resume(i)) {
+                resumed += 1;
+                obs::trace::instant_with("t3cache", || format!("unit.resumed:{i}"));
+                slots.push(Some(r));
+                continue;
             }
             let _unit_span = obs::trace::span_with("t3cache", || format!("unit:{i}"));
             let t0 = Instant::now();
-            local.push(f(i));
-            times.push((i, t0.elapsed()));
+            let r = f(i);
+            if let Some(persist) = hooks.persist {
+                persist(i, &r);
+            }
+            times[slots.len()] = t0.elapsed();
+            slots.push(Some(r));
         }
-        obs::trace::counter("campaign.shard", len as f64);
-        // Emitted at shard *completion* so the per-shard unit count stays
-        // visible in `pv3t1d report --trace` even when an event-heavy
-        // stage has evicted the shard's begin-span from the trace ring.
-        obs::trace::instant_with("t3cache", || format!("campaign.shard.done:{s}:{len}units"));
-        if let Some(persist) = hooks.persist {
-            persist(s, &local);
+        if slots.len() == len {
+            obs::trace::counter("campaign.shard", len as f64);
+            // Emitted at shard *completion* so the per-shard unit count
+            // stays visible in `pv3t1d report --trace` even when an
+            // event-heavy stage has evicted the shard's begin-span from
+            // the trace ring.
+            obs::trace::instant_with("t3cache", || format!("campaign.shard.done:{s}:{len}units"));
         }
-        (Some(local), times)
+        slots.resize_with(len, || None);
+        (slots, times, resumed)
     };
 
     let outcomes: Vec<ShardOutcome<R>> = if shards == 1 {
@@ -331,16 +368,17 @@ where
         })
     };
 
-    let per_worker_units: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
+    let mut slots = Vec::with_capacity(n);
+    let mut unit_seconds = Vec::with_capacity(n);
     let mut serial_estimate = Duration::ZERO;
-    let mut unit_seconds = vec![0.0f64; n];
-    let mut slots: Vec<Option<Vec<R>>> = Vec::with_capacity(shards);
-    for (slot, times) in outcomes {
-        for &(i, dt) in &times {
+    let mut resumed_units = 0;
+    for (shard_slots, times, resumed) in outcomes {
+        slots.extend(shard_slots);
+        for dt in times {
             serial_estimate += dt;
-            unit_seconds[i] = dt.as_secs_f64();
+            unit_seconds.push(dt.as_secs_f64());
         }
-        slots.push(slot);
+        resumed_units += resumed;
     }
 
     let report = CampaignReport {
@@ -348,161 +386,9 @@ where
         workers: shards,
         wall: start.elapsed(),
         serial_estimate,
-        per_worker_units,
+        per_worker_units: ranges.iter().map(ExactSizeIterator::len).collect(),
         unit_seconds,
-        resumed_units: resumed.load(Ordering::Relaxed),
-    };
-    (slots, report)
-}
-
-/// Signature of the [`UnitHooks::resume`] hook.
-pub type ResumeHook<'a, R> = &'a (dyn Fn(usize) -> Option<R> + Sync);
-
-/// Signature of the [`UnitHooks::persist`] hook.
-pub type PersistHook<'a, R> = &'a (dyn Fn(usize, &R) + Sync);
-
-/// Checkpoint and cancellation hooks for [`map_indexed_with_hooks`].
-///
-/// All three are optional; [`UnitHooks::none`] is the plain fan-out. The
-/// hooks keep the campaign engine free of any storage dependency — the
-/// orchestrator provides closures backed by its content-addressed store,
-/// tests provide closures over a `HashMap`.
-///
-/// The determinism contract carries over: `resume` must return exactly
-/// what `f` would compute for the same index (the orchestrator guarantees
-/// this by keying checkpoints on the full stage fingerprint), and
-/// `persist`/`resume` may be called concurrently from several workers.
-pub struct UnitHooks<'a, R> {
-    /// Returns a previously persisted result for a unit, if one exists.
-    /// Tried before computing; a hit skips `f` and `persist` entirely.
-    pub resume: Option<ResumeHook<'a, R>>,
-    /// Called with each freshly computed unit result, before the merge.
-    /// Persistence is best-effort: a hook that drops the result on the
-    /// floor only costs recomputation on the next resume.
-    pub persist: Option<PersistHook<'a, R>>,
-    /// Cooperative cancellation, checked before each unit is claimed.
-    /// Once set, workers stop claiming; units already in flight finish
-    /// (and are persisted), so a checkpoint is never torn mid-unit.
-    pub cancel: Option<&'a obs::CancelToken>,
-}
-
-impl<R> UnitHooks<'_, R> {
-    /// No hooks: behaves exactly like the plain fan-out.
-    pub fn none() -> Self {
-        Self {
-            resume: None,
-            persist: None,
-            cancel: None,
-        }
-    }
-}
-
-impl<R> Default for UnitHooks<'_, R> {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
-/// The hook-aware core of [`map_indexed_with_workers`]: fans `f(0..n)`
-/// across `workers` threads with optional per-unit resume/persist hooks
-/// and cooperative cancellation.
-///
-/// Returns one slot per unit, in index order. A slot is `None` only when
-/// cancellation stopped the unit from being claimed — an uncancelled run
-/// always fills every slot. Resumed units count toward
-/// [`CampaignReport::resumed_units`] and contribute zero unit time.
-pub fn map_indexed_with_hooks<R, F>(
-    n: usize,
-    workers: usize,
-    hooks: UnitHooks<'_, R>,
-    f: F,
-) -> (Vec<Option<R>>, CampaignReport)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.max(1).min(n.max(1));
-    let start = Instant::now();
-    let _campaign_span = obs::trace::span_with("t3cache", || format!("campaign.map:{n}x{workers}"));
-
-    let resumed = AtomicUsize::new(0);
-    let run_units = |results: &mut Vec<(usize, R, Duration)>, next: &AtomicUsize| loop {
-        if hooks.cancel.is_some_and(obs::CancelToken::is_cancelled) {
-            break;
-        }
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        if let Some(resume) = hooks.resume {
-            if let Some(r) = resume(i) {
-                resumed.fetch_add(1, Ordering::Relaxed);
-                obs::trace::instant_with("t3cache", || format!("unit.resumed:{i}"));
-                results.push((i, r, Duration::ZERO));
-                continue;
-            }
-        }
-        let _unit_span = obs::trace::span_with("t3cache", || format!("unit:{i}"));
-        let t0 = Instant::now();
-        let r = f(i);
-        if let Some(persist) = hooks.persist {
-            persist(i, &r);
-        }
-        results.push((i, r, t0.elapsed()));
-    };
-
-    let next = AtomicUsize::new(0);
-    let mut batches: Vec<Vec<(usize, R, Duration)>> = if workers == 1 {
-        let mut local = Vec::with_capacity(n);
-        run_units(&mut local, &next);
-        vec![local]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let run_units = &run_units;
-                    let next = &next;
-                    scope.spawn(move || {
-                        let _worker_span =
-                            obs::trace::span_with("t3cache", || format!("worker:{w}"));
-                        let mut local = Vec::new();
-                        run_units(&mut local, next);
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        })
-    };
-
-    // Merge into pre-indexed slots: output order is unit-index order, no
-    // matter which worker finished which unit when. Slots left `None`
-    // were never claimed (cancellation).
-    let per_worker_units: Vec<usize> = batches.iter().map(Vec::len).collect();
-    let mut serial_estimate = Duration::ZERO;
-    let mut unit_seconds = vec![0.0f64; n];
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for batch in &mut batches {
-        for (i, r, dt) in batch.drain(..) {
-            serial_estimate += dt;
-            unit_seconds[i] = dt.as_secs_f64();
-            debug_assert!(slots[i].is_none(), "unit {i} computed twice");
-            slots[i] = Some(r);
-        }
-    }
-
-    let report = CampaignReport {
-        units: n,
-        workers,
-        wall: start.elapsed(),
-        serial_estimate,
-        per_worker_units,
-        unit_seconds,
-        resumed_units: resumed.load(Ordering::Relaxed),
+        resumed_units,
     };
     (slots, report)
 }
@@ -649,48 +535,55 @@ mod tests {
         assert_eq!(out, vec![7]);
     }
 
+    /// Checkpoints are keyed by unit, not by shard: units persisted at 3
+    /// workers resume bit-identically at 1, 2 and 4 workers, whose shard
+    /// boundaries all differ from the persisting run's.
     #[test]
     fn hooks_persist_then_resume_bit_identically() {
         use std::collections::HashMap;
         use std::sync::Mutex;
 
-        // First pass: compute everything, persisting into a map.
-        let store: Mutex<HashMap<usize, u64>> = Mutex::new(HashMap::new());
-        let persist = |i: usize, r: &u64| {
-            store.lock().unwrap().insert(i, *r);
-        };
-        let hooks = UnitHooks {
-            persist: Some(&persist),
-            ..UnitHooks::none()
-        };
-        let (first, report) =
-            map_indexed_with_hooks(50, 4, hooks, |i| (i as u64).wrapping_mul(0x9E37_79B9));
-        assert_eq!(report.resumed_units, 0);
-        assert_eq!(store.lock().unwrap().len(), 50);
+        let compute = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9);
+        for (persist_workers, resume_workers) in [(3, 1), (3, 2), (3, 4)] {
+            // First pass: compute everything, persisting into a map.
+            let store: Mutex<HashMap<usize, u64>> = Mutex::new(HashMap::new());
+            let persist = |i: usize, r: &u64| {
+                store.lock().unwrap().insert(i, *r);
+            };
+            let hooks = UnitHooks {
+                persist: Some(&persist),
+                ..UnitHooks::none()
+            };
+            let (first, report) = map_indexed_with_hooks(50, persist_workers, hooks, compute);
+            assert_eq!(report.resumed_units, 0);
+            assert_eq!(store.lock().unwrap().len(), 50);
 
-        // Second pass: every unit resumes; computing is a test failure.
-        let resume = |i: usize| store.lock().unwrap().get(&i).copied();
-        let hooks = UnitHooks {
-            resume: Some(&resume),
-            ..UnitHooks::none()
-        };
-        let (second, report) = map_indexed_with_hooks(50, 4, hooks, |i| {
-            panic!("unit {i} recomputed despite a full checkpoint")
-        });
-        assert_eq!(report.resumed_units, 50);
-        assert_eq!(first, second, "resumed results must be bit-identical");
+            // Second pass: every unit resumes; computing is a test failure.
+            let resume = |i: usize| store.lock().unwrap().get(&i).copied();
+            let hooks = UnitHooks {
+                resume: Some(&resume),
+                ..UnitHooks::none()
+            };
+            let (second, report) = map_indexed_with_hooks(50, resume_workers, hooks, |i| {
+                panic!("unit {i} recomputed despite a full checkpoint")
+            });
+            assert_eq!(report.resumed_units, 50);
+            assert_eq!(first, second, "resumed results must be bit-identical");
 
-        // Partial checkpoint: only even units resume, odd ones compute.
-        store.lock().unwrap().retain(|&i, _| i % 2 == 0);
-        let resume = |i: usize| store.lock().unwrap().get(&i).copied();
-        let hooks = UnitHooks {
-            resume: Some(&resume),
-            ..UnitHooks::none()
-        };
-        let (third, report) =
-            map_indexed_with_hooks(50, 4, hooks, |i| (i as u64).wrapping_mul(0x9E37_79B9));
-        assert_eq!(report.resumed_units, 25);
-        assert_eq!(first, third);
+            // Partial checkpoint: only even units resume, odd ones compute.
+            store.lock().unwrap().retain(|&i, _| i % 2 == 0);
+            let resume = |i: usize| store.lock().unwrap().get(&i).copied();
+            let hooks = UnitHooks {
+                resume: Some(&resume),
+                ..UnitHooks::none()
+            };
+            let (third, report) = map_indexed_with_hooks(50, resume_workers, hooks, compute);
+            assert_eq!(report.resumed_units, 25);
+            assert_eq!(
+                first, third,
+                "{persist_workers} -> {resume_workers} workers"
+            );
+        }
     }
 
     #[test]
@@ -715,87 +608,12 @@ mod tests {
         }
     }
 
-    /// The shard-sized checkpoint satellite: persist whole shards, kill,
-    /// resume from the shard store bit-identically — including with a
-    /// different worker count only when the shard geometry matches.
-    #[test]
-    fn shards_persist_then_resume_bit_identically() {
-        use std::collections::HashMap;
-        use std::sync::Mutex;
-
-        let compute = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9) ^ 0xA5;
-        let store: Mutex<HashMap<usize, Vec<u64>>> = Mutex::new(HashMap::new());
-        let persist = |s: usize, r: &Vec<u64>| {
-            store.lock().unwrap().insert(s, r.clone());
-        };
-        let hooks = UnitHooks {
-            persist: Some(&persist),
-            ..UnitHooks::none()
-        };
-        let (first, report) = map_shards_with_hooks(37, 4, hooks, compute);
-        assert_eq!(report.workers, 4);
-        assert_eq!(report.resumed_units, 0);
-        assert_eq!(store.lock().unwrap().len(), 4, "one checkpoint per shard");
-        let first: Vec<u64> = first.into_iter().flatten().flatten().collect();
-        assert_eq!(first, (0..37).map(compute).collect::<Vec<_>>());
-
-        // Full resume: recomputing any unit is a test failure.
-        let resume = |s: usize| store.lock().unwrap().get(&s).cloned();
-        let hooks = UnitHooks {
-            resume: Some(&resume),
-            ..UnitHooks::none()
-        };
-        let (second, report) = map_shards_with_hooks(37, 4, hooks, |i| -> u64 {
-            panic!("unit {i} recomputed despite a full shard checkpoint")
-        });
-        assert_eq!(report.resumed_units, 37);
-        let second: Vec<u64> = second.into_iter().flatten().flatten().collect();
-        assert_eq!(first, second, "resumed shards must be bit-identical");
-
-        // Partial checkpoint (a crash that persisted only some shards):
-        // missing shards recompute, present ones replay.
-        store.lock().unwrap().retain(|&s, _| s % 2 == 0);
-        let resume = |s: usize| store.lock().unwrap().get(&s).cloned();
-        let hooks = UnitHooks {
-            resume: Some(&resume),
-            ..UnitHooks::none()
-        };
-        let (third, report) = map_shards_with_hooks(37, 4, hooks, compute);
-        assert!(report.resumed_units > 0 && report.resumed_units < 37);
-        let third: Vec<u64> = third.into_iter().flatten().flatten().collect();
-        assert_eq!(first, third);
-    }
-
-    #[test]
-    fn cancelled_shard_is_never_persisted() {
-        use std::collections::HashMap;
-        use std::sync::Mutex;
-
-        let token = obs::CancelToken::new();
-        let store: Mutex<HashMap<usize, Vec<usize>>> = Mutex::new(HashMap::new());
-        let persist = |s: usize, r: &Vec<usize>| {
-            store.lock().unwrap().insert(s, r.clone());
-        };
-        let hooks = UnitHooks {
-            persist: Some(&persist),
-            cancel: Some(&token),
-            ..UnitHooks::none()
-        };
-        // Single shard, cancelled mid-run: the torn shard must not land in
-        // the store and its slot must be None.
-        let (slots, _) = map_shards_with_hooks(20, 1, hooks, |i| {
-            if i == 4 {
-                token.cancel();
-            }
-            i
-        });
-        assert!(slots[0].is_none(), "torn shard must not produce a slot");
-        assert!(store.lock().unwrap().is_empty(), "torn shard was persisted");
-    }
-
     #[test]
     fn cancelled_campaign_stops_claiming_units() {
-        // A pre-cancelled token: no unit is ever claimed.
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+
+        // A pre-cancelled token: no unit ever starts.
         let token = obs::CancelToken::new();
         token.cancel();
         let hooks: UnitHooks<'_, usize> = UnitHooks {
@@ -806,7 +624,7 @@ mod tests {
         assert!(slots.iter().all(Option::is_none));
         assert_eq!(report.resumed_units, 0);
 
-        // Cancelling mid-run: the claiming worker stops at the flag, so
+        // Cancelling mid-run: the worker stops at the flag, so
         // some prefix of units completes and the rest stay None.
         let token = obs::CancelToken::new();
         let hooks = UnitHooks {
@@ -825,6 +643,40 @@ mod tests {
         // Completed units are intact and in order.
         for (i, s) in slots.iter().enumerate().take(done) {
             assert_eq!(*s, Some(i));
+        }
+
+        // Cancelling mid-run on 2 workers: each shard stops at its next
+        // unit. Every completed unit holds its own index and was
+        // persisted; no unit that never ran reached the store.
+        let token = obs::CancelToken::new();
+        let store: Mutex<HashSet<usize>> = Mutex::new(HashSet::new());
+        let persist = |i: usize, _: &usize| {
+            store.lock().unwrap().insert(i);
+        };
+        let hooks = UnitHooks {
+            persist: Some(&persist),
+            cancel: Some(&token),
+            ..UnitHooks::none()
+        };
+        let (slots, _) = map_indexed_with_hooks(20, 2, hooks, |i| {
+            if i == 4 {
+                token.cancel();
+            }
+            i
+        });
+        let store = store.into_inner().unwrap();
+        assert!(
+            slots.iter().any(Option::is_none),
+            "cancellation must stop the campaign"
+        );
+        for (i, s) in slots.iter().enumerate() {
+            match s {
+                Some(r) => {
+                    assert_eq!(*r, i);
+                    assert!(store.contains(&i), "completed unit {i} was not persisted");
+                }
+                None => assert!(!store.contains(&i), "unit {i} never ran but was persisted"),
+            }
         }
     }
 
@@ -856,7 +708,7 @@ mod tests {
         assert_eq!(
             total.per_worker_units.iter().sum::<usize>(),
             80,
-            "steal counts add slot-wise"
+            "shard sizes add slot-wise"
         );
 
         let mut m = obs::MetricsRegistry::new();

@@ -122,6 +122,21 @@ impl fmt::Display for VariationCorner {
     }
 }
 
+impl std::str::FromStr for VariationCorner {
+    type Err = String;
+
+    /// Parses the [`fmt::Display`] form (`none`/`typical`/`severe`) —
+    /// scenario stage params round-trip through this.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "none" => Ok(VariationCorner::None),
+            "typical" => Ok(VariationCorner::Typical),
+            "severe" => Ok(VariationCorner::Severe),
+            other => Err(format!("unknown variation corner {other:?}")),
+        }
+    }
+}
+
 /// The deviation of a single transistor from nominal.
 ///
 /// `dl_frac` is the *total* fractional gate-length deviation (die-to-die +
@@ -232,5 +247,13 @@ mod tests {
     #[test]
     fn corner_display() {
         assert_eq!(VariationCorner::Severe.to_string(), "severe");
+        for c in [
+            VariationCorner::None,
+            VariationCorner::Typical,
+            VariationCorner::Severe,
+        ] {
+            assert_eq!(c.to_string().parse::<VariationCorner>(), Ok(c));
+        }
+        assert!("apocalyptic".parse::<VariationCorner>().is_err());
     }
 }
