@@ -10,7 +10,7 @@
 //! closing the connection — the one HTTP/1.0-style framing that needs
 //! no encoder on either side.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest accepted request head (request line + headers) in bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -43,14 +43,33 @@ fn bad(msg: impl Into<String>) -> BadRequest {
     BadRequest(msg.into())
 }
 
+/// Reads one head line (request line or header), consuming at most
+/// `budget` bytes from `stream`. A line cut off by the budget comes back
+/// without its newline; the caller's byte count then exceeds the head
+/// limit. Empty at EOF.
+fn read_head_line<R: BufRead>(stream: &mut R, budget: usize) -> io::Result<Vec<u8>> {
+    let mut line = Vec::new();
+    stream.take(budget as u64).read_until(b'\n', &mut line)?;
+    Ok(line)
+}
+
 /// Reads one request from `stream`. `Ok(None)` means the peer closed
 /// the connection before sending a request line (a clean EOF, not an
-/// error — load balancers and health probes do this).
+/// error — load balancers and health probes do this). The request line
+/// and headers together may not exceed `MAX_HEAD_BYTES`; no more than
+/// one byte past that is read before the request is refused.
 pub fn read_request<R: BufRead>(stream: &mut R) -> io::Result<Result<Option<Request>, BadRequest>> {
-    let mut line = String::new();
-    if stream.read_line(&mut line)? == 0 {
+    let line = read_head_line(stream, MAX_HEAD_BYTES + 1)?;
+    if line.is_empty() {
         return Ok(Ok(None));
     }
+    let mut head_bytes = line.len();
+    if head_bytes > MAX_HEAD_BYTES {
+        return Ok(Err(bad("request head too large")));
+    }
+    let Ok(line) = String::from_utf8(line) else {
+        return Ok(Err(bad("request line is not UTF-8")));
+    };
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -62,16 +81,18 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> io::Result<Result<Option<Requ
     let (method, path) = (method.to_string(), path.to_string());
 
     let mut content_length = 0usize;
-    let mut head_bytes = line.len();
     loop {
-        let mut header = String::new();
-        if stream.read_line(&mut header)? == 0 {
+        let header = read_head_line(stream, MAX_HEAD_BYTES + 1 - head_bytes)?;
+        if header.is_empty() {
             return Ok(Err(bad("connection closed mid-headers")));
         }
         head_bytes += header.len();
         if head_bytes > MAX_HEAD_BYTES {
             return Ok(Err(bad("request head too large")));
         }
+        let Ok(header) = String::from_utf8(header) else {
+            return Ok(Err(bad("header is not UTF-8")));
+        };
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -219,6 +240,28 @@ mod tests {
         assert!(read_request(&mut BufReader::new(oversized.as_bytes()))
             .unwrap()
             .is_err());
+    }
+
+    #[test]
+    fn unterminated_request_line_is_refused_after_the_head_limit() {
+        // 1 MiB with no newline: the request line alone overruns the
+        // head limit, and reading stops one byte past it.
+        let mut wire = io::Cursor::new(vec![b'a'; 1 << 20]);
+        let err = read_request(&mut wire).unwrap().unwrap_err();
+        assert_eq!(err.0, "request head too large");
+        assert!(
+            wire.position() <= (MAX_HEAD_BYTES + 1) as u64,
+            "consumed {} bytes",
+            wire.position()
+        );
+
+        // The same bound holds for a header line after a valid request line.
+        let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(1 << 20, b'b');
+        let mut wire = io::Cursor::new(head);
+        let err = read_request(&mut wire).unwrap().unwrap_err();
+        assert_eq!(err.0, "request head too large");
+        assert!(wire.position() <= (MAX_HEAD_BYTES + 1) as u64);
     }
 
     #[test]

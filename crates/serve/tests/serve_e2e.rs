@@ -466,3 +466,151 @@ fn event_stream_replays_history_and_reports_lifecycle() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The accept thread blocks in `accept()`, so an exchange on an idle
+/// daemon is served as soon as it connects. A timed accept poll would
+/// add its interval to every one of these exchanges.
+#[test]
+fn idle_daemon_answers_sequential_exchanges_without_polling() {
+    let dir = temp_results("accept_latency");
+    let server = start_server(&dir, 1);
+    let addr = server.addr().to_string();
+    assert_eq!(exchange(&addr, "GET", "/healthz", None).unwrap().status, 200);
+
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        assert_eq!(exchange(&addr, "GET", "/healthz", None).unwrap().status, 200);
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "20 sequential /healthz exchanges took {took:?}"
+    );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Server::shutdown` wakes the blocked accept thread with a connection
+/// to the daemon's own listener, on TCP and Unix sockets alike.
+#[test]
+fn idle_shutdown_wakes_the_accept_loop_promptly() {
+    let dir = temp_results("idle_shutdown");
+    let mut listens = vec![Listen::Tcp("127.0.0.1:0".to_string())];
+    #[cfg(unix)]
+    listens.push(Listen::Unix(dir.join("daemon.sock")));
+    for listen in listens {
+        std::fs::create_dir_all(&dir).unwrap();
+        let server = Server::start(ServerConfig {
+            listen: listen.clone(),
+            results_dir: dir.clone(),
+            workers: 2,
+            ..ServerConfig::default()
+        })
+        .expect("daemon starts");
+        // Let every daemon thread settle into its idle wait.
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        server.shutdown();
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "idle shutdown on {listen:?} took {took:?}"
+        );
+        if let Listen::Unix(path) = &listen {
+            assert!(!path.exists(), "the socket file is removed on shutdown");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The job table keeps the 64 most recently finished jobs. An evicted
+/// job's status is rebuilt from its on-disk manifest, its events are
+/// gone, job counts keep every finished job, and a restarted daemon
+/// never serves a previous daemon's manifest.
+#[test]
+fn finished_jobs_beyond_the_cap_fall_back_to_their_manifests() {
+    let dir = temp_results("evict");
+    let server = start_server(&dir, 2);
+    let addr = server.addr().to_string();
+
+    let total = 70u64;
+    let mut first: Option<(String, String)> = None;
+    let mut last = 0;
+    for i in 0..total {
+        let id = submit(&addr, &sleep_scenario(&format!("evict_{i}"), 0.001));
+        let status = await_terminal(&addr, id);
+        assert_eq!(status.get("state").unwrap().as_str(), Some("done"), "{status:?}");
+        if i == 0 {
+            assert_eq!(id, 1);
+            let request_id = status.get("request_id").unwrap().as_str().unwrap();
+            let fingerprint = status
+                .get("manifest")
+                .and_then(|m| m.get("fingerprint"))
+                .and_then(Json::as_str)
+                .unwrap();
+            first = Some((request_id.to_string(), fingerprint.to_string()));
+        }
+        last = id;
+    }
+    let (request_id, fingerprint) = first.unwrap();
+
+    let list = parse_body(&exchange(&addr, "GET", "/jobs", None).unwrap());
+    assert_eq!(list.get("jobs").unwrap().as_arr().unwrap().len(), 64, "{list:?}");
+
+    let resp = exchange(&addr, "GET", "/jobs/1", None).unwrap();
+    assert_eq!(resp.status, 200, "{resp:?}");
+    let status = parse_body(&resp);
+    assert_eq!(status.get("job").unwrap().as_u64(), Some(1));
+    assert_eq!(status.get("scenario").unwrap().as_str(), Some("evict_0"));
+    assert_eq!(status.get("state").unwrap().as_str(), Some("done"), "{status:?}");
+    assert_eq!(status.get("request_id").unwrap().as_str(), Some(request_id.as_str()));
+    assert_eq!(
+        status
+            .get("manifest")
+            .and_then(|m| m.get("fingerprint"))
+            .and_then(Json::as_str),
+        Some(fingerprint.as_str())
+    );
+
+    let events = exchange(&addr, "GET", "/jobs/1/events", None).unwrap();
+    assert_eq!(events.status, 404);
+    assert_eq!(
+        parse_body(&events).get("error").unwrap().as_str(),
+        Some("events no longer retained")
+    );
+    assert_eq!(
+        exchange(&addr, "GET", &format!("/jobs/{}", last + 1), None)
+            .unwrap()
+            .status,
+        404
+    );
+
+    // Counts cover every job this daemon finished, not just the 64 kept.
+    let health = healthz(&addr);
+    assert_eq!(
+        health.get("jobs").unwrap().get("finished").unwrap().as_u64(),
+        Some(total),
+        "{health:?}"
+    );
+    let metrics = parse_body(&exchange(&addr, "GET", "/metrics.json", None).unwrap());
+    assert_eq!(
+        metrics
+            .get("gauges")
+            .and_then(|g| g.get("serve.jobs.finished"))
+            .and_then(Json::as_f64),
+        Some(total as f64),
+        "{metrics:?}"
+    );
+    server.shutdown();
+
+    // A restarted daemon has issued no ids yet: job 1 is unknown to it,
+    // even though the previous daemon's manifest is still on disk.
+    assert!(dir.join("jobs").join("1.run.json").exists());
+    let server = start_server(&dir, 2);
+    let addr = server.addr().to_string();
+    assert_eq!(exchange(&addr, "GET", "/jobs/1", None).unwrap().status, 404);
+    assert_eq!(exchange(&addr, "GET", "/jobs/1/events", None).unwrap().status, 404);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
