@@ -3,10 +3,12 @@
 //!
 //! Everything here favors transparency over speed:
 //!
-//! * no priority queues or epoch-staling — pending expiries are found by
-//!   scanning every line for `valid && dirty && deadline <= cycle` and
-//!   processing the earliest `(deadline, index)` first, repeatedly, until
-//!   none remain;
+//! * no priority queues or epoch-staling — each pass over every line
+//!   finds the earliest `(deadline, index)` among `valid && dirty` lines
+//!   and processes it while it is due (`deadline <= cycle`), repeating
+//!   until none is. Passes run only when `wake`, one lower bound over
+//!   every line's expiry and refresh key, says a key may be due; debug
+//!   builds re-scan on every skipped access and assert the bound held;
 //! * refresh scheduling is one `Option<u64>` per line (`refresh_due`),
 //!   re-derived from the line's own state at every arming point — no
 //!   shared queue to corrupt;
@@ -234,6 +236,12 @@ pub struct GoldenCache {
     loads_now: u8,
     stores_now: u8,
     stall_run: u64,
+    /// Lower bound on every valid line's expiry key (`deadline`, if
+    /// dirty) and refresh key (`refresh_due`): no engine work can be due
+    /// before this cycle.
+    wake: u64,
+    /// Whole-cache passes made so far by the expiry and refresh engines.
+    scans: u64,
     counters: GoldenCounters,
 }
 
@@ -292,6 +300,8 @@ impl GoldenCache {
             loads_now: 0,
             stores_now: 0,
             stall_run: 0,
+            wake: u64::MAX,
+            scans: 0,
             counters: GoldenCounters::default(),
             cfg,
             retention,
@@ -350,7 +360,9 @@ impl GoldenCache {
     }
 
     /// Re-derives the line's refresh booking from its current state —
-    /// called exactly where the engine under test arms its refresh queue.
+    /// called exactly where the engine under test arms its refresh queue,
+    /// which is every point outside [`GoldenCache::advance`] where a line
+    /// gains or moves a key — and lowers `wake` to the line's keys.
     fn arm_refresh(&mut self, idx: u32, deadline: u64, filled_at: u64) {
         let wants = match self.cfg.scheme.refresh {
             RefreshPolicy::Full => true,
@@ -361,11 +373,18 @@ impl GoldenCache {
             }
             _ => false,
         };
-        self.lines[idx as usize].refresh_due = if wants && deadline != u64::MAX {
+        let l = &mut self.lines[idx as usize];
+        l.refresh_due = if wants && deadline != u64::MAX {
             Some(deadline.saturating_sub(REFRESH_GUARD))
         } else {
             None
         };
+        self.wake = self.wake.min(line_key(l));
+    }
+
+    /// The earliest expiry or refresh key over the whole cache.
+    fn earliest_key(&self) -> u64 {
+        self.lines.iter().map(line_key).min().unwrap_or(u64::MAX)
     }
 
     /// Advances the refresh/expiry/write-buffer engines to `cycle`.
@@ -380,8 +399,21 @@ impl GoldenCache {
             self.loads_now = 0;
             self.stores_now = 0;
         }
-        self.drain_expiries(cycle);
-        self.service_refreshes(cycle);
+        if cycle >= self.wake {
+            // Restart the bound: lines re-armed by a serviced refresh
+            // lower it again, and each engine's last (nothing-due) pass
+            // returns its earliest remaining key.
+            self.wake = u64::MAX;
+            let expiry = self.drain_expiries(cycle);
+            let refresh = self.service_refreshes(cycle);
+            self.wake = self.wake.min(expiry).min(refresh);
+        } else {
+            debug_assert!(
+                self.earliest_key() >= self.wake,
+                "a line key fell below the wake bound {}",
+                self.wake
+            );
+        }
         self.wb.tick(cycle);
         for q in &mut self.windows {
             q.retain(|w| w.1 > cycle);
@@ -390,18 +422,25 @@ impl GoldenCache {
 
     /// Processes every pending dirty-line expiry up to `cycle`, earliest
     /// `(deadline, line)` first, by scanning the whole cache each round.
-    fn drain_expiries(&mut self, cycle: u64) {
+    /// Returns the earliest expiry left, which lies after `cycle`.
+    fn drain_expiries(&mut self, cycle: u64) -> u64 {
         loop {
+            self.scans += 1;
             let mut next: Option<(u64, u32)> = None;
             for (idx, l) in self.lines.iter().enumerate() {
-                if l.valid && l.dirty && l.deadline <= cycle {
+                if l.valid && l.dirty {
                     let key = (l.deadline, idx as u32);
                     if next.is_none_or(|cur| key < cur) {
                         next = Some(key);
                     }
                 }
             }
-            let Some((due, idx)) = next else { return };
+            let Some((due, idx)) = next else {
+                return u64::MAX;
+            };
+            if due > cycle {
+                return due;
+            }
             let line = self.lines[idx as usize];
             let set = idx / self.cfg.geometry.ways();
             let addr = self.cfg.geometry.address_of(line.tag, set);
@@ -435,29 +474,34 @@ impl GoldenCache {
 
     /// Services every due line refresh up to `cycle`, earliest
     /// `(refresh_due, line)` first, by scanning for armed lines.
-    fn service_refreshes(&mut self, cycle: u64) {
+    /// Returns the earliest refresh left, which lies after `cycle`.
+    fn service_refreshes(&mut self, cycle: u64) -> u64 {
         if !matches!(
             self.cfg.scheme.refresh,
             RefreshPolicy::Full | RefreshPolicy::Partial { .. }
         ) {
-            return;
+            return u64::MAX;
         }
         loop {
+            self.scans += 1;
             let mut next: Option<(u64, u32)> = None;
             for (idx, l) in self.lines.iter().enumerate() {
                 if !l.valid {
                     continue;
                 }
                 if let Some(due) = l.refresh_due {
-                    if due <= cycle {
-                        let key = (due, idx as u32);
-                        if next.is_none_or(|cur| key < cur) {
-                            next = Some(key);
-                        }
+                    let key = (due, idx as u32);
+                    if next.is_none_or(|cur| key < cur) {
+                        next = Some(key);
                     }
                 }
             }
-            let Some((due, idx)) = next else { return };
+            let Some((due, idx)) = next else {
+                return u64::MAX;
+            };
+            if due > cycle {
+                return due;
+            }
             let line = self.lines[idx as usize];
             let start = self.refresh_slot.max(due);
             let done = start + self.cfg.refresh_cycles as u64;
@@ -708,15 +752,20 @@ impl GoldenCache {
         extra
     }
 
+    /// The line holding retention rank `rank` of `set`.
+    fn ranked_line(&self, set: u32, rank: usize) -> u32 {
+        let way = self.ret_order[set as usize][rank] as u32;
+        self.cfg.geometry.line_index(set, way)
+    }
+
     fn rsp_fill(&mut self, cycle: u64, set: u32, tag: u64, kind: AccessKind) -> u32 {
         let alive = self.alive[set as usize];
-        let order: Vec<u8> = self.ret_order[set as usize][..alive].to_vec();
 
         // Shift depth: up to the first invalid/expired way, or the whole
         // alive span (evicting the last).
         let mut depth = alive;
-        for (rank, &way) in order.iter().enumerate() {
-            let idx = self.cfg.geometry.line_index(set, way as u32) as usize;
+        for rank in 0..alive {
+            let idx = self.ranked_line(set, rank) as usize;
             let line = &self.lines[idx];
             if !line.valid || cycle >= line.deadline {
                 depth = rank + 1;
@@ -724,7 +773,7 @@ impl GoldenCache {
             }
         }
 
-        let last_idx = self.cfg.geometry.line_index(set, order[depth - 1] as u32);
+        let last_idx = self.ranked_line(set, depth - 1);
         let extra = if depth == alive {
             self.evict_occupant(cycle, set, last_idx)
         } else {
@@ -735,8 +784,8 @@ impl GoldenCache {
         // the destination cells and restarts their retention.
         let mut moves = 0u64;
         for k in (1..depth).rev() {
-            let src_idx = self.cfg.geometry.line_index(set, order[k - 1] as u32) as usize;
-            let dst_idx = self.cfg.geometry.line_index(set, order[k] as u32);
+            let src_idx = self.ranked_line(set, k - 1) as usize;
+            let dst_idx = self.ranked_line(set, k);
             let src = self.lines[src_idx];
             if !src.valid || cycle >= src.deadline {
                 self.invalidate(dst_idx);
@@ -764,7 +813,7 @@ impl GoldenCache {
         }
 
         // The new block takes the top (longest-retention) rank.
-        let top_way = order[0] as u32;
+        let top_way = self.ret_order[set as usize][0] as u32;
         let top_idx = self.cfg.geometry.line_index(set, top_way);
         let usable = self.usable(top_idx);
         let write_through = self.cfg.write_policy == WritePolicy::WriteThrough;
@@ -828,6 +877,16 @@ impl GoldenCache {
     }
 }
 
+/// The earliest cycle at which `l` can need engine work: its expiry if it
+/// is valid and dirty, or its refresh booking if it is valid and armed.
+fn line_key(l: &GLine) -> u64 {
+    if !l.valid {
+        return u64::MAX;
+    }
+    let expiry = if l.dirty { l.deadline } else { u64::MAX };
+    expiry.min(l.refresh_due.unwrap_or(u64::MAX))
+}
+
 impl DemandSink for GoldenCache {
     fn try_access(
         &mut self,
@@ -836,5 +895,44 @@ impl DemandSink for GoldenCache {
         kind: AccessKind,
     ) -> Result<AccessResult, PortBusy> {
         self.access(cycle, addr, kind)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{default_schemes, named_retention, run_differential_models};
+    use cachesim::DataCache;
+    use uarch::instr::TraceSource;
+    use workloads::{SpecBenchmark, SyntheticTrace};
+
+    /// The wake bound keeps whole-cache passes well below one per access
+    /// on benchmark-sized windows; scanning on every access (at least one
+    /// pass, two for refresh schemes) fails this.
+    #[test]
+    fn scans_stay_below_half_the_accesses() {
+        let retention = named_retention("mixed", 1024).unwrap();
+        for bench in [SpecBenchmark::Gzip, SpecBenchmark::Mcf] {
+            let mut trace = SyntheticTrace::new(bench.profile(), 1);
+            let instrs: Vec<_> = (0..60_000).map(|_| trace.next_instr()).collect();
+            for (name, scheme) in default_schemes() {
+                let cfg = CacheConfig::paper(scheme);
+                let mut dut = DataCache::new(cfg, retention.clone());
+                let mut golden = GoldenCache::new(cfg, retention.clone());
+                let report =
+                    run_differential_models(&mut dut, &mut golden, instrs.iter().copied(), 0);
+                assert!(
+                    report.within_tolerance(),
+                    "{bench} × {name}:\n{}",
+                    report.render_text()
+                );
+                assert!(
+                    golden.scans <= report.accesses / 2,
+                    "{bench} × {name}: {} scans for {} accesses",
+                    golden.scans,
+                    report.accesses
+                );
+            }
+        }
     }
 }

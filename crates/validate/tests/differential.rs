@@ -261,3 +261,56 @@ proptest! {
         prop_assert!(report.within_tolerance(), "{}", report.render_text());
     }
 }
+
+/// A dirty fill into a dead way expires in the cycle it is made
+/// (usable 0, so deadline = fill cycle). The golden model must drain it
+/// at the very next access in the same issue slot, exactly as the engine
+/// under test does, even though no earlier access left any key due.
+#[test]
+fn same_cycle_dead_way_dirty_fill_is_drained_at_the_next_access() {
+    use cachesim::{AccessKind, AccessReplayer};
+    use validate::{dut_counters, DRAIN_CYCLES};
+
+    for name in ["no-refresh-lru", "full-lru"] {
+        let cfg = small_cfg(validate::scheme_by_name(name).unwrap());
+        // Every line dead: below one counter step, so usable is 0.
+        let retention = RetentionProfile::PerLine(vec![500; cfg.geometry.lines() as usize]);
+        let mut dut = DataCache::new(cfg, retention.clone());
+        let mut golden = GoldenCache::new(cfg, retention);
+        let (mut rep_dut, mut rep_golden) = (AccessReplayer::new(), AccessReplayer::new());
+        let addr = cfg.geometry.address_of(1, 0);
+        let schedule = [
+            (10, AccessKind::Store), // tag miss, dirty fill of a dead way
+            (10, AccessKind::Load),  // same slot: the fill is already due
+            (11, AccessKind::Load),  // one slot later
+        ];
+        for (k, &(slot, kind)) in schedule.iter().enumerate() {
+            let r_dut = rep_dut.step(&mut dut, slot, addr, kind);
+            let r_golden = rep_golden.step(&mut golden, slot, addr, kind);
+            assert_eq!(r_dut, r_golden, "{name}: access {k} result");
+            assert_eq!(
+                rep_dut.cycle(),
+                rep_golden.cycle(),
+                "{name}: access {k} cycle"
+            );
+            assert_eq!(
+                dut_counters(&dut),
+                *golden.counters(),
+                "{name}: after access {k}"
+            );
+        }
+        assert_eq!(
+            golden.counters().dead_way_events,
+            3,
+            "{name}: every fill hit a dead way"
+        );
+        let drain_at = rep_dut.cycle() + DRAIN_CYCLES;
+        dut.advance(drain_at);
+        golden.advance(drain_at);
+        assert_eq!(
+            dut_counters(&dut),
+            *golden.counters(),
+            "{name}: after drain"
+        );
+    }
+}

@@ -5,10 +5,13 @@
 //! errors, never panics.
 
 use cachesim::{CacheConfig, DataCache, RetentionProfile, Scheme};
+use proptest::prelude::*;
 use std::io::Cursor;
 use uarch::instr::TraceSource;
 use uarch::sim::simulate;
-use workloads::stream::{record_synthetic, TraceError, TraceReader, CHUNK_RECORDS};
+use workloads::stream::{
+    record_synthetic, TraceError, TraceMeta, TraceReader, TraceWriter, CHUNK_RECORDS, RECORD_BYTES,
+};
 use workloads::{RecordedTrace, SpecBenchmark, SyntheticTrace};
 
 const LEN: u64 = 6_000;
@@ -159,4 +162,107 @@ fn reader_cursor_resumes_across_reopen() {
         checkpoint = r.position(); // "cancel": drop the reader
     }
     assert_eq!(stitched, full);
+}
+
+/// Streams `bytes` to the end or to the first error, which it returns.
+/// Every failure must be a domain error (a byte slice never fails with
+/// real I/O), nothing may follow it, and no more records may come out
+/// than the bytes hold.
+fn drain_reader(bytes: &[u8]) -> Result<Option<TraceError>, TestCaseError> {
+    let reader = match TraceReader::new(bytes) {
+        Ok(reader) => reader,
+        Err(e) => {
+            prop_assert!(!matches!(e, TraceError::Io(_)), "open: {e}");
+            return Ok(Some(e));
+        }
+    };
+    let mut records = 0usize;
+    let mut failure = None;
+    for rec in reader {
+        prop_assert!(failure.is_none(), "a record followed an error");
+        match rec {
+            Ok(_) => records += 1,
+            Err(e) => {
+                prop_assert!(!matches!(e, TraceError::Io(_)), "read: {e}");
+                failure = Some(e);
+            }
+        }
+    }
+    prop_assert!(records * RECORD_BYTES <= bytes.len());
+    Ok(failure)
+}
+
+/// A finished file's header promising `total` records, with no chunks.
+fn header_promising(total: u64) -> Vec<u8> {
+    let meta = TraceMeta {
+        name: "fuzz".into(),
+        seed: 0,
+        icache_miss_rate: 0.0,
+    };
+    let header_len = {
+        let w = TraceWriter::new(Cursor::new(Vec::new()), &meta).expect("in-memory");
+        w.finish().expect("in-memory").0.into_inner().len()
+    };
+    let mut bytes = record_synthetic(
+        SpecBenchmark::Gcc.profile(),
+        &meta.name,
+        0,
+        total,
+        Cursor::new(Vec::new()),
+    )
+    .expect("in-memory")
+    .into_inner();
+    bytes.truncate(header_len);
+    bytes
+}
+
+/// The chunk checksum: 64-bit FNV-1a over the payload.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, usually rejected by the header checks.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
+        drain_reader(&bytes)?;
+    }
+
+    /// A valid header followed by arbitrary chunk bytes: the chunk
+    /// header, length and checksum checks must reject them cleanly.
+    #[test]
+    fn valid_header_then_arbitrary_chunks_never_panic(
+        total in 1u64..20_000,
+        body in proptest::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        let mut bytes = header_promising(total);
+        bytes.extend_from_slice(&body);
+        prop_assert!(drain_reader(&bytes)?.is_some(), "a record count was left unmet");
+    }
+
+    /// A well-framed chunk (matching count, length and checksum) around
+    /// arbitrary record bytes: the chunk passes its checks, and the
+    /// record decoder must reject bad op classes and flags cleanly.
+    #[test]
+    fn framed_arbitrary_records_never_panic(
+        total in 1u64..300,
+        payload in proptest::collection::vec(any::<u8>(), RECORD_BYTES..4096),
+    ) {
+        let count = payload.len() / RECORD_BYTES;
+        let payload = &payload[..count * RECORD_BYTES];
+        let mut bytes = header_promising(total);
+        bytes.extend_from_slice(&(count as u32).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        let failure = drain_reader(&bytes)?;
+        prop_assert!(
+            !matches!(failure, Some(TraceError::CorruptChunk { .. })),
+            "a well-framed chunk was rejected: {failure:?}"
+        );
+    }
 }
