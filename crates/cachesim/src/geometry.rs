@@ -18,11 +18,21 @@
 use std::fmt;
 
 /// Shape of a set-associative cache.
+///
+/// Every dimension is a power of two, so the constructor stores the log2
+/// of the block size, the set count and the associativity once, and every
+/// address split is a shift and a mask rather than an integer divide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     size_bytes: u32,
     block_bytes: u32,
     ways: u32,
+    /// log2 of `block_bytes`.
+    block_shift: u32,
+    /// log2 of the set count.
+    set_shift: u32,
+    /// log2 of `ways`.
+    way_shift: u32,
 }
 
 impl Geometry {
@@ -43,6 +53,9 @@ impl Geometry {
             size_bytes,
             block_bytes,
             ways,
+            block_shift: block_bytes.trailing_zeros(),
+            set_shift: (lines / ways).trailing_zeros(),
+            way_shift: ways.trailing_zeros(),
         }
     }
 
@@ -78,22 +91,22 @@ impl Geometry {
 
     /// Number of sets.
     pub fn sets(&self) -> u32 {
-        self.size_bytes / self.block_bytes / self.ways
+        1 << self.set_shift
     }
 
     /// Total number of lines.
     pub fn lines(&self) -> u32 {
-        self.size_bytes / self.block_bytes
+        1 << (self.set_shift + self.way_shift)
     }
 
     /// The set index for a byte address.
     pub fn set_of(&self, addr: u64) -> u32 {
-        ((addr / self.block_bytes as u64) % self.sets() as u64) as u32
+        ((addr >> self.block_shift) & ((1u64 << self.set_shift) - 1)) as u32
     }
 
     /// The tag for a byte address.
     pub fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.block_bytes as u64 / self.sets() as u64
+        addr >> (self.block_shift + self.set_shift)
     }
 
     /// The block-aligned base address for a byte address.
@@ -103,7 +116,7 @@ impl Geometry {
 
     /// Reconstructs a representative address from `(tag, set)`.
     pub fn address_of(&self, tag: u64, set: u32) -> u64 {
-        (tag * self.sets() as u64 + set as u64) * self.block_bytes as u64
+        ((tag << self.set_shift).wrapping_add(set as u64)) << self.block_shift
     }
 
     /// Flat line index for `(set, way)`: `set × ways + way`. This is the
@@ -115,7 +128,7 @@ impl Geometry {
     pub fn line_index(&self, set: u32, way: u32) -> u32 {
         assert!(set < self.sets(), "set {set} out of range");
         assert!(way < self.ways, "way {way} out of range");
-        set * self.ways + way
+        (set << self.way_shift) | way
     }
 }
 
@@ -187,6 +200,35 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn shifts_match_the_divide_arithmetic() {
+        let mut addr = 0x9e37_79b9_7f4a_7c15u64;
+        let shapes = [
+            (64 * 1024, 64, 1),
+            (64 * 1024, 64, 8),
+            (2 << 20, 64, 4),
+            (512, 8, 2),
+            (256, 256, 1),
+        ];
+        for (size, block, ways) in shapes {
+            let g = Geometry::new(size, block, ways);
+            assert_eq!(g.lines(), size / block);
+            let (block, sets) = (block as u64, (size / block / ways) as u64);
+            assert_eq!(g.sets() as u64, sets);
+            for _ in 0..1000 {
+                addr = addr
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                assert_eq!(g.set_of(addr) as u64, (addr / block) % sets);
+                assert_eq!(g.tag_of(addr), addr / block / sets);
+                let (tag, set) = (addr >> 40, g.set_of(addr));
+                assert_eq!(g.address_of(tag, set), (tag * sets + set as u64) * block);
+                let way = (addr % ways as u64) as u32;
+                assert_eq!(g.line_index(set, way), set * ways + way);
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod bpred;
+mod calendar;
 pub mod config;
 pub mod instr;
 pub mod sim;

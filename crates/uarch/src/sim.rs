@@ -15,14 +15,31 @@
 //!   store-to-load forwarding are not modeled;
 //! * the I-cache is modeled as a per-workload miss rate injecting fetch
 //!   bubbles.
+//!
+//! The cycle loop (commit, issue, dispatch) is built so most cycles cost
+//! nothing:
+//!
+//! * the ROB is a power-of-two ring: entry `seq` lives at slot
+//!   `seq & mask`, so every lookup is a mask, not a deque offset;
+//! * the out-of-order scheduler is event-driven. Dispatched entries wait
+//!   on their producer, then on a calendar timing wheel (one bucket per
+//!   cycle mod 1024, a bitmap of non-empty buckets, an overflow heap for
+//!   wake-ups further out), then in a seq-sorted ready list;
+//! * most simulated cycles are idle: nothing can commit, the ready list is
+//!   empty, and dispatch is blocked. The out-of-order loop jumps straight
+//!   to the next cycle that can change state: the ROB head's completion,
+//!   the wheel's next bucket, or the end of a fetch stall. It charges the
+//!   skipped cycles to the one stall counter that stepping through them
+//!   would have charged, so every [`SimResult`] field is unchanged. The
+//!   `in_order` ablation steps every cycle.
 
 use crate::bpred::TournamentPredictor;
+use crate::calendar::Calendar;
 use crate::config::MachineConfig;
 use crate::instr::{Instruction, OpClass, TraceSource};
 use crate::tlb::Tlb;
 use cachesim::{AccessKind, DataCache, Geometry, TagCache};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Aggregate results of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -180,7 +197,24 @@ struct Entry {
     /// Chain link used while this entry is parked on one of its own
     /// unissued producers.
     wait_next: u64,
+    /// Set when the `in_order` scan issues the entry, so the scan can drop
+    /// it from `unissued`.
     issued: bool,
+}
+
+impl Entry {
+    /// Filler for ROB slots that hold no instruction.
+    const VACANT: Entry = Entry {
+        op: OpClass::IntAlu,
+        addr: 0,
+        dep1: u64::MAX,
+        dep2: u64::MAX,
+        completing_at: u64::MAX,
+        ready_at: u64::MAX,
+        wait_head: u64::MAX,
+        wait_next: u64::MAX,
+        issued: false,
+    };
 }
 
 /// The pipeline simulator. Owns the predictor; borrows the cache and trace.
@@ -188,7 +222,10 @@ struct Entry {
 pub struct Pipeline {
     cfg: MachineConfig,
     bpred: TournamentPredictor,
-    rob: VecDeque<Entry>,
+    /// Reorder buffer: a power-of-two ring holding entry `seq` at slot
+    /// `seq & rob_mask`; the live entries are `head_seq..next_seq`.
+    rob: Vec<Entry>,
+    rob_mask: u64,
     /// Sequence numbers of dispatched-but-unissued entries, in program
     /// order. Only used by the `in_order` ablation path; the out-of-order
     /// scheduler is event-driven and never rescans stalled entries.
@@ -198,8 +235,8 @@ pub struct Pipeline {
     /// program order. Entries stay here while unit- or port-limited.
     ready: Vec<u64>,
     /// Timing wheel: entries whose operands become available at a known
-    /// future cycle, keyed by (ready_at, seq).
-    wheel: BinaryHeap<Reverse<(u64, u64)>>,
+    /// future cycle, bucketed by that cycle.
+    wheel: Calendar,
     /// Scratch buffers for the per-cycle wheel drain + ready merge.
     wake_scratch: Vec<u64>,
     merge_scratch: Vec<u64>,
@@ -244,13 +281,15 @@ impl Pipeline {
         } else {
             (1.0 / icache_miss_rate).round() as u64
         };
+        let rob_slots = (cfg.rob_entries as usize).next_power_of_two();
         Self {
             cfg,
             bpred: TournamentPredictor::new(),
-            rob: VecDeque::with_capacity(cfg.rob_entries as usize),
+            rob: vec![Entry::VACANT; rob_slots],
+            rob_mask: rob_slots as u64 - 1,
             unissued: VecDeque::with_capacity(cfg.rob_entries as usize),
             ready: Vec::with_capacity(cfg.rob_entries as usize),
-            wheel: BinaryHeap::with_capacity(cfg.rob_entries as usize),
+            wheel: Calendar::new(rob_slots),
             wake_scratch: Vec::new(),
             merge_scratch: Vec::new(),
             int_iq_occ: 0,
@@ -299,6 +338,9 @@ impl Pipeline {
             .saturating_add(instructions.saturating_mul(400).max(1_000_000));
 
         while committed < instructions {
+            if !self.cfg.in_order {
+                self.skip_idle_cycles(max_cycles);
+            }
             self.cycle += 1;
             let cycle = self.cycle;
             assert!(
@@ -338,15 +380,61 @@ impl Pipeline {
         }
     }
 
+    /// Jumps over the coming cycles in which nothing can commit, issue or
+    /// dispatch, charging each one to the stall counter the cycle-by-cycle
+    /// loop would have charged.
+    ///
+    /// The cycles from `cycle + 1` are idle while the ready list is empty
+    /// and dispatch is blocked. They stay idle until the earliest of three
+    /// events: the ROB head completes (commit), the wheel's next bucket
+    /// comes due (issue), or `fetch_blocked_until` passes (dispatch). Until
+    /// then no state other than that one stall counter changes: dispatch
+    /// is blocked by a pending redirect or fetch stall
+    /// (`dispatch_blocked_cycles`), else by a full ROB (`rob_full_stalls`),
+    /// else by two full issue queues (`iq_full_stalls`). The jump stops at
+    /// `max_cycles`, so a livelock still trips the loop's assertion at
+    /// the same cycle.
+    fn skip_idle_cycles(&mut self, max_cycles: u64) {
+        let next = self.cycle + 1;
+        if !self.ready.is_empty() || self.cfg.width == 0 {
+            return;
+        }
+        let head_done = self.rob_head().map_or(u64::MAX, |e| e.completing_at);
+        let fetch_blocked = next < self.fetch_blocked_until;
+        let stall = if self.pending_redirect.is_some() || fetch_blocked {
+            &mut self.result.dispatch_blocked_cycles
+        } else if self.rob_len() >= self.cfg.rob_entries as u64 {
+            &mut self.result.rob_full_stalls
+        } else if self.icache_countdown != 0
+            && self.int_iq_occ >= self.cfg.int_iq_entries
+            && self.fp_iq_occ >= self.cfg.fp_iq_entries
+        {
+            &mut self.result.iq_full_stalls
+        } else {
+            return;
+        };
+        let fetch_open = if fetch_blocked {
+            self.fetch_blocked_until
+        } else {
+            u64::MAX
+        };
+        let wake = head_done
+            .min(self.wheel.next_due(self.cycle))
+            .min(fetch_open)
+            .min(max_cycles);
+        if wake > next {
+            *stall += wake - next;
+            self.cycle = wake - 1;
+        }
+    }
+
     fn commit(&mut self, cycle: u64, limit: u64) -> u64 {
         let mut n = 0;
         while n < (self.cfg.width as u64).min(limit) {
-            match self.rob.front() {
+            match self.rob_head() {
                 Some(e) if e.completing_at <= cycle => {
-                    let e = *e;
                     self.committed_ring[(self.head_seq % COMMIT_RING as u64) as usize] =
                         e.completing_at;
-                    self.rob.pop_front();
                     self.head_seq += 1;
                     match e.op {
                         OpClass::Load => {
@@ -379,13 +467,27 @@ impl Pipeline {
             } else {
                 0
             }
+        } else if dep < self.next_seq {
+            self.rob[self.slot(dep)].completing_at
         } else {
-            let idx = (dep - self.head_seq) as usize;
-            match self.rob.get(idx) {
-                Some(e) => e.completing_at,
-                None => 0,
-            }
+            0
         }
+    }
+
+    /// The ROB slot of in-flight entry `seq`.
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
+    }
+
+    /// The oldest in-flight entry, if any.
+    fn rob_head(&self) -> Option<Entry> {
+        (self.head_seq < self.next_seq).then(|| self.rob[self.slot(self.head_seq)])
+    }
+
+    /// Entries in flight.
+    fn rob_len(&self) -> u64 {
+        self.next_seq - self.head_seq
     }
 
     fn issue(&mut self, cycle: u64, cache: &mut DataCache) {
@@ -404,15 +506,9 @@ impl Pipeline {
     /// revisiting operand-stalled entries.
     fn issue_event_driven(&mut self, cycle: u64, cache: &mut DataCache) {
         // Wake entries whose operands became available by this cycle.
-        if matches!(self.wheel.peek(), Some(&Reverse((t, _))) if t <= cycle) {
+        if self.wheel.has_due(cycle) {
             let mut woken = std::mem::take(&mut self.wake_scratch);
-            while let Some(&Reverse((t, seq))) = self.wheel.peek() {
-                if t > cycle {
-                    break;
-                }
-                self.wheel.pop();
-                woken.push(seq);
-            }
+            self.wheel.drain_due(cycle, &mut woken);
             woken.sort_unstable();
             if self.ready.is_empty() {
                 std::mem::swap(&mut self.ready, &mut woken);
@@ -440,39 +536,36 @@ impl Pipeline {
         let mut int_units = self.cfg.int_units;
         let mut fp_units = self.cfg.fp_units;
         let mut mem_tries = 4u32; // bounded port probing per cycle
-        let mut issued_any = false;
 
-        for i in 0..self.ready.len() {
+        // Walk the ready list in program order, compacting the entries
+        // that stay (unit- or port-limited) to its front as we go.
+        let mut kept = 0;
+        let mut walked = 0;
+        while walked < self.ready.len() {
             if int_units == 0 && fp_units == 0 {
                 break;
             }
-            let seq = self.ready[i];
-            let idx = (seq - self.head_seq) as usize;
+            let seq = self.ready[walked];
+            walked += 1;
+            let idx = self.slot(seq);
             let e = self.rob[idx];
-            match e.op {
+            let issued = match e.op {
+                OpClass::Fp if fp_units == 0 => false,
                 OpClass::Fp => {
-                    if fp_units == 0 {
-                        continue;
-                    }
                     fp_units -= 1;
                     self.fp_iq_occ -= 1;
-                    issued_any = true;
-                    self.rob[idx].issued = true;
                     self.rob[idx].completing_at = cycle + 4;
                     let done1 = self.producer_done_at(seq, e.dep1);
                     let done2 = self.producer_done_at(seq, e.dep2);
                     self.record_value_ages(cycle, &e, done1, done2);
                     self.wake_dependents(seq);
+                    true
                 }
+                OpClass::IntAlu | OpClass::Branch | OpClass::IntMul if int_units == 0 => false,
                 OpClass::IntAlu | OpClass::Branch | OpClass::IntMul => {
-                    if int_units == 0 {
-                        continue;
-                    }
                     int_units -= 1;
                     self.int_iq_occ -= 1;
-                    issued_any = true;
                     let lat = e.op.fixed_latency().unwrap_or(1);
-                    self.rob[idx].issued = true;
                     self.rob[idx].completing_at = cycle + lat as u64;
                     let done1 = self.producer_done_at(seq, e.dep1);
                     let done2 = self.producer_done_at(seq, e.dep2);
@@ -484,11 +577,10 @@ impl Pipeline {
                             self.rob[idx].completing_at + self.cfg.redirect_penalty as u64;
                         self.pending_redirect = None;
                     }
+                    true
                 }
+                OpClass::Load | OpClass::Store if int_units == 0 || mem_tries == 0 => false,
                 OpClass::Load | OpClass::Store => {
-                    if int_units == 0 || mem_tries == 0 {
-                        continue;
-                    }
                     mem_tries -= 1;
                     let kind = if e.op == OpClass::Load {
                         AccessKind::Load
@@ -499,14 +591,12 @@ impl Pipeline {
                         Ok(r) => {
                             int_units -= 1;
                             self.int_iq_occ -= 1;
-                            issued_any = true;
                             let tlb_extra = if self.dtlb.access(e.addr) {
                                 0
                             } else {
                                 self.result.dtlb_misses += 1;
                                 self.cfg.dtlb_miss_penalty as u64
                             };
-                            self.rob[idx].issued = true;
                             self.rob[idx].completing_at = cycle + r.latency as u64 + tlb_extra;
                             let done1 = self.producer_done_at(seq, e.dep1);
                             let done2 = self.producer_done_at(seq, e.dep2);
@@ -519,32 +609,36 @@ impl Pipeline {
                                     .max(cycle + self.cfg.replay_flush_cycles as u64);
                                 obs::trace::sim_instant("uarch", "replay.flush", cycle);
                             }
+                            true
                         }
                         Err(_) => {
                             self.result.port_retries += 1;
                             obs::trace::sim_instant("uarch", "port.retry", cycle);
                             // Stay in the ready list; retry next cycle.
+                            false
                         }
                     }
                 }
+            };
+            if !issued {
+                self.ready[kept] = seq;
+                kept += 1;
             }
         }
-
-        if issued_any {
-            let rob = &self.rob;
-            let head = self.head_seq;
-            self.ready.retain(|&s| !rob[(s - head) as usize].issued);
-        }
+        // Entries past an early stop were not visited and stay too.
+        self.ready.copy_within(walked.., kept);
+        let len = self.ready.len() - (walked - kept);
+        self.ready.truncate(len);
     }
 
     /// Producer `pseq` just received a finite completion time: move each
     /// dependent parked on it to the timing wheel, or onto its other
     /// still-unissued producer (each entry is re-examined at most twice).
     fn wake_dependents(&mut self, pseq: u64) {
-        let pidx = (pseq - self.head_seq) as usize;
+        let pidx = self.slot(pseq);
         let mut w = std::mem::replace(&mut self.rob[pidx].wait_head, u64::MAX);
         while w != u64::MAX {
-            let widx = (w - self.head_seq) as usize;
+            let widx = self.slot(w);
             let next = std::mem::replace(&mut self.rob[widx].wait_next, u64::MAX);
             let (dep1, dep2) = (self.rob[widx].dep1, self.rob[widx].dep2);
             let done1 = self.producer_done_at(w, dep1);
@@ -558,7 +652,7 @@ impl Pipeline {
                 // so the dependent's ready time is always in the future.
                 let at = done1.max(done2);
                 self.rob[widx].ready_at = at;
-                self.wheel.push(Reverse((at, w)));
+                self.wheel.push(self.cycle, at, w);
             }
             w = next;
         }
@@ -566,8 +660,8 @@ impl Pipeline {
 
     /// Parks `waiter` on the wait chain of its unissued producer `dep`.
     fn park_on(&mut self, waiter: u64, dep: u64) {
-        let didx = (dep - self.head_seq) as usize;
-        let widx = (waiter - self.head_seq) as usize;
+        let didx = self.slot(dep);
+        let widx = self.slot(waiter);
         self.rob[widx].wait_next = self.rob[didx].wait_head;
         self.rob[didx].wait_head = waiter;
     }
@@ -577,7 +671,7 @@ impl Pipeline {
     /// sequence numbers only grow), onto the timing wheel, or parked on an
     /// unissued producer.
     fn schedule_dispatched(&mut self, seq: u64, cycle: u64) {
-        let idx = (seq - self.head_seq) as usize;
+        let idx = self.slot(seq);
         let (dep1, dep2) = (self.rob[idx].dep1, self.rob[idx].dep2);
         let done1 = self.producer_done_at(seq, dep1);
         let done2 = self.producer_done_at(seq, dep2);
@@ -591,7 +685,7 @@ impl Pipeline {
             if at <= cycle {
                 self.ready.push(seq);
             } else {
-                self.wheel.push(Reverse((at, seq)));
+                self.wheel.push(cycle, at, seq);
             }
         }
     }
@@ -613,7 +707,7 @@ impl Pipeline {
                 break;
             }
             let seq = self.unissued[u];
-            let idx = (seq - self.head_seq) as usize;
+            let idx = self.slot(seq);
             let e = self.rob[idx];
             // In-order issue: stop at the first unissued instruction that
             // cannot go this cycle (no younger instruction may pass it).
@@ -741,10 +835,8 @@ impl Pipeline {
         // Drop the entries that left the issue queues this cycle; the
         // relative order of the survivors is untouched.
         if issued_any {
-            let rob = &self.rob;
-            let head = self.head_seq;
-            self.unissued
-                .retain(|&s| !rob[(s - head) as usize].issued);
+            let (rob, mask) = (&self.rob, self.rob_mask);
+            self.unissued.retain(|&s| !rob[(s & mask) as usize].issued);
         }
     }
 
@@ -771,7 +863,7 @@ impl Pipeline {
         // counters carry exactly what the old full-ROB recount produced
         // (issue-queue drain at issue, LQ/SQ drain at commit).
         for _ in 0..self.cfg.width {
-            if self.rob.len() >= self.cfg.rob_entries as usize {
+            if self.rob_len() >= self.cfg.rob_entries as u64 {
                 self.result.rob_full_stalls += 1;
                 break;
             }
@@ -893,7 +985,8 @@ impl Pipeline {
             if entry.dep2 != u64::MAX && seq - entry.dep2 > COMMIT_RING as u64 {
                 entry.dep2 = u64::MAX;
             }
-            self.rob.push_back(entry);
+            let idx = self.slot(seq);
+            self.rob[idx] = entry;
             if self.cfg.in_order {
                 self.unissued.push_back(seq);
             } else {

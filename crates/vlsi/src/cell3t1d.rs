@@ -207,20 +207,55 @@ impl RetentionSolver {
         if v0 <= 0.0 {
             return Time::ZERO;
         }
-        // Log-domain timing floor through the read path.
+        let margin = v0.ln() - self.ln_floor(dl, dvth2_volts);
+        if margin <= 0.0 {
+            return Time::ZERO;
+        }
+        Time::new(self.tau(vth_total1, dl) * margin)
+    }
+
+    /// The log-domain timing floor `ln V_min` of a cell's read path:
+    /// `ln V_min_nom` plus the clamped ΔVth₂/ΔL exponent. A cell is alive
+    /// while `ln V₀` exceeds it, and its retention is `τ · (ln V₀ − floor)`.
+    #[inline]
+    pub(crate) fn ln_floor(&self, dl: f64, dvth2_volts: f64) -> f64 {
         let x_hat = dvth2_volts * self.inv_vth_nom;
         let exponent = (calib::VMIN_LIN_SENS * x_hat
             + calib::VMIN_QUAD_SENS * x_hat.max(0.0).powi(2)
             + calib::VMIN_DL_SENS * dl)
             .clamp(-20.0, 20.0);
-        let margin = v0.ln() - (self.ln_vmin_nom + exponent);
-        if margin <= 0.0 {
-            return Time::ZERO;
-        }
-        // Decay constant through the write path's subthreshold leakage.
+        self.ln_vmin_nom + exponent
+    }
+
+    /// Decay constant through the write path's subthreshold leakage, for a
+    /// total T1 threshold shift `vth_total1` at ΔL/L `dl`.
+    #[inline]
+    fn tau(&self, vth_total1: f64, dl: f64) -> f64 {
         let x = (-vth_total1 / self.nvt - LAMBDA_RETENTION * dl).clamp(-30.0, 30.0);
-        let tau = self.tau0 / (self.rho + (1.0 - self.rho) * exp_interp(x));
-        Time::new(tau * margin)
+        self.tau0 / (self.rho + (1.0 - self.rho) * exp_interp(x))
+    }
+
+    /// Lower bounds on the write-path factors of every cell at ΔL/L `dl`
+    /// whose T1 random deviation lies in `[lo, hi]` volts: `(τ, ln V₀)`.
+    ///
+    /// τ rises with ΔVth₁ (less subthreshold leakage), so its bound is its
+    /// value at `lo`; `ln V₀` falls with ΔVth₁, so its bound is its value
+    /// at `hi`, or −∞ when `V₀ ≤ 0` there. Every step of both expressions
+    /// is monotone in floating point, except the interpolated `exp`, whose
+    /// segment seams can step by about 1e-11 relative. So for any such
+    /// cell with `ln V₀_lo > floor`, its [`retention`] is at least
+    /// `τ_lo · (ln V₀_lo − floor) · (1 − 2e-11)`.
+    ///
+    /// [`retention`]: RetentionSolver::retention
+    pub(crate) fn write_path_bounds(&self, dl: f64, lo: f64, hi: f64) -> (f64, f64) {
+        let tau_lo = self.tau(lo + self.sce_vth * dl, dl);
+        let v0_hi = self.v0_base - calib::V0_WRITE_VTH_COUPLING * (hi + self.sce_vth * dl);
+        let ln_v0_lo = if v0_hi <= 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            v0_hi.ln()
+        };
+        (tau_lo, ln_v0_lo)
     }
 
     /// Batched [`RetentionSolver::retention`] over SoA deviation planes:

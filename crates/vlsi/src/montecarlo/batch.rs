@@ -14,7 +14,10 @@
 //! * the random-dopant Vth planes are filled line-at-a-time straight from
 //!   the RNG stream; and
 //! * the retention solve runs as [`RetentionSolver::retention_slice`], a
-//!   tight loop over the three planes.
+//!   tight loop over the three planes. The 3T1D line kernel,
+//!   [`line_retentions`], goes further: a per-chip `RetentionScreen`
+//!   certifies most cells as no lower than their line's running minimum,
+//!   and only the rest take the exact solve.
 //!
 //! **Determinism contract.** Every kernel consumes the chip's RNG streams
 //! draw-for-draw like its scalar counterpart and produces bit-identical
@@ -113,27 +116,63 @@ fn leaf_lut(layout: &ArrayLayout, levels: usize) -> Arc<Vec<u32>> {
 /// `chip.dl_at(x, y)` at that cell's position.
 pub fn dl_plane(chip: &Chip) -> Vec<f64> {
     let lut = leaf_lut(&chip.layout, chip.field.levels());
-    let totals = chip.field.leaf_totals();
-    let d2d = chip.d2d_dl_frac;
-    lut.iter().map(|&leaf| d2d + totals[leaf as usize]).collect()
+    let leaf_dl = leaf_dl(chip);
+    lut.iter().map(|&leaf| leaf_dl[leaf as usize]).collect()
 }
 
 /// Batch equivalent of the scalar per-line retention sampling: returns the
 /// per-line minimum retention, bit-identical to
 /// [`Chip::line_retentions_scalar`] including RNG stream consumption.
+///
+/// Only a cell that could lower its line's running minimum is solved
+/// exactly; the `RetentionScreen` certifies that every other cell's
+/// retention is at least that minimum, so the `<` fold never sees it.
 pub fn line_retentions(chip: &Chip) -> Vec<Time> {
+    let _span = obs::trace::span_with("vlsi", || format!("batch.retention:chip{}", chip.index));
+    let (out, exact_solves) = screened_line_retentions(chip);
+    let cells = out.len() * chip.layout.cells_per_line() as usize;
+    obs::trace::counter("batch.retention", cells as f64);
+    obs::trace::counter("batch.exact_solves", exact_solves as f64);
+    out
+}
+
+/// [`line_retentions`] plus the number of cells it solved exactly.
+fn screened_line_retentions(chip: &Chip) -> (Vec<Time>, u64) {
     let solver = RetentionSolver::new(chip.node);
-    line_retentions_kernel(
-        chip,
-        |dl, d1, d2, out| solver.retention_slice(dl, d1, d2, out),
-        |_line| 1.0,
-    )
+    let sigma_vth = chip.params.sigma_vth(chip.node).volts();
+    let lut = leaf_lut(&chip.layout, chip.field.levels());
+    let leaf_dl = leaf_dl(chip);
+    let screen = RetentionScreen::new(&solver, &leaf_dl, sigma_vth);
+    let cells = chip.layout.cells_per_line() as usize;
+    let mut exact_solves = 0u64;
+    let out = fold_lines(chip, |line, normals| {
+        let leaves = &lut[line * cells..(line + 1) * cells];
+        let mut min_ret = Time::from_us(f64::INFINITY);
+        for (bit, &leaf) in leaves.iter().enumerate() {
+            let dvth1 = sigma_vth * normals[2 * bit];
+            let dvth2 = sigma_vth * normals[2 * bit + 1];
+            let dl = leaf_dl[leaf as usize];
+            if screen.clears(leaf as usize, dvth1, solver.ln_floor(dl, dvth2), min_ret) {
+                continue;
+            }
+            exact_solves += 1;
+            let r = solver.retention(dl, dvth1, dvth2);
+            if r < min_ret {
+                min_ret = r;
+                if min_ret == Time::ZERO {
+                    return (min_ret, Some(bit));
+                }
+            }
+        }
+        (min_ret, None)
+    });
+    (out, exact_solves)
 }
 
 /// [`line_retentions`] for an arbitrary [`CellTechnology`]: the same RNG
-/// streams, deviation planes, min-fold, and dead-line rewind, with the
-/// technology's slice kernel in place of the 3T1D solver and its
-/// [`line_scale`] applied after the fold.
+/// streams, min-fold, and dead-line rewind, with every cell solved by the
+/// technology's slice kernel and its [`line_scale`] applied after the
+/// fold.
 ///
 /// For the 3T1D technology at the nominal operating point this is
 /// bit-identical to [`line_retentions`] (the retention scale and line
@@ -141,33 +180,52 @@ pub fn line_retentions(chip: &Chip) -> Vec<Time> {
 ///
 /// [`line_scale`]: CellTechnology::line_scale
 pub fn line_retentions_with(chip: &Chip, tech: &dyn CellTechnology) -> Vec<Time> {
-    let lines = chip.layout.lines();
-    line_retentions_kernel(
-        chip,
-        |dl, d1, d2, out| tech.retention_slice(dl, d1, d2, out),
-        |line| tech.line_scale(line, lines),
-    )
-}
-
-/// The shared SoA line-retention kernel: `solve` fills per-cell retentions
-/// for one line's planes, `line_scale` multiplies the folded per-line
-/// minimum (1.0 for the baseline path — bit-identical by IEEE identity).
-fn line_retentions_kernel(
-    chip: &Chip,
-    mut solve: impl FnMut(&[f64], &[f64], &[f64], &mut Vec<Time>),
-    mut line_scale: impl FnMut(u32) -> f64,
-) -> Vec<Time> {
     let _span = obs::trace::span_with("vlsi", || format!("batch.retention:chip{}", chip.index));
-    let lines = chip.layout.lines() as usize;
+    let lines = chip.layout.lines();
     let cells = chip.layout.cells_per_line() as usize;
     let sigma_vth = chip.params.sigma_vth(chip.node).volts();
     let dl = dl_plane(chip);
-
-    let mut rng = chip.rng_for(RETENTION_PURPOSE);
-    let mut normals = vec![0.0f64; 2 * cells];
     let mut dvth1 = vec![0.0f64; cells];
     let mut dvth2 = vec![0.0f64; cells];
     let mut rets: Vec<Time> = Vec::with_capacity(cells);
+    let out = fold_lines(chip, |line, normals| {
+        for bit in 0..cells {
+            dvth1[bit] = sigma_vth * normals[2 * bit];
+            dvth2[bit] = sigma_vth * normals[2 * bit + 1];
+        }
+        let base = line * cells;
+        tech.retention_slice(&dl[base..base + cells], &dvth1, &dvth2, &mut rets);
+        // Same reduction as the scalar loop, dead-line break included.
+        let mut min_ret = Time::from_us(f64::INFINITY);
+        for (bit, &r) in rets.iter().enumerate() {
+            if r < min_ret {
+                min_ret = r;
+                if min_ret == Time::ZERO {
+                    return (min_ret, Some(bit));
+                }
+            }
+        }
+        (min_ret, None)
+    });
+    obs::trace::counter("batch.retention", (out.len() * cells) as f64);
+    out.into_iter()
+        .enumerate()
+        .map(|(line, t)| t * tech.line_scale(line as u32, lines))
+        .collect()
+}
+
+/// The line loop both line kernels share: draws each line's `2 · cells`
+/// normals on the retention stream, lets `fold_line(line, normals)`
+/// reduce them to the line's minimum retention and the first dead cell
+/// (if any), and rewinds the stream after a dead line.
+fn fold_lines(
+    chip: &Chip,
+    mut fold_line: impl FnMut(usize, &[f64]) -> (Time, Option<usize>),
+) -> Vec<Time> {
+    let lines = chip.layout.lines() as usize;
+    let cells = chip.layout.cells_per_line() as usize;
+    let mut rng = chip.rng_for(RETENTION_PURPOSE);
+    let mut normals = vec![0.0f64; 2 * cells];
     let mut out = Vec::with_capacity(lines);
     let mut normals_drawn = 0u64;
     for line in 0..lines {
@@ -175,25 +233,7 @@ fn line_retentions_kernel(
         // position (see the module-level determinism contract).
         let snapshot = rng.clone();
         fill_standard_normals(&mut rng, &mut normals);
-        for bit in 0..cells {
-            dvth1[bit] = sigma_vth * normals[2 * bit];
-            dvth2[bit] = sigma_vth * normals[2 * bit + 1];
-        }
-        let base = line * cells;
-        solve(&dl[base..base + cells], &dvth1, &dvth2, &mut rets);
-
-        // Same reduction as the scalar loop, dead-line break included.
-        let mut min_ret = Time::from_us(f64::INFINITY);
-        let mut dead_at = None;
-        for (bit, &r) in rets.iter().enumerate() {
-            if r < min_ret {
-                min_ret = r;
-                if min_ret == Time::ZERO {
-                    dead_at = Some(bit);
-                    break;
-                }
-            }
-        }
+        let (min_ret, dead_at) = fold_line(line, &normals);
         match dead_at {
             Some(j) if j + 1 < cells => {
                 // The scalar path stopped after cell j's two draws; replay
@@ -206,11 +246,84 @@ fn line_retentions_kernel(
             }
             _ => normals_drawn += 2 * cells as u64,
         }
-        out.push(min_ret * line_scale(line as u32));
+        out.push(min_ret);
     }
     obs::trace::counter("batch.sample", normals_drawn as f64);
-    obs::trace::counter("batch.retention", (lines * cells) as f64);
     out
+}
+
+/// Half-width of the screened ΔVth₁ range, in σ. Cells beyond it (about
+/// two in a billion) are always solved exactly.
+const SCREEN_SIGMAS: f64 = 6.0;
+/// ΔVth₁ bins across the screened range.
+const SCREEN_BINS: usize = 256;
+/// Relative slack on the screen's bound. It only has to absorb the
+/// interpolated `exp`'s ~1e-11 seams (see
+/// [`RetentionSolver::write_path_bounds`]); the rest is headroom.
+const SCREEN_SLACK: f64 = 1.0 - 1e-6;
+
+/// Certified lower bounds on cell retention, per (quad-tree leaf, ΔVth₁
+/// bin) of one chip.
+///
+/// All cells of a leaf share one ΔL/L, so a cell's retention is
+/// `τ(ΔVth₁) · (ln V₀(ΔVth₁) − floor(ΔVth₂))`, where τ rises and `ln V₀`
+/// falls with ΔVth₁. For the cells of one bin, τ at the bin's low edge
+/// and `ln V₀` at its high edge therefore bound both factors from below.
+/// The read-path floor is computed exactly per cell, so
+/// `τ_lo · (ln V₀_lo − floor) · SCREEN_SLACK` is at most the cell's exact
+/// retention. When that bound reaches the line's running minimum, the
+/// cell can neither lower the minimum nor be dead, so skipping its solve
+/// leaves the fold unchanged.
+struct RetentionScreen {
+    /// `(τ_lo, ln V₀_lo)` at index `leaf * SCREEN_BINS + bin`.
+    bounds: Vec<(f64, f64)>,
+    /// Low edge of bin 0, in volts, and bins per volt.
+    lo: f64,
+    bins_per_volt: f64,
+}
+
+impl RetentionScreen {
+    fn new(solver: &RetentionSolver, leaf_dl: &[f64], sigma_vth: f64) -> Self {
+        let lo = -SCREEN_SIGMAS * sigma_vth;
+        let width = 2.0 * SCREEN_SIGMAS * sigma_vth / SCREEN_BINS as f64;
+        // Each bin's edges are pushed out by a millionth of a bin, so a
+        // cell that rounding places in a neighbouring bin index is still
+        // inside the range its bounds cover.
+        let pad = width * 1e-6;
+        let mut bounds = Vec::with_capacity(leaf_dl.len() * SCREEN_BINS);
+        for &dl in leaf_dl {
+            for k in 0..SCREEN_BINS {
+                let edge = lo + k as f64 * width;
+                bounds.push(solver.write_path_bounds(dl, edge - pad, edge + width + pad));
+            }
+        }
+        Self {
+            bounds,
+            lo,
+            bins_per_volt: 1.0 / width,
+        }
+    }
+
+    /// Whether the cell in `leaf` with T1 deviation `dvth1` and read-path
+    /// floor `ln_floor` certainly has a retention of at least `min_ret`.
+    /// A cell outside the screened range, or one whose bound falls short
+    /// (NaN included), is not cleared.
+    #[inline]
+    fn clears(&self, leaf: usize, dvth1: f64, ln_floor: f64, min_ret: Time) -> bool {
+        let t = (dvth1 - self.lo) * self.bins_per_volt;
+        if !(t >= 0.0 && t < SCREEN_BINS as f64) {
+            return false;
+        }
+        let (tau_lo, ln_v0_lo) = self.bounds[leaf * SCREEN_BINS + t as usize];
+        tau_lo * (ln_v0_lo - ln_floor) * SCREEN_SLACK >= min_ret.value()
+    }
+}
+
+/// Each quad-tree leaf's total ΔL/L: die-to-die plus correlated
+/// within-die, bit-identical to [`dl_plane`] at every cell of the leaf.
+fn leaf_dl(chip: &Chip) -> Vec<f64> {
+    let d2d = chip.d2d_dl_frac;
+    chip.field.leaf_totals().iter().map(|&t| d2d + t).collect()
 }
 
 /// Samples the chip's full deviation planes on the word-retention RNG
@@ -395,6 +508,23 @@ mod tests {
             assert_eq!(
                 line_retentions_with(&chip, t.as_ref()).len(),
                 chip.layout().lines() as usize
+            );
+        }
+    }
+
+    #[test]
+    fn screen_skips_most_exact_solves() {
+        // A screen that never clears a cell would still be bit-identical;
+        // this pins that it actually saves the solves.
+        for corner in [VariationCorner::Typical, VariationCorner::Severe] {
+            let f = ChipFactory::new(TechNode::N32, corner.params(), 11);
+            let chip = f.chip(0);
+            let (rets, exact) = screened_line_retentions(&chip);
+            assert_eq!(rets, chip.line_retentions_scalar(), "{corner:?}");
+            let cells = chip.layout().total_cells();
+            assert!(
+                (exact as f64) < 0.05 * cells as f64,
+                "{corner:?}: {exact} exact solves of {cells} cells"
             );
         }
     }

@@ -294,3 +294,31 @@ proptest! {
         prop_assert!(v.abs() <= 15.0 * sigma + 1e-12);
     }
 }
+
+proptest! {
+    // Each case samples two 34k-cell chips twice; fewer cases keep the
+    // unoptimized test build quick.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn screened_line_retentions_match_scalar(node in node_strategy(),
+                                             seed in 0u64..1_000_000,
+                                             sigma_scale in 0.5f64..1.6) {
+        // The screened kernel skips the exact solve of every cell it can
+        // certify as no lower than its line's running minimum. It must
+        // still be bit-identical to the scalar path that solves every
+        // cell, with dead lines and stream rewinds common at the upper
+        // sigma scales. Full-width lines, fewer rows.
+        let layout = ArrayLayout { rows: 16, ..ArrayLayout::PAPER_L1D };
+        for params in [VariationParams::TYPICAL, VariationParams::SEVERE] {
+            let params = params.scaled(sigma_scale);
+            let chip = ChipFactory::with_layout(node, params, layout, seed).chip(0);
+            let screened = vlsi::montecarlo::batch::line_retentions(&chip);
+            let scalar = chip.line_retentions_scalar();
+            prop_assert_eq!(screened.len(), scalar.len());
+            for (i, (a, b)) in screened.iter().zip(scalar.iter()).enumerate() {
+                prop_assert_eq!(a, b, "sigma x{} line {}", sigma_scale, i);
+            }
+        }
+    }
+}
