@@ -54,17 +54,9 @@ pub fn run(scale: &RunScale) -> StageOutput {
     // fans out over contiguous index shards (one per worker) and runs the
     // SoA batch kernels per chip; chip i depends only on (base_seed, i),
     // so the histogram is identical whatever the shard count.
-    let (models, sample_report) = map_indexed(scale.mc_chips.min(160) as usize, |i| {
+    let (models, _) = map_indexed(scale.mc_chips.min(160) as usize, |i| {
         ChipModel::new(&factory.chip(i as u32))
     });
-    // Sampling throughput and shard sizes are wall-clock and scheduling
-    // facts, so they go to the timing path (a timing metric plus the
-    // absorbed campaign report), never into the deterministic text.
-    out.metrics().set_gauge(
-        "campaign.sample.chips_per_s",
-        sample_report.units as f64 / sample_report.wall.as_secs_f64().max(1e-9),
-    );
-    out.timing.absorb(&sample_report);
     let mut models = models;
     let mut hist = Histogram::new(357.0, 3213.0, 12); // 238-ns bins on the paper's tick grid
     for chip in &models {
@@ -112,7 +104,7 @@ pub fn run(scale: &RunScale) -> StageOutput {
     let ideal = eval.run_ideal(4);
     let cfg = CacheConfig::paper(Scheme::global());
 
-    let (rows, sim_report) = map_indexed(picks.len(), |i| {
+    let (rows, _) = map_indexed(picks.len(), |i| {
         let chip = picks[i];
         let retention_ns = chip.cache_retention().ns();
         if !DataCache::global_scheme_feasible(chip.retention_profile(), &cfg) {
@@ -147,7 +139,6 @@ pub fn run(scale: &RunScale) -> StageOutput {
             total_dyn: total,
         }
     });
-    out.timing.absorb(&sim_report);
 
     let _ = writeln!(out.text);
     let _ = writeln!(

@@ -46,7 +46,6 @@ pub fn run(scale: &RunScale) -> StageOutput {
     for (s, label) in labels.iter().enumerate() {
         grid.export_scheme(out.metrics(), s, label);
     }
-    out.timing.absorb(&grid.report);
     let _ = writeln!(out.text);
 
     let _ = writeln!(

@@ -47,7 +47,6 @@ pub fn run(scale: &RunScale) -> StageOutput {
     for (s, &(label, _)) in schemes.iter().enumerate() {
         result.export_scheme(out.metrics(), s, label);
     }
-    out.timing.absorb(&result.report);
     let _ = writeln!(out.text);
 
     // perf[scheme][chip], power[scheme][chip]

@@ -39,8 +39,7 @@ pub fn run(scale: &RunScale) -> StageOutput {
     let eval = Evaluator::new(scale.eval_config(TechNode::N32));
 
     // The four ideal baselines, each computed exactly once.
-    let (ideals, ideal_report) = map_indexed(WAYS.len(), |w| eval.run_ideal(WAYS[w]));
-    out.timing.absorb(&ideal_report);
+    let (ideals, _) = map_indexed(WAYS.len(), |w| eval.run_ideal(WAYS[w]));
 
     let schemes = [
         ("no-refresh/LRU", Scheme::no_refresh_lru()),
@@ -52,14 +51,13 @@ pub fn run(scale: &RunScale) -> StageOutput {
 
     // One campaign over grade × scheme × ways (row-major).
     let units = grades.len() * schemes.len() * WAYS.len();
-    let (flat, grid_report) = map_indexed(units, |i| {
+    let (flat, _) = map_indexed(units, |i| {
         let g = i / (schemes.len() * WAYS.len());
         let s = (i / WAYS.len()) % schemes.len();
         let w = i % WAYS.len();
         let suite = eval.run_scheme(exemplars[g].retention_profile(), schemes[s].1, WAYS[w]);
         suite.normalized_performance(&ideals[w], 1.0)
     });
-    out.timing.absorb(&grid_report);
 
     let perf = |g: usize, s: usize, w: usize| flat[(g * schemes.len() + s) * WAYS.len() + w];
     for (g, grade) in grades.iter().enumerate() {

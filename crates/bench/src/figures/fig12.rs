@@ -122,8 +122,7 @@ pub fn surface(scale: &RunScale) -> StageOutput {
         let _ = writeln!(out.text, "{name}:");
         // Each scheme's µ–σ/µ grid fans out as one campaign of
         // independent grid-point units.
-        let (pts, report) = sweep.run_timed(&eval, *scheme, &ideal);
-        out.timing.absorb(&report);
+        let pts = sweep.run(&eval, *scheme, &ideal);
         let scheme_slug = metric_slug(name);
         for p in &pts {
             out.metrics().set_gauge(

@@ -1,48 +1,42 @@
-//! The figure/table *stage functions*: the core logic of the headline
-//! experiment binaries, callable as a library.
+//! The figure/table *stage functions*: every experiment of the paper's
+//! evaluation (Figs. 1, 4, 6–12, Tables 1 and 3, §2.1, §4.1) plus the
+//! ablations and extensions DESIGN.md relies on, callable as a library.
 //!
-//! Each function here reproduces one figure or table of the paper and
-//! returns a [`StageOutput`] — a deterministic text rendering plus a
-//! [`obs::RunManifest`] of result metrics, with the fan-out timing kept
-//! separately (timing legitimately varies run-to-run and must stay out
-//! of anything an artifact cache hashes). Two callers drive them:
-//!
-//! * the thin binary wrappers in `src/bin/` via
-//!   [`crate::cli::figure_main`], which print the text and write the
-//!   `results/<name>.json` manifest exactly as the historical binaries
-//!   did;
-//! * the `pv3t1d` orchestrator (`crates/orchestrator`), which runs them
-//!   as DAG stages and content-addresses their outputs.
-//!
-//! The split rule: everything **seed-deterministic** goes into
-//! [`StageOutput::text`] / [`StageOutput::manifest`]; everything
-//! **wall-clock** ([`CampaignReport`] banners, speedups) goes into
-//! [`StageOutput::timing`].
+//! Each function reproduces one figure, table or study and returns a
+//! [`StageOutput`]: a deterministic text rendering plus a
+//! [`obs::RunManifest`] of result metrics. [`STAGES`] names them; the
+//! `pv3t1d` orchestrator (`crates/orchestrator`) runs them as DAG stages
+//! of `scenarios/paper_full.json` and content-addresses their outputs,
+//! so a stage output must hold only **seed-deterministic** facts. Campaign
+//! fan-out timing (the [`t3cache::campaign::CampaignReport`] of each
+//! `map_indexed`) is a property of the run, not the result; it is
+//! dropped here, and a traced run records it as spans.
 
+pub mod ablations;
+pub mod distributions;
+pub mod extensions;
 pub mod fig06b;
 pub mod fig09;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
-pub mod sec21;
-pub mod table3;
+pub mod sections;
+pub mod tables;
+pub mod workloads;
 
 use crate::{compare_line, metric_slug, RunScale};
 use obs::RunManifest;
 use std::fmt::Write as _;
-use t3cache::campaign::CampaignReport;
 
 /// One stage function's complete output.
 #[derive(Debug)]
 pub struct StageOutput {
     /// Name, seed, tech node, scheme and *result* metrics of the stage.
-    /// Wall clock, worker count and git provenance are stamped by the
-    /// caller (they are run properties, not stage results).
+    /// The run fields (wall clock, worker count, git provenance) stay
+    /// unset: they are run properties, not stage results.
     pub manifest: RunManifest,
     /// The deterministic human-readable rendering (figure text).
     pub text: String,
-    /// Campaign fan-out timing, kept out of `text` and `manifest`.
-    pub timing: CampaignReport,
 }
 
 impl StageOutput {
@@ -51,7 +45,6 @@ impl StageOutput {
         Self {
             manifest: RunManifest::new(name),
             text: String::new(),
-            timing: CampaignReport::empty(),
         }
     }
 
@@ -67,8 +60,8 @@ impl StageOutput {
     }
 
     /// Appends a `measured vs paper` line and records the measured value
-    /// as a `compare.<slug>` gauge (same contract as
-    /// [`crate::RunRecorder::compare`]).
+    /// as a `compare.<slug>` gauge, which the orchestrator's `report`
+    /// stage collects.
     pub fn compare(&mut self, what: &str, measured: f64, paper: &str) {
         let line = compare_line(what, measured, paper);
         let _ = writeln!(self.text, "{line}");
@@ -78,43 +71,56 @@ impl StageOutput {
     }
 }
 
-/// Looks up a stage function by its experiment name — the registry the
-/// orchestrator's scenario specs index into.
-pub fn stage_fn(name: &str) -> Option<fn(&RunScale) -> StageOutput> {
-    Some(match name {
-        "fig06b" => fig06b::run,
-        "fig09" => fig09::run,
-        "fig10" => fig10::run,
-        "fig11" => fig11::run,
-        "fig12_points" => fig12::points,
-        "fig12_surface" => fig12::surface,
-        "table3" => table3::run,
-        "sec21_stability" => sec21::stability,
-        "sec21_redundancy" => sec21::redundancy,
-        _ => return None,
-    })
+/// A stage function: one experiment at a run scale.
+pub type StageFn = fn(&RunScale) -> StageOutput;
+
+/// Every stage function with its stage kind, in stable order — the
+/// registry the orchestrator's scenario specs index into.
+pub const STAGES: [(&str, StageFn); 23] = [
+    ("fig01", workloads::fig01),
+    ("fig04", distributions::fig04),
+    ("fig06a", distributions::fig06a),
+    ("fig06b", fig06b::run),
+    ("fig07", distributions::fig07),
+    ("fig08", distributions::fig08),
+    ("fig09", fig09::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12_points", fig12::points),
+    ("fig12_surface", fig12::surface),
+    ("table1", tables::table1),
+    ("table3", tables::table3),
+    ("sec21_stability", sections::stability),
+    ("sec21_redundancy", sections::redundancy),
+    ("sec41", sections::global_refresh),
+    ("temperature_margin", sections::temperature_margin),
+    ("workload_report", workloads::workload_report),
+    ("ablations", ablations::design_choices),
+    ("ablation_word_refresh", ablations::word_refresh),
+    ("ablation_ooo_tolerance", ablations::ooo_tolerance),
+    ("extension_icache", extensions::icache),
+    ("extension_regfile", extensions::regfile),
+];
+
+/// Looks up a stage function by its stage kind.
+pub fn stage_fn(name: &str) -> Option<StageFn> {
+    STAGES.iter().find(|(n, _)| *n == name).map(|&(_, f)| f)
 }
 
-/// Every registered stage-function name, in stable order.
-pub const STAGE_NAMES: [&str; 9] = [
-    "fig06b",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12_points",
-    "fig12_surface",
-    "table3",
-    "sec21_stability",
-    "sec21_redundancy",
-];
+/// Every registered stage kind, in [`STAGES`] order.
+pub fn stage_names() -> impl Iterator<Item = &'static str> {
+    STAGES.iter().map(|&(n, _)| n)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn registry_resolves_every_name() {
-        for name in STAGE_NAMES {
+    fn registry_names_are_unique_and_resolve() {
+        let names: std::collections::BTreeSet<_> = stage_names().collect();
+        assert_eq!(names.len(), STAGES.len(), "duplicate stage kind");
+        for name in stage_names() {
             assert!(stage_fn(name).is_some(), "{name} missing from registry");
         }
         assert!(stage_fn("not_a_stage").is_none());
@@ -136,7 +142,13 @@ mod tests {
     /// The cheapest real stages produce deterministic text + fingerprints.
     #[test]
     fn analytic_stages_are_deterministic() {
-        for name in ["sec21_stability", "sec21_redundancy", "fig12_points"] {
+        for name in [
+            "sec21_stability",
+            "sec21_redundancy",
+            "fig12_points",
+            "table1",
+            "fig04",
+        ] {
             let f = stage_fn(name).unwrap();
             let a = f(&RunScale::QUICK);
             let b = f(&RunScale::QUICK);

@@ -20,6 +20,9 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     })
 }
 
+/// JSON's structural alphabet plus a few scalar bytes.
+const STRUCTURAL: &[u8] = b"[]{}\":,0-1e.tfn \\";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -145,5 +148,24 @@ proptest! {
         let mut ba = build(&b_counts);
         ba.merge(&build(&a_counts));
         prop_assert_eq!(ab.deterministic_fingerprint(), ba.deterministic_fingerprint());
+    }
+
+    /// Arbitrary bytes (lossily decoded, as an HTTP body or a file read
+    /// would be) parse or fail cleanly: no panic, no stack overflow.
+    #[test]
+    fn json_parse_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Bytes drawn from JSON's structural alphabet reach deep nesting
+    /// and half-closed containers far more often than uniform bytes.
+    #[test]
+    fn json_parse_never_panics_on_structural_bytes(
+        picks in proptest::collection::vec(0..STRUCTURAL.len(), 0..4096),
+    ) {
+        let bytes: Vec<u8> = picks.iter().map(|&i| STRUCTURAL[i]).collect();
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -6,15 +6,19 @@
 //! payload is fully determined by its fingerprint (kind, params, scale,
 //! input digests), so stage payloads must never contain wall-clock,
 //! worker-count, hostname, or git state. The bench crate's
-//! [`StageOutput`](bench_harness::figures::StageOutput) split (results
-//! vs. timing) exists for exactly this reason, and
+//! [`StageOutput`](bench_harness::figures::StageOutput) carries results
+//! only for exactly this reason, and
 //! [`obs::MetricsRegistry::without_timing`] is applied as
-//! defense-in-depth.
+//! defense-in-depth. This module is the only way the paper's experiments
+//! run: a figure stage's payload `text` is the figure as rendered.
 //!
 //! Kinds:
 //!
-//! * every figure/table stage of [`bench_harness::figures::STAGE_NAMES`]
-//!   (`fig06b`, `fig09`, …, `table3`, `sec21_*`);
+//! * every figure, table, ablation and extension stage of
+//!   [`bench_harness::figures::STAGES`] (`fig01`, …, `fig12_surface`,
+//!   `table1`, `table3`, `sec21_*`, `sec41`, `temperature_margin`,
+//!   `workload_report`, `ablation*`, `extension_*`) — the one place the
+//!   paper's experiments are run;
 //! * `chip_campaign` — a Monte-Carlo [`ChipPopulation`] reduced to its
 //!   per-chip cache retention times;
 //! * `retention_map` — a fixed-bucket histogram over a `chip_campaign`
@@ -91,7 +95,7 @@ pub fn effective_params(kind: &str, params: &Json) -> Json {
 /// Every known stage kind, sorted.
 pub fn known_kinds() -> Vec<&'static str> {
     let mut v: Vec<&'static str> = BUILTIN_KINDS.into();
-    v.extend(bench_harness::figures::STAGE_NAMES);
+    v.extend(bench_harness::figures::stage_names());
     v.sort_unstable();
     v
 }
@@ -175,8 +179,7 @@ pub fn execute(kind: &str, ctx: &StageCtx<'_>) -> Result<Json, String> {
 
 /// Reduces a figure stage's [`StageOutput`] to a cacheable payload:
 /// name/seed/node/scheme identity, timing-stripped metrics, and the
-/// deterministic text rendering. The campaign timing report is dropped
-/// on the floor — it is a property of *this run*, not of the result.
+/// deterministic text rendering.
 fn figure_payload(kind: &str, out: bench_harness::figures::StageOutput) -> Json {
     let m = &out.manifest;
     let mut p = Json::object();
@@ -729,7 +732,7 @@ mod tests {
         assert!(!is_known("nope"));
         assert_eq!(
             known_kinds().len(),
-            BUILTIN_KINDS.len() + bench_harness::figures::STAGE_NAMES.len()
+            BUILTIN_KINDS.len() + bench_harness::figures::STAGES.len()
         );
     }
 

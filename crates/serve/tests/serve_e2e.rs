@@ -434,6 +434,30 @@ fn sigterm_drains_inflight_fleet_and_restart_serves_from_cache() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
+    let dir = temp_results("deep_json");
+    let server = start_server(&dir, 1);
+    let addr = server.addr().to_string();
+
+    // 100k open brackets (~100 KB) on a connection thread's stack: the
+    // parser must refuse the nesting, not recurse until the process
+    // aborts.
+    let body = "[".repeat(100_000);
+    let resp = exchange(&addr, "POST", "/runs", Some(&body)).unwrap();
+    assert_eq!(resp.status, 400, "{resp:?}");
+    let err = parse_body(&resp);
+    let msg = err.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(msg.contains("nesting"), "{err:?}");
+
+    assert_eq!(healthz(&addr).get("ok").and_then(Json::as_bool), Some(true));
+    let id = submit(&addr, &sleep_scenario("after_deep", 0.0));
+    assert_eq!(await_terminal(&addr, id).get("state").unwrap().as_str(), Some("done"));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn event_stream_replays_history_and_reports_lifecycle() {
     let dir = temp_results("events");
     let server = start_server(&dir, 2);

@@ -92,38 +92,6 @@ impl CampaignReport {
         self.serial_estimate.as_secs_f64() / wall
     }
 
-    /// Folds another fan-out's timing into this one (for binaries that run
-    /// several campaigns and report one aggregate banner): units, wall and
-    /// serial estimate add; the worker count takes the maximum; per-worker
-    /// shard sizes add slot-wise; unit timings concatenate.
-    pub fn absorb(&mut self, other: &CampaignReport) {
-        self.units += other.units;
-        self.workers = self.workers.max(other.workers);
-        self.wall += other.wall;
-        self.serial_estimate += other.serial_estimate;
-        if self.per_worker_units.len() < other.per_worker_units.len() {
-            self.per_worker_units.resize(other.per_worker_units.len(), 0);
-        }
-        for (slot, &n) in self.per_worker_units.iter_mut().zip(&other.per_worker_units) {
-            *slot += n;
-        }
-        self.unit_seconds.extend_from_slice(&other.unit_seconds);
-        self.resumed_units += other.resumed_units;
-    }
-
-    /// An empty report to [`CampaignReport::absorb`] into.
-    pub fn empty() -> Self {
-        Self {
-            units: 0,
-            workers: 1,
-            wall: Duration::ZERO,
-            serial_estimate: Duration::ZERO,
-            per_worker_units: Vec::new(),
-            unit_seconds: Vec::new(),
-            resumed_units: 0,
-        }
-    }
-
     /// Exports the campaign timing under the `campaign.` prefix: unit and
     /// worker counts, wall/serial seconds, measured speedup, per-worker
     /// shard sizes, and a 16-bucket histogram of unit times. All of these
@@ -157,18 +125,6 @@ impl CampaignReport {
                 h.record(s);
             }
         }
-    }
-
-    /// One-line banner summary (`units`, `workers`, wall, speedup).
-    pub fn banner_line(&self) -> String {
-        format!(
-            "campaign: {} units on {} workers, wall {:.2}s, est. serial {:.2}s, speedup {:.2}x",
-            self.units,
-            self.workers,
-            self.wall.as_secs_f64(),
-            self.serial_estimate.as_secs_f64(),
-            self.speedup()
-        )
     }
 }
 
@@ -687,10 +643,11 @@ mod tests {
             workers: 2,
             wall: Duration::from_millis(500),
             serial_estimate: Duration::from_millis(1500),
-            ..CampaignReport::empty()
+            per_worker_units: vec![2, 2],
+            unit_seconds: vec![0.375; 4],
+            resumed_units: 0,
         };
         assert!((r.speedup() - 3.0).abs() < 1e-9);
-        assert!(r.banner_line().contains("3.00x"));
     }
 
     #[test]
@@ -700,21 +657,10 @@ mod tests {
         assert_eq!(report.unit_seconds.len(), 40);
         assert!(report.unit_seconds.iter().all(|&s| s >= 0.0));
 
-        let mut total = CampaignReport::empty();
-        total.absorb(&report);
-        total.absorb(&report);
-        assert_eq!(total.units, 80);
-        assert_eq!(total.unit_seconds.len(), 80);
-        assert_eq!(
-            total.per_worker_units.iter().sum::<usize>(),
-            80,
-            "shard sizes add slot-wise"
-        );
-
         let mut m = obs::MetricsRegistry::new();
-        total.export(&mut m);
-        assert_eq!(m.counter("campaign.units"), Some(80));
-        assert_eq!(m.get_histogram("campaign.unit_seconds").unwrap().count(), 80);
+        report.export(&mut m);
+        assert_eq!(m.counter("campaign.units"), Some(40));
+        assert_eq!(m.get_histogram("campaign.unit_seconds").unwrap().count(), 40);
         // Everything the report exports is scheduling/timing — excluded
         // from determinism fingerprints by the naming convention.
         assert_eq!(m.deterministic_fingerprint(), "");

@@ -114,27 +114,17 @@ impl SensitivitySweep {
     /// Runs the sweep for one scheme, normalizing each point against the
     /// given ideal baseline. Points are returned in row-major order
     /// (µ outer, σ/µ inner).
+    ///
+    /// Each grid point is one independent work unit — its synthetic
+    /// profiles are seeded from `(seed, µ, σ/µ, chip)` alone — fanned
+    /// across the [`crate::campaign`] worker pool; the returned points are
+    /// in the same row-major order as a serial double loop, bit-identical.
     pub fn run(
         &self,
         eval: &Evaluator,
         scheme: Scheme,
         ideal: &SuiteResult,
     ) -> Vec<SensitivityPoint> {
-        self.run_timed(eval, scheme, ideal).0
-    }
-
-    /// [`SensitivitySweep::run`] with the campaign timing report.
-    ///
-    /// Each grid point is one independent work unit — its synthetic
-    /// profiles are seeded from `(seed, µ, σ/µ, chip)` alone — fanned
-    /// across the [`crate::campaign`] worker pool; the returned points are
-    /// in the same row-major order as a serial double loop, bit-identical.
-    pub fn run_timed(
-        &self,
-        eval: &Evaluator,
-        scheme: Scheme,
-        ideal: &SuiteResult,
-    ) -> (Vec<SensitivityPoint>, crate::campaign::CampaignReport) {
         // One counter design across the surface: the standard 1024-cycle
         // step (so the dead-line threshold is a fixed physical quantity —
         // the source of the σ/µ > 25 % cliff) with enough bits to cover
@@ -168,6 +158,7 @@ impl SensitivitySweep {
                 dead_fraction: dead_sum / self.chips_per_point as f64,
             }
         })
+        .0
     }
 }
 
