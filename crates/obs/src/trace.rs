@@ -24,9 +24,9 @@
 //! The tracer is **disabled by default**. Every recording function first
 //! checks one relaxed atomic flag and returns immediately when tracing is
 //! off — no locking, no allocation, no timestamping — so instrumentation
-//! can live on simulator event paths without a measurable cost (the
-//! `pv3t1d bench` suite records `trace.disabled_ns_per_call` to pin
-//! this). When enabled, events go into a **ring buffer** with a
+//! can live on simulator event paths without a measurable cost
+//! (`tests/disabled_overhead.rs` fails if a disabled call reaches
+//! 250 ns). When enabled, events go into a **ring buffer** with a
 //! configurable cap: the newest events win, the `dropped` count records
 //! how many were evicted.
 //!

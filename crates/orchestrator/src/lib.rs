@@ -21,9 +21,6 @@
 //! * [`stage`] — the stage kinds themselves, thin JSON adapters over
 //!   the library stage functions in [`bench_harness::figures`] and
 //!   [`t3cache`];
-//! * [`bench`] — the pinned micro-benchmark suite behind `pv3t1d bench`
-//!   and the `BENCH_<label>.json` baseline / `--compare` regression
-//!   machinery;
 //! * [`report`] — the `pv3t1d report` markdown renderer for run
 //!   manifests and `--trace` captures.
 //!
@@ -32,7 +29,6 @@
 //! lookup hits) and reproduces the run manifest's `results` section and
 //! fingerprint bit-for-bit. CI pins exactly that.
 
-pub mod bench;
 pub mod cas;
 pub mod flight;
 pub mod hash;
@@ -41,7 +37,6 @@ pub mod sched;
 pub mod spec;
 pub mod stage;
 
-pub use bench::{compare, BenchReport, CompareLine, Direction};
 pub use cas::{
     checkpoint_base, unit_key, ArtifactStore, CasEntry, CasListing, GcReport, StageCheckpoint,
 };

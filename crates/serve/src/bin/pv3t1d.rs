@@ -8,8 +8,6 @@
 //! pv3t1d ls     [--results DIR] [--traces]
 //! pv3t1d gc     <scenario.json>... [--quick|--full] [--results DIR]
 //!                               [--dry-run] [--json]
-//! pv3t1d bench  [--quick|--full] [--label L] [--results DIR]
-//!               [--compare PATH] [--threshold PCT] [--jobs N]
 //! pv3t1d report <run.json> [--trace PATH] [--out PATH]
 //! pv3t1d trace  record <bench> <out> [--seed N] [--len N]
 //! pv3t1d trace  info <file>
@@ -27,7 +25,7 @@
 //!
 //! Exit codes: `0` success; `1` at least one stage failed / timed out /
 //! was skipped / was cancelled, `--expect-cached` was violated,
-//! `bench --compare` or `loadtest --compare` found a regression,
+//! `loadtest --compare` found a regression,
 //! `loadtest` saw failed requests, or `validate` found divergence
 //! beyond the tolerance; `2` usage, spec, or I/O errors.
 //!
@@ -38,9 +36,8 @@
 //! daemon and resubmitting) resumes from the checkpoints.
 
 use obs::Json;
-use orchestrator::{
-    bench, plan_scenario, report, run_scenario, ArtifactStore, RunOptions, Scenario,
-};
+use orchestrator::{plan_scenario, report, run_scenario, ArtifactStore, RunOptions, Scenario};
+use serve::loadtest::{compare, BenchReport};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -53,8 +50,6 @@ USAGE:
     pv3t1d ls     [OPTIONS]                  list cached artifacts (or traces)
     pv3t1d gc     <scenario.json>... [OPTIONS] drop cache entries unreachable
                                              from the given scenarios
-    pv3t1d bench  [OPTIONS]                  run the pinned micro-benchmark
-                                             suite, write BENCH_<label>.json
     pv3t1d report <run.json> [OPTIONS]       render a run manifest (and an
                                              optional trace) as markdown
     pv3t1d trace record <bench> <out> [OPTIONS]
@@ -76,8 +71,8 @@ USAGE:
     pv3t1d help                              this text
 
 OPTIONS:
-    --quick / --full     override the scenario's run scale / bench sizes
-    --jobs <N>           concurrent stages (default 2); bench campaign workers
+    --quick / --full     override the scenario's run scale
+    --jobs <N>           concurrent stages (default 2)
     --results <DIR>      results directory (default results/)
     --no-cache           (run) execute every stage; still refresh the cache
     --expect-cached      (run) fail unless every stage is a cache hit
@@ -91,12 +86,11 @@ OPTIONS:
     --json               (gc) print the machine-readable GcReport instead
                          of the text summary
     --traces             (ls) list *.trace.json files instead of artifacts
-    --label <L>          (bench) baseline label (default \"local\")
-                         (loadtest) report label (default \"serve\")
-    --compare <PATH>     (bench, loadtest) diff against a baseline
+    --label <L>          (loadtest) report label (default \"local\")
+    --compare <PATH>     (loadtest) diff against a baseline
                          BENCH_*.json; exit 1 on regression beyond the
                          threshold
-    --threshold <PCT>    (bench, loadtest) regression noise threshold
+    --threshold <PCT>    (loadtest) regression noise threshold
                          (default 30)
     --out <PATH>         (report) write markdown here instead of stdout
                          (validate) also write the JSON divergence report
@@ -570,45 +564,16 @@ fn cmd_ls_traces(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bench(cli: &Cli) -> Result<ExitCode, String> {
-    if !cli.positional.is_empty() {
-        return Err("bench takes no positional arguments".into());
-    }
-    let report = bench::run_suite(&cli.label, cli.quick, cli.opts.jobs.max(2), true);
-    let path = cli
-        .opts
-        .results_dir
-        .join(format!("BENCH_{}.json", report.label));
-    report
-        .write_to(&path)
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!(
-        "bench {}: {} metrics -> {}",
-        report.label,
-        report.metrics.len(),
-        path.display()
-    );
-
-    let Some(base_path) = &cli.compare else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    if print_compare(base_path, &report, cli.threshold)? {
-        eprintln!("error: benchmark regression beyond {}%", cli.threshold);
-        return Ok(ExitCode::from(1));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 /// Prints a `--compare` table against the baseline at `base_path` and
 /// returns whether any gated metric regressed beyond the threshold.
 fn print_compare(
     base_path: &Path,
-    report: &bench::BenchReport,
+    report: &BenchReport,
     threshold: f64,
 ) -> Result<bool, String> {
-    let base = bench::BenchReport::read_from(base_path)
+    let base = BenchReport::read_from(base_path)
         .map_err(|e| format!("reading {}: {e}", base_path.display()))?;
-    let (lines, regressed) = bench::compare(&base, report, threshold);
+    let (lines, regressed) = compare(&base, report, threshold);
     println!(
         "compare vs {} (label {}, threshold {}%):",
         base_path.display(),
@@ -619,12 +584,14 @@ fn print_compare(
         let delta = match (l.delta_pct, l.base) {
             (Some(d), _) => format!("{d:+8.1}%"),
             // A baseline exists but no meaningful ratio (zero or
-            // non-finite endpoint) — distinct from a brand-new metric.
+            // non-finite endpoint, or missing from this run) —
+            // distinct from a brand-new metric.
             (None, Some(_)) => "     n/a".to_string(),
             (None, None) => "     new".to_string(),
         };
+        let current = l.current.map_or("missing".to_string(), |v| format!("{v:.4}"));
         let verdict = if l.regressed { "REGRESSED" } else { "ok" };
-        println!("  {:<36} {:>14.4} {delta}  {verdict}", l.name, l.current);
+        println!("  {:<36} {current:>14} {delta}  {verdict}", l.name);
     }
     Ok(regressed)
 }
@@ -981,7 +948,6 @@ fn main() -> ExitCode {
         "plan" => cmd_plan(&cli),
         "ls" => cmd_ls(&cli),
         "gc" => cmd_gc(&cli),
-        "bench" => cmd_bench(&cli),
         "report" => cmd_report(&cli),
         "trace" => cmd_trace(&cli),
         "validate" => cmd_validate(&cli),

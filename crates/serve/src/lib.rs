@@ -18,13 +18,13 @@
 //!   guard);
 //! * [`loadtest`] — `pv3t1d loadtest`: a concurrent client fleet
 //!   measuring `serve.requests_per_s` / `serve.p50_ms` /
-//!   `serve.p99_ms` / `serve.coalesced_total` into the benchmark
-//!   baseline machinery;
+//!   `serve.p99_ms` / `serve.coalesced_total` into a
+//!   `BENCH_<label>.json` baseline, gated by `--compare`;
 //! * [`http`] — the zero-dependency HTTP/1.1 subset both sides speak.
 //!
-//! The `pv3t1d` binary (run/plan/gc/ls/bench/report/trace/validate —
-//! and now serve/loadtest) lives here too, since it needs both the
-//! orchestrator and the daemon.
+//! The `pv3t1d` binary (run/plan/gc/ls/report/trace/validate/serve/
+//! loadtest/top) lives here too, since it needs both the orchestrator
+//! and the daemon.
 
 #![warn(missing_docs)]
 

@@ -182,6 +182,9 @@ fn cli_usage_errors_exit_two() {
         &["run", "x.json", "--jobs", "not_a_number"][..],
         &["serve", "--listen"][..],
         &["loadtest", "--clients", "zero"][..],
+        &["loadtest", "--threshold", "-5"][..],
+        // Retired: perfbench is the benchmark.
+        &["bench"][..],
         // A dashboard cadence of zero (or garbage, or negative) is a
         // usage error, caught before any connection attempt.
         &["top", "--interval-secs", "0"][..],

@@ -1,10 +1,10 @@
 //! Subprocess tests for the observability CLI surface: `run --trace`
-//! (Chrome trace capture across the whole stack), `bench` (baseline
+//! (Chrome trace capture across the whole stack), `loadtest` (baseline
 //! writing + `--compare` regression gating), `report`, and
 //! `ls --traces`.
 
 use obs::Json;
-use orchestrator::BenchReport;
+use serve::loadtest::BenchReport;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
@@ -166,57 +166,41 @@ fn run_trace_report_and_ls_traces_round_trip() {
 }
 
 #[test]
-fn bench_writes_baseline_and_compare_gates_regressions() {
-    let dir = temp_dir("bench");
+fn loadtest_writes_baseline_and_compare_gates_regressions() {
+    let dir = temp_dir("loadtest");
     let results = dir.join("results");
     let results_arg = results.to_str().unwrap().to_string();
+    let loadtest = |label: &str, extra: &[&str]| {
+        pv3t1d()
+            .args(["loadtest", "--clients", "2", "--requests", "1"])
+            .args(["--label", label, "--results", &results_arg])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
 
-    // A cold `bench --quick` writes a schema-versioned baseline with the
-    // full pinned metric set.
-    let out = pv3t1d()
-        .args(["bench", "--quick", "--label", "base", "--results", &results_arg])
-        .output()
-        .unwrap();
+    // A self-hosted loadtest writes a schema-versioned baseline with the
+    // gated serve metrics.
+    let out = loadtest("base", &[]);
     assert!(
         out.status.success(),
-        "bench failed:\n{}{}",
+        "loadtest failed:\n{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
     let baseline_path = results.join("BENCH_base.json");
     let baseline = BenchReport::read_from(&baseline_path).unwrap();
     assert_eq!(baseline.label, "base");
-    assert!(baseline.quick);
-    assert!(
-        baseline.metrics.len() >= 4,
-        "only {} metrics: {:?}",
-        baseline.metrics.len(),
-        baseline.metrics.keys().collect::<Vec<_>>()
-    );
-    for required in [
-        "campaign.chips_per_s.w1",
-        "campaign.chips_per_s.wn",
-        "cachesim.accesses_per_s",
-        "uarch.sim_cycles_per_s",
-        "orchestrator.warm_run_seconds",
-        "trace.disabled_ns_per_call",
-    ] {
-        assert!(
-            baseline.metrics.contains_key(required),
-            "missing {required}"
-        );
+    for required in ["serve.requests_per_s", "serve.p50_ms", "serve.p99_ms"] {
+        assert!(baseline.metrics.contains_key(required), "missing {required}");
     }
 
     // Re-running against that fresh baseline with a generous noise
     // threshold is regression-free (exit 0).
-    let out = pv3t1d()
-        .args([
-            "bench", "--quick", "--label", "cur", "--results", &results_arg,
-            "--compare", baseline_path.to_str().unwrap(),
-            "--threshold", "10000",
-        ])
-        .output()
-        .unwrap();
+    let out = loadtest(
+        "cur",
+        &["--compare", baseline_path.to_str().unwrap(), "--threshold", "10000"],
+    );
     assert!(
         out.status.success(),
         "self-ish compare regressed:\n{}{}",
@@ -224,22 +208,16 @@ fn bench_writes_baseline_and_compare_gates_regressions() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Doctor the baseline so the disabled-tracer cost looks like it
-    // exploded (lower-is-better metric): compare must exit non-zero.
+    // Doctor the baseline so the tail latency looks like it exploded
+    // (lower-is-better metric): compare must exit non-zero.
     let mut doctored = baseline.clone();
-    doctored
-        .metrics
-        .insert("trace.disabled_ns_per_call".into(), 1e-12);
+    doctored.metrics.insert("serve.p99_ms".into(), 1e-12);
     let doctored_path = results.join("BENCH_doctored.json");
     doctored.write_to(&doctored_path).unwrap();
-    let out = pv3t1d()
-        .args([
-            "bench", "--quick", "--label", "cur2", "--results", &results_arg,
-            "--compare", doctored_path.to_str().unwrap(),
-            "--threshold", "10000",
-        ])
-        .output()
-        .unwrap();
+    let out = loadtest(
+        "cur2",
+        &["--compare", doctored_path.to_str().unwrap(), "--threshold", "10000"],
+    );
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -251,12 +229,4 @@ fn bench_writes_baseline_and_compare_gates_regressions() {
     assert!(stdout.contains("REGRESSED"), "no verdict in:\n{stdout}");
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_usage_errors_exit_two() {
-    let out = pv3t1d().args(["bench", "stray-positional"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = pv3t1d().args(["bench", "--threshold", "-5"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
 }
