@@ -2,11 +2,12 @@
 //! benchmark runs: each `SimResult` field (the value-age histogram
 //! included) and each `CacheStats` field, for gzip and mcf at quick scale.
 //!
-//! The configurations cover the ideal cache, three retention schemes on
-//! the median chip of a severe 32 nm population, and one in-order run, so
-//! the out-of-order scheduler, the in-order scan, port retries, replay
-//! flushes and the dispatch-blocked and ROB-full stall counts all sit
-//! under a pin. (Neither benchmark fills both issue queues; the uarch
+//! The configurations cover the ideal cache and three retention schemes
+//! on the median chip of a severe 32 nm population, out of order, plus
+//! the ideal cache, no-refresh/LRU and RSP-FIFO in order. So both issue
+//! disciplines, port retries, replay flushes (no-refresh/LRU drives the
+//! most) and the dispatch-blocked and ROB-full stall counts all sit under
+//! a pin. (Neither benchmark fills both issue queues; the uarch
 //! test `issue_queue_full_stalls_are_counted_exactly` pins that count.)
 //! Any change to the cycle loop that is meant to be a pure speed-up must
 //! leave these values untouched.
@@ -52,6 +53,24 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64)] = &[
     ("partial-dsp", "mcf", 157933, 1687, 789, 0x6ea40ca5af650726),
     ("rsp-fifo", "gzip", 55174, 1235, 39, 0x51888ff67bbadfb9),
     ("rsp-fifo", "mcf", 156907, 4646, 359, 0x4aa507d12adb9ff8),
+    ("in-order ideal", "gzip", 81462, 657, 0, 0xf64fce15275b450e),
+    ("in-order ideal", "mcf", 379124, 1068, 0, 0x8e95624b3b9b752f),
+    (
+        "in-order no-refresh-lru",
+        "gzip",
+        88314,
+        654,
+        304,
+        0x2c51e0bb24af3cea,
+    ),
+    (
+        "in-order no-refresh-lru",
+        "mcf",
+        400543,
+        1066,
+        1865,
+        0xf5d15723a9250996,
+    ),
     (
         "in-order rsp-fifo",
         "gzip",
@@ -106,6 +125,11 @@ fn pipeline_and_cache_counters_are_pinned() {
             ooo.run_scheme(profile, Scheme::partial_refresh_dsp(), 4),
         ),
         ("rsp-fifo", ooo.run_scheme(profile, Scheme::rsp_fifo(), 4)),
+        ("in-order ideal", in_order.run_ideal(4)),
+        (
+            "in-order no-refresh-lru",
+            in_order.run_scheme(profile, Scheme::no_refresh_lru(), 4),
+        ),
         (
             "in-order rsp-fifo",
             in_order.run_scheme(profile, Scheme::rsp_fifo(), 4),
