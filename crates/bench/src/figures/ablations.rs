@@ -55,8 +55,8 @@ fn four_bench_config(scale: &RunScale) -> EvalConfig {
 /// Runs the design-choice sensitivity studies at the given scale.
 pub fn design_choices(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("ablations");
-    out.manifest.seed = Some(20_248);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_248);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Ablations",
         "design-choice sensitivity studies (severe, 32 nm)",
@@ -190,8 +190,8 @@ pub fn design_choices(scale: &RunScale) -> StageOutput {
 /// scale.
 pub fn word_refresh(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("ablation_word_refresh");
-    out.manifest.seed = Some(20_249);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_249);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Ablation: word-level refresh",
         "refresh demand at line vs word granularity (full refresh)",
@@ -269,8 +269,8 @@ pub fn word_refresh(scale: &RunScale) -> StageOutput {
 /// the given scale.
 pub fn ooo_tolerance(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("ablation_ooo_tolerance");
-    out.manifest.seed = Some(20_250);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_250);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Ablation: out-of-order tolerance",
         "retention losses on OoO vs in-order issue (severe, 32 nm)",

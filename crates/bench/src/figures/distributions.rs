@@ -30,7 +30,7 @@ use vlsi::tech::TechNode;
 use vlsi::units::{Time, Voltage};
 use vlsi::variation::{DeviceDeviation, VariationCorner};
 
-/// A fixed-bucket manifest histogram with the same shape as `h`.
+/// A fixed-bucket metrics histogram with the same shape as `h`.
 fn to_obs(h: &Histogram, lo: f64, hi: f64, sum: f64) -> obs::FixedHistogram {
     obs::FixedHistogram::from_buckets(
         lo,
@@ -47,7 +47,7 @@ pub fn fig04(_scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig04");
     out.banner("Figure 4", "3T1D access time vs time after write (32 nm)");
     let node = TechNode::N32;
-    out.manifest.tech_node = Some(node.to_string());
+    out.tech_node = Some(node.to_string());
     let nominal = DeviceDeviation::NOMINAL;
     let weak_t1 = DeviceDeviation {
         dl_frac: 0.0,
@@ -101,16 +101,16 @@ pub fn fig04(_scale: &RunScale) -> StageOutput {
         fresh.ps() / t6.ps(),
         "<= 1.0 (matches 6T speed when fresh)",
     );
-    out.metrics().set_gauge("access.six_t_ps", t6.ps());
-    out.metrics().set_gauge("access.fresh_3t1d_ps", fresh.ps());
+    out.metrics.set_gauge("access.six_t_ps", t6.ps());
+    out.metrics.set_gauge("access.fresh_3t1d_ps", fresh.ps());
     out
 }
 
 /// Runs the Figure 6a 6T frequency distribution at the given scale.
 pub fn fig06a(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig06a");
-    out.manifest.seed = Some(20_240);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_240);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Figure 6a",
         "6T cache frequency distribution under typical variation (32 nm)",
@@ -136,7 +136,7 @@ pub fn fig06a(scale: &RunScale) -> StageOutput {
     }
     let n = scale.mc_chips as f64;
     for (label, h, sum) in [("x1", &h1, sum1), ("x2", &h2, sum2)] {
-        out.metrics()
+        out.metrics
             .put_histogram(&format!("freq.{label}"), to_obs(h, 0.7625, 1.0625, sum));
     }
 
@@ -176,8 +176,8 @@ pub fn fig06a(scale: &RunScale) -> StageOutput {
 /// Runs the Figure 7 leakage distributions at the given scale.
 pub fn fig07(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig07");
-    out.manifest.seed = Some(20_242);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_242);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Figure 7",
         "cache leakage distributions, typical variation (32 nm), normalized to golden 6T",
@@ -241,9 +241,9 @@ pub fn fig07(scale: &RunScale) -> StageOutput {
     );
     for k in 0..11 {
         let bin = labels[k].to_lowercase();
-        out.metrics()
+        out.metrics
             .inc(&format!("leakage.six_t.bin_{bin}"), c6[k] as u64);
-        out.metrics()
+        out.metrics
             .inc(&format!("leakage.t3.bin_{bin}"), c3[k] as u64);
         let _ = writeln!(
             out.text,
@@ -274,8 +274,8 @@ pub fn fig07(scale: &RunScale) -> StageOutput {
 /// Runs the Figure 8 per-line retention distributions at the given scale.
 pub fn fig08(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig08");
-    out.manifest.seed = Some(20_243);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_243);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Figure 8",
         "line retention distributions of good/median/bad chips (severe, 32 nm)",
@@ -295,10 +295,10 @@ pub fn fig08(scale: &RunScale) -> StageOutput {
         }
         let dead = chip.dead_line_fraction(&counter);
         let grade_slug = grade.to_string().to_lowercase();
-        out.metrics()
+        out.metrics
             .set_gauge(&format!("chip.{grade_slug}.dead_line_fraction"), dead);
         let sum: f64 = chip.retention_times().iter().map(|t| t.ns()).sum();
-        out.metrics().put_histogram(
+        out.metrics.put_histogram(
             &format!("chip.{grade_slug}.line_retention_ns"),
             to_obs(&hist, 0.0, 5_000.0, sum),
         );

@@ -55,8 +55,8 @@ fn run_fetch_stream(cache: &mut DataCache, bench: SpecBenchmark, n: u64) -> (f64
 /// Runs the 3T1D instruction-cache extension at the given scale.
 pub fn icache(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("extension_icache");
-    out.manifest.seed = Some(20_251);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_251);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Extension: 3T1D instruction cache",
         "fetch streams through retention-aware 64KB L1I (severe, 32 nm)",
@@ -137,8 +137,8 @@ pub fn icache(scale: &RunScale) -> StageOutput {
 /// Runs the 3T1D register-file extension at the given scale.
 pub fn regfile(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("extension_regfile");
-    out.manifest.seed = Some(20_252);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_252);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Extension: 3T1D register files",
         "operand value ages vs retention (Table 2 machine)",

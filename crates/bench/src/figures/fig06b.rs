@@ -41,9 +41,9 @@ enum PickRow {
 /// scale.
 pub fn run(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig06b");
-    out.manifest.seed = Some(20_241);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
-    out.manifest.scheme = Some(Scheme::global().to_string());
+    out.seed = Some(20_241);
+    out.tech_node = Some(TechNode::N32.to_string());
+    out.scheme = Some(Scheme::global().to_string());
     out.banner(
         "Figure 6b",
         "3T1D retention distribution, performance and dynamic power (typical, 32 nm, global refresh)",
@@ -74,7 +74,7 @@ pub fn run(scale: &RunScale) -> StageOutput {
         hist.total()
     );
     let retention_sum: f64 = models.iter().map(|c| c.cache_retention().ns()).sum();
-    out.metrics().put_histogram(
+    out.metrics.put_histogram(
         "retention_ns",
         obs::FixedHistogram::from_buckets(
             357.0,
@@ -168,9 +168,9 @@ pub fn run(scale: &RunScale) -> StageOutput {
                 all_perf.push(*perf);
                 all_retentions.push(*retention_ns);
                 let slug = format!("pick.{retention_ns:04.0}ns");
-                out.metrics().set_gauge(&format!("{slug}.perf"), *perf);
-                out.metrics().set_gauge(&format!("{slug}.total_dyn"), *total_dyn);
-                out.metrics().set_gauge(&format!("{slug}.refresh_dyn"), *refresh_dyn);
+                out.metrics.set_gauge(&format!("{slug}.perf"), *perf);
+                out.metrics.set_gauge(&format!("{slug}.total_dyn"), *total_dyn);
+                out.metrics.set_gauge(&format!("{slug}.refresh_dyn"), *refresh_dyn);
                 let _ = writeln!(
                     out.text,
                     "{:>10.0}ns {:>8.3} {:>4} {:>5.3} {:>12.2} {:>12.2} {:>12.2}",

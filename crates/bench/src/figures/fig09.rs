@@ -20,8 +20,8 @@ use vlsi::variation::VariationCorner;
 /// Runs the Figure 9 scheme comparison at the given scale.
 pub fn run(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig09");
-    out.manifest.seed = Some(20_244);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_244);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Figure 9",
         "retention schemes on good/median/bad chips (severe, 32 nm)",
@@ -44,7 +44,7 @@ pub fn run(scale: &RunScale) -> StageOutput {
     let grid = evaluate_grid(&eval, &exemplars, &schemes, &ideal);
     let labels: Vec<String> = schemes.iter().map(Scheme::to_string).collect();
     for (s, label) in labels.iter().enumerate() {
-        grid.export_scheme(out.metrics(), s, label);
+        grid.export_scheme(&mut out.metrics, s, label);
     }
     let _ = writeln!(out.text);
 
@@ -65,7 +65,7 @@ pub fn run(scale: &RunScale) -> StageOutput {
             row[2]
         );
         for (grade, &perf) in ["good", "median", "bad"].iter().zip(&row) {
-            out.metrics()
+            out.metrics
                 .set_gauge(&format!("scheme.{scheme}.perf.{grade}"), perf);
         }
         results.push((scheme.to_string(), row));

@@ -19,8 +19,8 @@ use vlsi::variation::VariationCorner;
 /// Runs the Figure 10 hundred-chip study at the given scale.
 pub fn run(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig10");
-    out.manifest.seed = Some(20_245);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_245);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Figure 10",
         "100 severe-variation chips under three line-level schemes (32 nm)",
@@ -45,7 +45,7 @@ pub fn run(scale: &RunScale) -> StageOutput {
     let scheme_list: Vec<Scheme> = schemes.iter().map(|&(_, s)| s).collect();
     let result = evaluate_grid(&eval, &chip_refs, &scheme_list, &ideal);
     for (s, &(label, _)) in schemes.iter().enumerate() {
-        result.export_scheme(out.metrics(), s, label);
+        result.export_scheme(&mut out.metrics, s, label);
     }
     let _ = writeln!(out.text);
 

@@ -24,8 +24,8 @@ const WAYS: [u32; 4] = [1, 2, 4, 8];
 /// Runs the Figure 11 associativity sweep at the given scale.
 pub fn run(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig11");
-    out.manifest.seed = Some(20_246);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(20_246);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Figure 11",
         "schemes vs associativity on good/median/bad chips (severe, 32 nm)",
@@ -63,7 +63,7 @@ pub fn run(scale: &RunScale) -> StageOutput {
     for (g, grade) in grades.iter().enumerate() {
         for (s, (name, _)) in schemes.iter().enumerate() {
             for (w, ways) in WAYS.iter().enumerate() {
-                out.metrics().set_gauge(
+                out.metrics.set_gauge(
                     &format!("perf.{grade}.{}.{ways}way", metric_slug(name)),
                     perf(g, s, w),
                 );

@@ -22,7 +22,7 @@ use workloads::SpecBenchmark;
 /// Runs the Figure 12 design-point annotation table at the given scale.
 pub fn points(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig12_points");
-    out.manifest.seed = Some(77);
+    out.seed = Some(77);
     let chips = (scale.mc_chips / 10).max(4);
     out.banner(
         "Figure 12 (annotations)",
@@ -43,9 +43,9 @@ pub fn points(scale: &RunScale) -> StageOutput {
     ];
     for (pt, node, corner, vdd) in rows {
         let (mu, cv) = design_point(node, &corner.params(), Voltage::new(vdd), chips, 77);
-        out.metrics()
+        out.metrics
             .set_gauge(&format!("point.{pt}.mu_cycles"), mu as f64);
-        out.metrics()
+        out.metrics
             .set_gauge(&format!("point.{pt}.sigma_over_mu"), cv);
         let _ = writeln!(
             out.text,
@@ -76,7 +76,7 @@ pub fn points(scale: &RunScale) -> StageOutput {
 /// Runs the Figure 12 µ–σ/µ performance-surface sweep at the given scale.
 pub fn surface(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig12_surface");
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Figure 12",
         "performance vs retention-time mean and variation (three schemes)",
@@ -125,7 +125,7 @@ pub fn surface(scale: &RunScale) -> StageOutput {
         let pts = sweep.run(&eval, *scheme, &ideal);
         let scheme_slug = metric_slug(name);
         for p in &pts {
-            out.metrics().set_gauge(
+            out.metrics.set_gauge(
                 &format!(
                     "surface.{scheme_slug}.mu{}.r{:02.0}",
                     p.mu_cycles,

@@ -3,8 +3,9 @@
 //! ablations and extensions DESIGN.md relies on, callable as a library.
 //!
 //! Each function reproduces one figure, table or study and returns a
-//! [`StageOutput`]: a deterministic text rendering plus a
-//! [`obs::RunManifest`] of result metrics. [`STAGES`] names them; the
+//! [`StageOutput`]: a deterministic text rendering plus the stage's
+//! identity (name, seed, tech node, scheme) and an
+//! [`obs::MetricsRegistry`] of result metrics. [`STAGES`] names them; the
 //! `pv3t1d` orchestrator (`crates/orchestrator`) runs them as DAG stages
 //! of `scenarios/paper_full.json` and content-addresses their outputs,
 //! so a stage output must hold only **seed-deterministic** facts. Campaign
@@ -25,16 +26,24 @@ pub mod tables;
 pub mod workloads;
 
 use crate::{compare_line, metric_slug, RunScale};
-use obs::RunManifest;
+use obs::MetricsRegistry;
 use std::fmt::Write as _;
 
-/// One stage function's complete output.
+/// One stage function's complete output. It holds results only: wall
+/// clock, worker count and source revision are properties of a run, not
+/// of a stage.
 #[derive(Debug)]
 pub struct StageOutput {
-    /// Name, seed, tech node, scheme and *result* metrics of the stage.
-    /// The run fields (wall clock, worker count, git provenance) stay
-    /// unset: they are run properties, not stage results.
-    pub manifest: RunManifest,
+    /// Experiment name (e.g. `fig09`).
+    pub name: String,
+    /// Base RNG seed, when the experiment is seeded.
+    pub seed: Option<u64>,
+    /// Technology node label (e.g. `32nm`), when single-node.
+    pub tech_node: Option<String>,
+    /// Scheme label, when the stage is about one scheme.
+    pub scheme: Option<String>,
+    /// The stage's *result* metrics.
+    pub metrics: MetricsRegistry,
     /// The deterministic human-readable rendering (figure text).
     pub text: String,
 }
@@ -43,14 +52,13 @@ impl StageOutput {
     /// An empty output for the named experiment.
     pub fn new(name: &str) -> Self {
         Self {
-            manifest: RunManifest::new(name),
+            name: name.to_string(),
+            seed: None,
+            tech_node: None,
+            scheme: None,
+            metrics: MetricsRegistry::new(),
             text: String::new(),
         }
-    }
-
-    /// The stage's result metrics.
-    pub fn metrics(&mut self) -> &mut obs::MetricsRegistry {
-        &mut self.manifest.metrics
     }
 
     /// Appends the standard figure banner to the text.
@@ -65,9 +73,7 @@ impl StageOutput {
     pub fn compare(&mut self, what: &str, measured: f64, paper: &str) {
         let line = compare_line(what, measured, paper);
         let _ = writeln!(self.text, "{line}");
-        self.manifest
-            .metrics
-            .set_gauge(&format!("compare.{}", metric_slug(what)), measured);
+        self.metrics.set_gauge(&format!("compare.{}", metric_slug(what)), measured);
     }
 }
 
@@ -133,10 +139,7 @@ mod tests {
         out.compare("mean IPC loss", 0.25, "~0.3");
         assert!(out.text.contains("Figure X: a title"));
         assert!(out.text.contains("measured     0.250"));
-        assert_eq!(
-            out.manifest.metrics.gauge("compare.mean_ipc_loss"),
-            Some(0.25)
-        );
+        assert_eq!(out.metrics.gauge("compare.mean_ipc_loss"), Some(0.25));
     }
 
     /// The cheapest real stages produce deterministic text + fingerprints.
@@ -154,8 +157,13 @@ mod tests {
             let b = f(&RunScale::QUICK);
             assert_eq!(a.text, b.text, "{name} text must be deterministic");
             assert_eq!(
-                a.manifest.deterministic_fingerprint(),
-                b.manifest.deterministic_fingerprint(),
+                (a.seed, &a.tech_node, &a.scheme),
+                (b.seed, &b.tech_node, &b.scheme),
+                "{name} identity must be deterministic"
+            );
+            assert_eq!(
+                a.metrics.deterministic_fingerprint(),
+                b.metrics.deterministic_fingerprint(),
                 "{name} fingerprint must be deterministic"
             );
             assert!(!a.text.is_empty());

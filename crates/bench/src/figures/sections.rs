@@ -54,7 +54,7 @@ pub fn stability(_scale: &RunScale) -> StageOutput {
         "node", "corner", "bit flip", "256b line fail", "512b line fail"
     );
     for (node, corner, p) in rows {
-        out.metrics()
+        out.metrics
             .set_gauge(&format!("bit_flip.{node}.{corner}"), p);
         let _ = writeln!(
             out.text,
@@ -115,9 +115,9 @@ pub fn redundancy(_scale: &RunScale) -> StageOutput {
     for node in TechNode::ALL {
         for corner in [VariationCorner::Typical, VariationCorner::Severe] {
             let r = rescue_report(node, &corner.params());
-            out.metrics()
+            out.metrics
                 .set_gauge(&format!("yield.{node}.{corner}.none"), r.yield_none);
-            out.metrics()
+            out.metrics
                 .set_gauge(&format!("yield.{node}.{corner}.both"), r.yield_both);
             let _ = writeln!(
                 out.text,
@@ -161,7 +161,7 @@ pub fn global_refresh(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("sec41");
     out.banner("Section 4.1", "global refresh without variation (32 nm)");
     let node = TechNode::N32;
-    out.manifest.tech_node = Some(node.to_string());
+    out.tech_node = Some(node.to_string());
 
     let cfg = CacheConfig::paper(Scheme::global());
     let pass = DataCache::global_pass_cycles(&cfg);
@@ -213,8 +213,8 @@ pub fn global_refresh(scale: &RunScale) -> StageOutput {
 /// 40-chip population; scale-independent).
 pub fn temperature_margin(_scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("temperature_margin");
-    out.manifest.seed = Some(7);
-    out.manifest.tech_node = Some(TechNode::N32.to_string());
+    out.seed = Some(7);
+    out.tech_node = Some(TechNode::N32.to_string());
     out.banner(
         "Section 4.3.1 (extended)",
         "retention vs die temperature: worst-case testing margin",

@@ -90,7 +90,7 @@ pub fn table1(_scale: &RunScale) -> StageOutput {
 /// Runs the Table 3 cross-node study at the given scale.
 pub fn table3(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("table3");
-    out.manifest.seed = Some(20_247);
+    out.seed = Some(20_247);
     out.banner("Table 3", "cache designs across technology nodes");
 
     let m = MachineConfig::TABLE2;
@@ -122,13 +122,13 @@ pub fn table3(scale: &RunScale) -> StageOutput {
         );
         for r in rows.iter() {
             let prefix = format!("node.{node}.{}", metric_slug(&r.design.to_string()));
-            out.metrics()
+            out.metrics
                 .set_gauge(&format!("{prefix}.access_ps"), r.access_time.ps());
-            out.metrics().set_gauge(&format!("{prefix}.bips"), r.bips);
-            out.metrics()
+            out.metrics.set_gauge(&format!("{prefix}.bips"), r.bips);
+            out.metrics
                 .set_gauge(&format!("{prefix}.leakage_mw"), r.leakage.mw());
             if let Some(t) = r.retention {
-                out.metrics()
+                out.metrics
                     .set_gauge(&format!("{prefix}.retention_ns"), t.ns());
             }
             let _ = writeln!(
@@ -146,7 +146,7 @@ pub fn table3(scale: &RunScale) -> StageOutput {
             );
         }
         let saving = cache_power_saving(rows);
-        out.metrics()
+        out.metrics
             .set_gauge(&format!("node.{node}.cache_power_saving"), saving);
         let _ = writeln!(
             out.text,

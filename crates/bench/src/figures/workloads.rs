@@ -18,7 +18,7 @@ use workloads::{analyze, SpecBenchmark, SyntheticTrace};
 /// was loaded, per benchmark plus the average.
 pub fn fig01(scale: &RunScale) -> StageOutput {
     let mut out = StageOutput::new("fig01");
-    out.manifest.seed = Some(1);
+    out.seed = Some(1);
     out.banner(
         "Figure 1",
         "cache reference age CDF (cycles since line load)",
@@ -55,9 +55,9 @@ pub fn fig01(scale: &RunScale) -> StageOutput {
                 .unwrap_or(1.0)
         };
         let row: Vec<f64> = marks.iter().map(|&m| at(m)).collect();
-        stats.export(out.metrics(), &format!("cache.{bench}"));
+        stats.export(&mut out.metrics, &format!("cache.{bench}"));
         for (&m, &f) in marks.iter().zip(&row) {
-            out.metrics()
+            out.metrics
                 .set_gauge(&format!("cdf.{bench}.under_{}k", m / 1024), f);
         }
         let _ = writeln!(

@@ -91,9 +91,9 @@ impl AccessReplayer {
     ///
     /// # Panics
     ///
-    /// Panics if the sink rejects one access [`MAX_RETRIES_PER_ACCESS`]
-    /// times — ports that never free indicate a broken model, and the
-    /// differential harness must fail loudly rather than hang.
+    /// Panics if the sink rejects one access `MAX_RETRIES_PER_ACCESS`
+    /// (2^20) times — ports that never free indicate a broken model, and
+    /// the differential harness must fail loudly rather than hang.
     pub fn step<C: DemandSink>(
         &mut self,
         sink: &mut C,

@@ -58,7 +58,7 @@ pub struct CacheStats {
     /// behind the paper's dead-line discussion (§3.2).
     pub dead_age_hist: [u64; DEAD_AGE_BUCKETS],
     /// Histogram of port-stall run lengths: how many *consecutive*
-    /// accesses were rejected with [`crate::AccessError::PortBusy`]
+    /// accesses were rejected with [`crate::PortBusy`]
     /// before one succeeded. Bucket `i` counts runs of length `i + 1`;
     /// the last bucket collects longer runs. Long runs are the
     /// scheme-induced stalls of §4.3.1.

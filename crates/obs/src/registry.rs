@@ -12,7 +12,6 @@
 
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Counter bumped whenever a non-finite gauge value is rejected at the
 /// registry boundary (see [`MetricsRegistry::set_gauge`]). A non-zero
@@ -298,18 +297,6 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), value);
     }
 
-    /// Adds to a gauge, creating it at zero first if absent (used by span
-    /// timers to accumulate seconds). Non-finite increments are rejected
-    /// like [`MetricsRegistry::set_gauge`]'s — adding a NaN would destroy
-    /// the accumulated value, not just this sample.
-    pub fn add_gauge(&mut self, name: &str, value: f64) {
-        if !value.is_finite() {
-            self.inc(NONFINITE_DROPPED, 1);
-            return;
-        }
-        *self.gauges.entry(name.to_string()).or_insert(0.0) += value;
-    }
-
     /// Returns the named histogram, creating it with the given shape on
     /// first use. The shape of an existing histogram wins.
     pub fn histogram(&mut self, name: &str, lo: f64, hi: f64, n: usize) -> &mut FixedHistogram {
@@ -321,13 +308,6 @@ impl MetricsRegistry {
     /// Inserts (or replaces) a fully-built histogram.
     pub fn put_histogram(&mut self, name: &str, h: FixedHistogram) {
         self.histograms.insert(name.to_string(), h);
-    }
-
-    /// Records a span duration: bumps `{name}.calls` and accumulates
-    /// `{name}.seconds`. See the [`crate::span!`] macro.
-    pub fn record_span(&mut self, name: &str, elapsed: Duration) {
-        self.inc(&format!("{name}.calls"), 1);
-        self.add_gauge(&format!("{name}.seconds"), elapsed.as_secs_f64());
     }
 
     /// A counter's value, if recorded.
@@ -518,13 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_accumulate() {
+    fn gauges_set_and_overwrite() {
         let mut m = MetricsRegistry::new();
+        m.set_gauge("ipc", 0.5);
         m.set_gauge("ipc", 0.97);
-        m.add_gauge("span.seconds", 0.5);
-        m.add_gauge("span.seconds", 0.25);
         assert_eq!(m.gauge("ipc"), Some(0.97));
-        assert_eq!(m.gauge("span.seconds"), Some(0.75));
+        assert_eq!(m.gauge("absent"), None);
     }
 
     #[test]
@@ -702,15 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn span_recording_creates_both_metrics() {
-        let mut m = MetricsRegistry::new();
-        m.record_span("trace.record", Duration::from_millis(250));
-        m.record_span("trace.record", Duration::from_millis(250));
-        assert_eq!(m.counter("trace.record.calls"), Some(2));
-        assert!((m.gauge("trace.record.seconds").unwrap() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn registry_round_trips_through_json() {
         let mut m = MetricsRegistry::new();
         m.inc("cache.hits", 90210);
@@ -781,18 +751,16 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.set_gauge("a", f64::NAN);
         m.set_gauge("b", f64::INFINITY);
-        m.add_gauge("c", f64::NEG_INFINITY);
+        m.set_gauge("c", f64::NEG_INFINITY);
         assert_eq!(m.gauge("a"), None);
         assert_eq!(m.gauge("b"), None);
         assert_eq!(m.gauge("c"), None);
         assert_eq!(m.counter(NONFINITE_DROPPED), Some(3));
-        // A later finite write still lands.
+        // A later finite write still lands, and a non-finite one does not
+        // overwrite it.
         m.set_gauge("a", 1.5);
+        m.set_gauge("a", f64::NAN);
         assert_eq!(m.gauge("a"), Some(1.5));
-        // An established accumulator is not poisoned by a NaN add.
-        m.add_gauge("acc", 2.0);
-        m.add_gauge("acc", f64::NAN);
-        assert_eq!(m.gauge("acc"), Some(2.0));
     }
 
     #[test]

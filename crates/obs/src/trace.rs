@@ -2,7 +2,7 @@
 //!
 //! The counters and histograms in [`crate::MetricsRegistry`] answer *how
 //! often* something happened; this module answers **when**. A single
-//! process-global [`Tracer`] collects:
+//! process-global `Tracer` collects:
 //!
 //! * **spans** — nested begin/end pairs ([`span_enter`]/[`span_exit`], or
 //!   the RAII [`span`] guard) on the wall-clock timeline;

@@ -494,7 +494,7 @@ const CANCEL_GRACE: Duration = Duration::from_secs(2);
 /// final failure cascades `Skipped` to dependents. Retries are purely an
 /// execution policy — they never enter cache keys or the run
 /// fingerprint. When [`RunOptions::cancel`] fires, the scheduler stops
-/// launching, drains in-flight stages for [`CANCEL_GRACE`], marks
+/// launching, drains in-flight stages for `CANCEL_GRACE` (2 s), marks
 /// everything unfinished `Cancelled`, and still returns a complete
 /// summary (so a partial manifest can be written).
 pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, SpecError> {

@@ -19,8 +19,8 @@
 //!   `table1`, `table3`, `sec21_*`, `sec41`, `temperature_margin`,
 //!   `workload_report`, `ablation*`, `extension_*`) — the one place the
 //!   paper's experiments are run;
-//! * `chip_campaign` — a Monte-Carlo [`ChipPopulation`] reduced to its
-//!   per-chip cache retention times;
+//! * `chip_campaign` — a Monte-Carlo chip population ([`ChipFactory`])
+//!   reduced to its per-chip cache retention times;
 //! * `retention_map` — a fixed-bucket histogram over a `chip_campaign`
 //!   payload's retention times;
 //! * `report` — aggregates the `compare.*` gauges of its dependencies
@@ -181,17 +181,13 @@ pub fn execute(kind: &str, ctx: &StageCtx<'_>) -> Result<Json, String> {
 /// name/seed/node/scheme identity, timing-stripped metrics, and the
 /// deterministic text rendering.
 fn figure_payload(kind: &str, out: bench_harness::figures::StageOutput) -> Json {
-    let m = &out.manifest;
     let mut p = Json::object();
     p.insert("kind", Json::Str(kind.to_string()));
-    p.insert("name", Json::Str(m.name.clone()));
-    p.insert("seed", m.seed.map_or(Json::Null, |s| Json::Num(s as f64)));
-    p.insert(
-        "tech_node",
-        m.tech_node.clone().map_or(Json::Null, Json::Str),
-    );
-    p.insert("scheme", m.scheme.clone().map_or(Json::Null, Json::Str));
-    p.insert("metrics", m.metrics.without_timing().to_json());
+    p.insert("name", Json::Str(out.name));
+    p.insert("seed", out.seed.map_or(Json::Null, |s| Json::Num(s as f64)));
+    p.insert("tech_node", out.tech_node.map_or(Json::Null, Json::Str));
+    p.insert("scheme", out.scheme.map_or(Json::Null, Json::Str));
+    p.insert("metrics", out.metrics.without_timing().to_json());
     p.insert("text", Json::Str(out.text));
     p
 }
@@ -444,31 +440,12 @@ fn trace_validate(ctx: &StageCtx<'_>) -> Result<Json, String> {
             .ok_or_else(|| format!("unknown scheme {name:?}"))?;
         let cfg = cachesim::CacheConfig::paper(scheme);
         let retention = validate::named_retention(&retention_name, cfg.geometry.lines())?;
-        // Reopen per scheme: the reader is a forward-only stream, and
-        // streaming keeps validation constant-memory on multi-GB traces.
-        let mut reader = workloads::TraceReader::open(&path)
-            .map_err(|e| format!("opening trace {path:?}: {e}"))?;
-        let mut read_err = None;
-        let stream = std::iter::from_fn(|| match reader.next_record() {
-            Ok(r) => r,
-            Err(e) => {
-                read_err = Some(e);
-                None
-            }
-        });
-        let report = if max_records > 0 {
-            validate::run_differential_with(
-                cfg,
-                stream.take(max_records as usize),
-                retention,
-                tolerance,
-            )
-        } else {
-            validate::run_differential_with(cfg, stream, retention, tolerance)
-        };
-        if let Some(e) = read_err {
-            return Err(format!("reading trace {path:?}: {e}"));
-        }
+        // One forward pass per scheme over a fresh reader.
+        let report = validate::validate_trace(&path, cfg, retention, tolerance, max_records)
+            .map_err(|e| match e {
+                validate::TraceValidateError::Open(e) => format!("opening trace {path:?}: {e}"),
+                validate::TraceValidateError::Read(e) => format!("reading trace {path:?}: {e}"),
+            })?;
         if ctx.cancel.is_cancelled() {
             return Err(format!("cancelled after scheme {name}"));
         }

@@ -1,12 +1,12 @@
 //! The paper's experiments run only as stages of
 //! `scenarios/paper_full.json`. These tests pin that every registered
 //! figure kind is wired into that scenario and its `report`, and check
-//! the results and manifest round trip of representative payloads at
+//! the results and metrics round trip of representative payloads at
 //! quick scale.
 
 use bench_harness::figures::stage_names;
 use bench_harness::RunScale;
-use obs::{CancelToken, Json, MetricsRegistry, RunManifest};
+use obs::{CancelToken, Json, MetricsRegistry};
 use orchestrator::stage::{execute, StageCtx};
 use orchestrator::Scenario;
 use std::collections::BTreeMap;
@@ -95,25 +95,15 @@ fn fig09_payload_carries_scheme_metrics_and_round_trips() {
         );
     }
 
-    // A manifest built from the payload survives render + parse.
-    let mut m = RunManifest::new(payload.get("name").and_then(Json::as_str).unwrap());
-    m.seed = payload.get("seed").and_then(Json::as_u64);
-    m.tech_node = payload
-        .get("tech_node")
-        .and_then(Json::as_str)
-        .map(str::to_string);
-    m.metrics = metrics;
-    let path = std::env::temp_dir().join(format!("pv3t1d_fig09_{}.json", std::process::id()));
-    m.write_to(&path).unwrap();
-    let back = RunManifest::read_from(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    assert_eq!(back.seed, Some(20_244));
+    // The payload's identity and metrics survive render + parse.
+    let text = payload.render_pretty();
+    let back = Json::parse(&text).unwrap();
+    assert_eq!(back.get("seed").and_then(Json::as_u64), Some(20_244));
+    assert_eq!(back.get("tech_node").and_then(Json::as_str), Some("32nm"));
+    let back = payload_metrics(&back);
+    assert_eq!(metrics.to_json().render(), back.to_json().render());
     assert_eq!(
-        m.metrics.to_json().render(),
-        back.metrics.to_json().render()
-    );
-    assert_eq!(
-        m.deterministic_fingerprint(),
+        metrics.deterministic_fingerprint(),
         back.deterministic_fingerprint()
     );
 }

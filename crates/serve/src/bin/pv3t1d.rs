@@ -702,31 +702,12 @@ fn cmd_validate(cli: &Cli) -> Result<ExitCode, String> {
     for (name, scheme) in &schemes {
         let cfg = cachesim::CacheConfig::paper(*scheme);
         let retention = validate::named_retention(&cli.retention, cfg.geometry.lines())?;
-        // One forward pass per scheme: the reader streams chunk by chunk,
-        // so even a multi-GB trace validates in constant memory.
-        let mut reader = workloads::TraceReader::open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut read_err = None;
-        let stream = std::iter::from_fn(|| match reader.next_record() {
-            Ok(r) => r,
-            Err(e) => {
-                read_err = Some(e);
-                None
-            }
-        });
-        let report = if cli.max_records > 0 {
-            validate::run_differential_with(
-                cfg,
-                stream.take(cli.max_records as usize),
-                retention,
-                cli.tolerance,
-            )
-        } else {
-            validate::run_differential_with(cfg, stream, retention, cli.tolerance)
-        };
-        if let Some(e) = read_err {
-            return Err(format!("{}: {e}", path.display()));
-        }
+        let report = validate::validate_trace(path, cfg, retention, cli.tolerance, cli.max_records)
+            .map_err(|e| match e {
+                validate::TraceValidateError::Open(e) | validate::TraceValidateError::Read(e) => {
+                    format!("{}: {e}", path.display())
+                }
+            })?;
         print!("{}", report.render_text());
         all_within &= report.within_tolerance();
         reports.insert(name, report.to_json());

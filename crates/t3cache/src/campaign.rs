@@ -349,19 +349,6 @@ where
     (slots, report)
 }
 
-/// One `(chip, scheme)` evaluation result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnitResult {
-    /// Index of the chip within the campaign's chip slice.
-    pub chip: usize,
-    /// Index of the scheme within the campaign's scheme slice.
-    pub scheme: usize,
-    /// Performance normalized against the ideal-6T baseline.
-    pub perf: f64,
-    /// Dynamic power normalized against the ideal-6T baseline.
-    pub power: f64,
-}
-
 /// Results of a chips × schemes campaign, pre-indexed by scheme then chip.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {

@@ -1,7 +1,8 @@
 //! The (cell technology × DVFS operating point) design-space sweep.
 //!
 //! Each grid point fabricates a Monte-Carlo chip population in one
-//! [`CellTechnology`] at one [`OperatingPoint`], converts retention into
+//! [`CellTechnology`](vlsi::celltech::CellTechnology) at one
+//! [`OperatingPoint`], converts retention into
 //! cycles *at that point's clock*, and summarizes what the architecture
 //! cares about: yield, dead lines, retention, timing feasibility, the
 //! median chip's normalized performance, and the static/refresh energy

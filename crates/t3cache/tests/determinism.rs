@@ -1,6 +1,6 @@
 //! The PR's headline determinism contract, end to end: an identical
 //! campaign on one worker and on eight workers must produce bit-identical
-//! merged results AND bit-identical manifest metrics — scheduling may only
+//! merged results AND bit-identical exported metrics — scheduling may only
 //! change the timing metrics, which the fingerprint excludes by naming
 //! convention.
 
@@ -58,27 +58,22 @@ fn campaign_one_vs_eight_workers_is_bit_identical() {
     assert_eq!(serial.report.workers, 1);
     assert_eq!(parallel.report.workers, 8.min(serial.report.units));
 
-    // Manifest-level contract: write both runs as manifests, read them
+    // Metrics-level contract: export both runs, serialize and parse them
     // back, and compare the result-metric fingerprints byte for byte.
-    let dir = std::env::temp_dir().join(format!("pv3t1d_determinism_{}", std::process::id()));
     let mut fingerprints = Vec::new();
-    for (tag, result) in [("w1", &serial), ("w8", &parallel)] {
-        let mut manifest = obs::RunManifest::new("determinism");
-        manifest.seed = Some(20_244);
-        manifest.workers = result.report.workers as u64;
-        result.export(&mut manifest.metrics, &labels);
-        result.report.export(&mut manifest.metrics);
-        let path = dir.join(format!("{tag}.json"));
-        manifest.write_to(&path).unwrap();
-        let back = obs::RunManifest::read_from(&path).unwrap();
+    for result in [&serial, &parallel] {
+        let mut metrics = obs::MetricsRegistry::new();
+        result.export(&mut metrics, &labels);
+        result.report.export(&mut metrics);
+        let text = metrics.to_json().render();
+        let back = obs::MetricsRegistry::from_json(&obs::Json::parse(&text).unwrap()).unwrap();
         fingerprints.push(back.deterministic_fingerprint());
     }
     assert!(!fingerprints[0].is_empty(), "fingerprint must cover result metrics");
     assert_eq!(
         fingerprints[0], fingerprints[1],
-        "manifest result metrics must not depend on the worker count"
+        "result metrics must not depend on the worker count"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -86,10 +81,9 @@ fn tracing_cannot_change_results_and_sees_the_whole_stack() {
     // Capture-on vs capture-off runs of the same campaign must fingerprint
     // bit-identically: tracing is observation only.
     let fingerprint = |result: &t3cache::campaign::CampaignResult, labels: &[String]| {
-        let mut manifest = obs::RunManifest::new("determinism");
-        manifest.seed = Some(20_244);
-        result.export(&mut manifest.metrics, labels);
-        manifest.deterministic_fingerprint()
+        let mut metrics = obs::MetricsRegistry::new();
+        result.export(&mut metrics, labels);
+        metrics.deterministic_fingerprint()
     };
 
     let (base, labels, _) = small_campaign(2);

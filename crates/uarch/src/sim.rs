@@ -21,25 +21,28 @@
 //!
 //! * the ROB is a power-of-two ring: entry `seq` lives at slot
 //!   `seq & mask`, so every lookup is a mask, not a deque offset;
-//! * the out-of-order scheduler is event-driven. Dispatched entries wait
-//!   on their producer, then on a calendar timing wheel (one bucket per
-//!   cycle mod 1024, a bitmap of non-empty buckets, an overflow heap for
-//!   wake-ups further out), then in a seq-sorted ready list;
+//! * the scheduler is event-driven. Dispatched entries wait on their
+//!   producer, then on a calendar timing wheel (one bucket per cycle mod
+//!   1024, a bitmap of non-empty buckets, an overflow heap for wake-ups
+//!   further out), then in a seq-sorted ready list;
+//! * the `in_order` ablation walks the same ready list. Its issued entries
+//!   are a prefix of program order, so one counter names the oldest
+//!   unissued entry, and the walk stops at the first ready entry that is
+//!   not that one. So it also stops right after an entry that cannot
+//!   issue;
 //! * most simulated cycles are idle: nothing can commit, the ready list is
-//!   empty, and dispatch is blocked. The out-of-order loop jumps straight
-//!   to the next cycle that can change state: the ROB head's completion,
-//!   the wheel's next bucket, or the end of a fetch stall. It charges the
-//!   skipped cycles to the one stall counter that stepping through them
-//!   would have charged, so every [`SimResult`] field is unchanged. The
-//!   `in_order` ablation steps every cycle.
+//!   empty, and dispatch is blocked. The loop jumps straight to the next
+//!   cycle that can change state: the ROB head's completion, the wheel's
+//!   next bucket, or the end of a fetch stall. It charges the skipped
+//!   cycles to the one stall counter that stepping through them would
+//!   have charged, so every [`SimResult`] field is unchanged.
 
 use crate::bpred::TournamentPredictor;
 use crate::calendar::Calendar;
 use crate::config::MachineConfig;
-use crate::instr::{Instruction, OpClass, TraceSource};
+use crate::instr::{OpClass, TraceSource};
 use crate::tlb::Tlb;
 use cachesim::{AccessKind, DataCache, Geometry, TagCache};
-use std::collections::VecDeque;
 
 /// Aggregate results of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -185,11 +188,6 @@ struct Entry {
     dep2: u64,
     /// Completion cycle; u64::MAX until issued.
     completing_at: u64,
-    /// Earliest cycle both operands are available, cached once every
-    /// producer has a finite completion time; u64::MAX while unknown.
-    /// Producer completion times never change after issue, so the cached
-    /// value gives the same ready/not-ready answer as a fresh lookup.
-    ready_at: u64,
     /// Head of this entry's wait chain: the youngest dispatched entry
     /// parked on this (still-unissued) producer, or u64::MAX. Drained the
     /// cycle this entry issues and its completion time becomes known.
@@ -197,9 +195,6 @@ struct Entry {
     /// Chain link used while this entry is parked on one of its own
     /// unissued producers.
     wait_next: u64,
-    /// Set when the `in_order` scan issues the entry, so the scan can drop
-    /// it from `unissued`.
-    issued: bool,
 }
 
 impl Entry {
@@ -210,10 +205,8 @@ impl Entry {
         dep1: u64::MAX,
         dep2: u64::MAX,
         completing_at: u64::MAX,
-        ready_at: u64::MAX,
         wait_head: u64::MAX,
         wait_next: u64::MAX,
-        issued: false,
     };
 }
 
@@ -226,14 +219,13 @@ pub struct Pipeline {
     /// `seq & rob_mask`; the live entries are `head_seq..next_seq`.
     rob: Vec<Entry>,
     rob_mask: u64,
-    /// Sequence numbers of dispatched-but-unissued entries, in program
-    /// order. Only used by the `in_order` ablation path; the out-of-order
-    /// scheduler is event-driven and never rescans stalled entries.
-    unissued: VecDeque<u64>,
-    /// Event-driven scheduler (out-of-order path): entries whose operands
-    /// are available, sorted by sequence number so issue walks them in
-    /// program order. Entries stay here while unit- or port-limited.
+    /// Event-driven scheduler: entries whose operands are available,
+    /// sorted by sequence number so issue walks them in program order.
+    /// Entries stay here while unit- or port-limited.
     ready: Vec<u64>,
+    /// In-order issue only: the oldest unissued entry. Issued entries are
+    /// a prefix of program order, so this is one past the last issued.
+    next_in_order: u64,
     /// Timing wheel: entries whose operands become available at a known
     /// future cycle, bucketed by that cycle.
     wheel: Calendar,
@@ -287,8 +279,8 @@ impl Pipeline {
             bpred: TournamentPredictor::new(),
             rob: vec![Entry::VACANT; rob_slots],
             rob_mask: rob_slots as u64 - 1,
-            unissued: VecDeque::with_capacity(cfg.rob_entries as usize),
             ready: Vec::with_capacity(cfg.rob_entries as usize),
+            next_in_order: 0,
             wheel: Calendar::new(rob_slots),
             wake_scratch: Vec::new(),
             merge_scratch: Vec::new(),
@@ -338,9 +330,7 @@ impl Pipeline {
             .saturating_add(instructions.saturating_mul(400).max(1_000_000));
 
         while committed < instructions {
-            if !self.cfg.in_order {
-                self.skip_idle_cycles(max_cycles);
-            }
+            self.skip_idle_cycles(max_cycles);
             self.cycle += 1;
             let cycle = self.cycle;
             assert!(
@@ -455,8 +445,7 @@ impl Pipeline {
         n
     }
 
-    fn producer_done_at(&self, seq: u64, dep: u64) -> u64 {
-        let _ = seq;
+    fn producer_done_at(&self, dep: u64) -> u64 {
         if dep == u64::MAX {
             return 0;
         }
@@ -490,21 +479,19 @@ impl Pipeline {
         self.next_seq - self.head_seq
     }
 
-    fn issue(&mut self, cycle: u64, cache: &mut DataCache) {
-        if self.cfg.in_order {
-            self.issue_scan(cycle, cache);
-        } else {
-            self.issue_event_driven(cycle, cache);
-        }
-    }
-
     /// Event-driven issue: drain the timing wheel into the ready list and
-    /// walk only operand-ready entries in program order. Produces the same
-    /// issue decisions as the linear unissued scan — readiness is the
-    /// cached `ready_at` the scan would compute, and the seq-sorted walk
-    /// preserves the scan's program-order unit allocation — without ever
-    /// revisiting operand-stalled entries.
-    fn issue_event_driven(&mut self, cycle: u64, cache: &mut DataCache) {
+    /// walk only operand-ready entries in program order, so units go to
+    /// the oldest ready entries and operand-stalled entries are never
+    /// revisited.
+    ///
+    /// In order, no entry may pass an older unissued one: the walk stops at
+    /// the first ready entry that is not `next_in_order`. That covers both
+    /// cases. The oldest unissued entry may still wait on an operand, or it
+    /// may have failed to issue this cycle (no unit free, out of port
+    /// probes, or the cache refused the access, with the retry counted);
+    /// the counter only advances on issue, so the walk stops right after
+    /// it.
+    fn issue(&mut self, cycle: u64, cache: &mut DataCache) {
         // Wake entries whose operands became available by this cycle.
         if self.wheel.has_due(cycle) {
             let mut woken = std::mem::take(&mut self.wake_scratch);
@@ -536,6 +523,7 @@ impl Pipeline {
         let mut int_units = self.cfg.int_units;
         let mut fp_units = self.cfg.fp_units;
         let mut mem_tries = 4u32; // bounded port probing per cycle
+        let in_order = self.cfg.in_order;
 
         // Walk the ready list in program order, compacting the entries
         // that stay (unit- or port-limited) to its front as we go.
@@ -546,6 +534,9 @@ impl Pipeline {
                 break;
             }
             let seq = self.ready[walked];
+            if in_order && seq != self.next_in_order {
+                break;
+            }
             walked += 1;
             let idx = self.slot(seq);
             let e = self.rob[idx];
@@ -555,8 +546,8 @@ impl Pipeline {
                     fp_units -= 1;
                     self.fp_iq_occ -= 1;
                     self.rob[idx].completing_at = cycle + 4;
-                    let done1 = self.producer_done_at(seq, e.dep1);
-                    let done2 = self.producer_done_at(seq, e.dep2);
+                    let done1 = self.producer_done_at(e.dep1);
+                    let done2 = self.producer_done_at(e.dep2);
                     self.record_value_ages(cycle, &e, done1, done2);
                     self.wake_dependents(seq);
                     true
@@ -567,8 +558,8 @@ impl Pipeline {
                     self.int_iq_occ -= 1;
                     let lat = e.op.fixed_latency().unwrap_or(1);
                     self.rob[idx].completing_at = cycle + lat as u64;
-                    let done1 = self.producer_done_at(seq, e.dep1);
-                    let done2 = self.producer_done_at(seq, e.dep2);
+                    let done1 = self.producer_done_at(e.dep1);
+                    let done2 = self.producer_done_at(e.dep2);
                     self.record_value_ages(cycle, &e, done1, done2);
                     self.wake_dependents(seq);
                     // A resolving mispredicted branch re-opens fetch.
@@ -598,11 +589,15 @@ impl Pipeline {
                                 self.cfg.dtlb_miss_penalty as u64
                             };
                             self.rob[idx].completing_at = cycle + r.latency as u64 + tlb_extra;
-                            let done1 = self.producer_done_at(seq, e.dep1);
-                            let done2 = self.producer_done_at(seq, e.dep2);
+                            let done1 = self.producer_done_at(e.dep1);
+                            let done2 = self.producer_done_at(e.dep2);
                             self.record_value_ages(cycle, &e, done1, done2);
                             self.wake_dependents(seq);
                             if r.expired {
+                                // The scheduler speculated a hit on a line
+                                // whose retention had expired: dependents
+                                // replay and the front-end stalls while the
+                                // pipeline recovers (§4.3.2).
                                 self.result.replay_flushes += 1;
                                 self.fetch_blocked_until = self
                                     .fetch_blocked_until
@@ -623,6 +618,8 @@ impl Pipeline {
             if !issued {
                 self.ready[kept] = seq;
                 kept += 1;
+            } else if in_order {
+                self.next_in_order += 1;
             }
         }
         // Entries past an early stop were not visited and stay too.
@@ -641,8 +638,8 @@ impl Pipeline {
             let widx = self.slot(w);
             let next = std::mem::replace(&mut self.rob[widx].wait_next, u64::MAX);
             let (dep1, dep2) = (self.rob[widx].dep1, self.rob[widx].dep2);
-            let done1 = self.producer_done_at(w, dep1);
-            let done2 = self.producer_done_at(w, dep2);
+            let done1 = self.producer_done_at(dep1);
+            let done2 = self.producer_done_at(dep2);
             if done1 == u64::MAX {
                 self.park_on(w, dep1);
             } else if done2 == u64::MAX {
@@ -651,7 +648,6 @@ impl Pipeline {
                 // The waking producer completes at cycle+latency ≥ cycle+1,
                 // so the dependent's ready time is always in the future.
                 let at = done1.max(done2);
-                self.rob[widx].ready_at = at;
                 self.wheel.push(self.cycle, at, w);
             }
             w = next;
@@ -673,170 +669,19 @@ impl Pipeline {
     fn schedule_dispatched(&mut self, seq: u64, cycle: u64) {
         let idx = self.slot(seq);
         let (dep1, dep2) = (self.rob[idx].dep1, self.rob[idx].dep2);
-        let done1 = self.producer_done_at(seq, dep1);
-        let done2 = self.producer_done_at(seq, dep2);
+        let done1 = self.producer_done_at(dep1);
+        let done2 = self.producer_done_at(dep2);
         if done1 == u64::MAX {
             self.park_on(seq, dep1);
         } else if done2 == u64::MAX {
             self.park_on(seq, dep2);
         } else {
             let at = done1.max(done2);
-            self.rob[idx].ready_at = at;
             if at <= cycle {
                 self.ready.push(seq);
             } else {
                 self.wheel.push(cycle, at, seq);
             }
-        }
-    }
-
-    /// Linear scan over the unissued list, used by the `in_order`
-    /// configuration (where the first stalled entry is a barrier anyway,
-    /// so event-driven wakeup buys nothing).
-    fn issue_scan(&mut self, cycle: u64, cache: &mut DataCache) {
-        let mut int_units = self.cfg.int_units;
-        let mut fp_units = self.cfg.fp_units;
-        let mut mem_tries = 4u32; // bounded port probing per cycle
-        let mut issued_any = false;
-
-        // Walk only the dispatched-but-unissued entries, in program order —
-        // the same visit order the full-ROB scan produced, since issued
-        // entries were skipped there without side effects.
-        for u in 0..self.unissued.len() {
-            if int_units == 0 && fp_units == 0 {
-                break;
-            }
-            let seq = self.unissued[u];
-            let idx = self.slot(seq);
-            let e = self.rob[idx];
-            // In-order issue: stop at the first unissued instruction that
-            // cannot go this cycle (no younger instruction may pass it).
-            let in_order_barrier = self.cfg.in_order;
-            let ready = if e.ready_at != u64::MAX {
-                e.ready_at <= cycle
-            } else {
-                let done1 = self.producer_done_at(seq, e.dep1);
-                let done2 = self.producer_done_at(seq, e.dep2);
-                if done1 != u64::MAX && done2 != u64::MAX {
-                    self.rob[idx].ready_at = done1.max(done2);
-                }
-                done1 <= cycle && done2 <= cycle
-            };
-            if !ready {
-                if in_order_barrier {
-                    break;
-                }
-                continue;
-            }
-            // Operand availability times for the value-age histogram:
-            // recomputed at the issue attempt, which is the same cycle the
-            // readiness check passed, so the ring/ROB lookups match what a
-            // fresh scan would have seen.
-            let ages = |p: &Self| {
-                (
-                    p.producer_done_at(seq, e.dep1),
-                    p.producer_done_at(seq, e.dep2),
-                )
-            };
-            match e.op {
-                OpClass::Fp => {
-                    if fp_units == 0 {
-                        if in_order_barrier {
-                            break;
-                        }
-                        continue;
-                    }
-                    fp_units -= 1;
-                    self.fp_iq_occ -= 1;
-                    issued_any = true;
-                    self.rob[idx].issued = true;
-                    self.rob[idx].completing_at = cycle + 4;
-                    let (done1, done2) = ages(self);
-                    self.record_value_ages(cycle, &e, done1, done2);
-                }
-                OpClass::IntAlu | OpClass::Branch | OpClass::IntMul => {
-                    if int_units == 0 {
-                        if in_order_barrier {
-                            break;
-                        }
-                        continue;
-                    }
-                    int_units -= 1;
-                    self.int_iq_occ -= 1;
-                    issued_any = true;
-                    let lat = e.op.fixed_latency().unwrap_or(1);
-                    self.rob[idx].issued = true;
-                    self.rob[idx].completing_at = cycle + lat as u64;
-                    let (done1, done2) = ages(self);
-                    self.record_value_ages(cycle, &e, done1, done2);
-                    // A resolving mispredicted branch re-opens fetch.
-                    if self.pending_redirect == Some(seq) {
-                        self.fetch_blocked_until = self.rob[idx].completing_at
-                            + self.cfg.redirect_penalty as u64;
-                        self.pending_redirect = None;
-                    }
-                }
-                OpClass::Load | OpClass::Store => {
-                    if int_units == 0 || mem_tries == 0 {
-                        if in_order_barrier {
-                            break;
-                        }
-                        continue;
-                    }
-                    mem_tries -= 1;
-                    let kind = if e.op == OpClass::Load {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    };
-                    match cache.access(cycle, e.addr, kind) {
-                        Ok(r) => {
-                            int_units -= 1;
-                            self.int_iq_occ -= 1;
-                            issued_any = true;
-                            // Translate through the DTLB; a miss adds the
-                            // page-walk latency to this access.
-                            let tlb_extra = if self.dtlb.access(e.addr) {
-                                0
-                            } else {
-                                self.result.dtlb_misses += 1;
-                                self.cfg.dtlb_miss_penalty as u64
-                            };
-                            self.rob[idx].issued = true;
-                            self.rob[idx].completing_at =
-                                cycle + r.latency as u64 + tlb_extra;
-                            let (done1, done2) = ages(self);
-                            self.record_value_ages(cycle, &e, done1, done2);
-                            if r.expired {
-                                // The scheduler speculated a hit on a line
-                                // whose retention had expired: dependents
-                                // replay and the front-end stalls while the
-                                // pipeline recovers (§4.3.2).
-                                self.result.replay_flushes += 1;
-                                self.fetch_blocked_until = self
-                                    .fetch_blocked_until
-                                    .max(cycle + self.cfg.replay_flush_cycles as u64);
-                                obs::trace::sim_instant("uarch", "replay.flush", cycle);
-                            }
-                        }
-                        Err(_) => {
-                            self.result.port_retries += 1;
-                            obs::trace::sim_instant("uarch", "port.retry", cycle);
-                            // Stay unissued; retry next cycle.
-                            if in_order_barrier {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Drop the entries that left the issue queues this cycle; the
-        // relative order of the survivors is untouched.
-        if issued_any {
-            let (rob, mask) = (&self.rob, self.rob_mask);
-            self.unissued.retain(|&s| !rob[(s & mask) as usize].issued);
         }
     }
 
@@ -889,20 +734,6 @@ impl Pipeline {
             }
 
             let instr = trace.next_instr();
-            // Capacity checks per class; if full, we must still place the
-            // already-consumed instruction — so check first via class-
-            // specific headroom (conservative: require one slot free in
-            // the class queue before consuming).
-            match classify(&instr) {
-                Class::Fp if self.fp_iq_occ >= self.cfg.fp_iq_entries => {
-                    // Put it back is impossible; instead stall by modeling
-                    // the queue-full as a single-cycle bubble and dispatch
-                    // it anyway (the queue drains within the cycle in
-                    // hardware). Counted as dispatched.
-                }
-                Class::Int if self.int_iq_occ >= self.cfg.int_iq_entries => {}
-                _ => {}
-            }
             if instr.op == OpClass::Load && self.lq_occ >= self.cfg.load_queue {
                 // LQ full: model a stall by blocking further dispatch this
                 // cycle after placing this load next cycle — simplest is
@@ -953,10 +784,8 @@ impl Pipeline {
                 dep1: dep(instr.src1),
                 dep2: dep(instr.src2),
                 completing_at: u64::MAX,
-                ready_at: u64::MAX,
                 wait_head: u64::MAX,
                 wait_next: u64::MAX,
-                issued: false,
             };
 
             if let Some(b) = instr.branch {
@@ -968,9 +797,10 @@ impl Pipeline {
                 }
             }
 
-            match classify(&instr) {
-                Class::Fp => self.fp_iq_occ += 1,
-                Class::Int => self.int_iq_occ += 1,
+            if instr.op.is_fp() {
+                self.fp_iq_occ += 1;
+            } else {
+                self.int_iq_occ += 1;
             }
             match instr.op {
                 OpClass::Load => self.lq_occ += 1,
@@ -987,25 +817,8 @@ impl Pipeline {
             }
             let idx = self.slot(seq);
             self.rob[idx] = entry;
-            if self.cfg.in_order {
-                self.unissued.push_back(seq);
-            } else {
-                self.schedule_dispatched(seq, cycle);
-            }
+            self.schedule_dispatched(seq, cycle);
         }
-    }
-}
-
-enum Class {
-    Int,
-    Fp,
-}
-
-fn classify(i: &Instruction) -> Class {
-    if i.op.is_fp() {
-        Class::Fp
-    } else {
-        Class::Int
     }
 }
 

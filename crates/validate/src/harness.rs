@@ -14,7 +14,9 @@ use cachesim::{
     AccessKind, AccessReplayer, CacheConfig, DataCache, RetentionProfile, Scheme,
 };
 use obs::Json;
+use std::path::Path;
 use uarch::instr::{Instruction, OpClass};
+use workloads::{TraceError, TraceReader};
 
 /// Demand-schedule density: instructions per issue slot (a 4-wide core).
 pub const ISSUE_WIDTH: u64 = 4;
@@ -213,6 +215,48 @@ where
     let mut dut = DataCache::new(cfg, retention.clone());
     let mut golden = GoldenCache::new(cfg, retention);
     run_differential_models(&mut dut, &mut golden, instrs, tolerance)
+}
+
+/// Why [`validate_trace`] returned no report.
+#[derive(Debug)]
+pub enum TraceValidateError {
+    /// The trace file could not be opened, or its header is bad.
+    Open(TraceError),
+    /// A record could not be read: an I/O error, or a corrupt or cut
+    /// chunk. No report is made over the records before it.
+    Read(TraceError),
+}
+
+/// Streams the recorded trace at `path` through both models (see
+/// [`run_differential_with`]), reading at most `max_records` records
+/// (0 = all). The reader decodes chunk by chunk, so even a multi-GB trace
+/// validates in one forward pass in constant memory.
+pub fn validate_trace(
+    path: impl AsRef<Path>,
+    cfg: CacheConfig,
+    retention: RetentionProfile,
+    tolerance: u64,
+    max_records: u64,
+) -> Result<DivergenceReport, TraceValidateError> {
+    let mut reader = TraceReader::open(path).map_err(TraceValidateError::Open)?;
+    let mut read_err = None;
+    let stream = std::iter::from_fn(|| match reader.next_record() {
+        Ok(r) => r,
+        Err(e) => {
+            read_err = Some(e);
+            None
+        }
+    });
+    let limit = if max_records > 0 {
+        max_records as usize
+    } else {
+        usize::MAX
+    };
+    let report = run_differential_with(cfg, stream.take(limit), retention, tolerance);
+    match read_err {
+        Some(e) => Err(TraceValidateError::Read(e)),
+        None => Ok(report),
+    }
 }
 
 /// The core differential loop over caller-built models — exposed so tests

@@ -34,6 +34,7 @@ pub mod harness;
 pub use golden::{GoldenCache, GoldenCounters};
 pub use harness::{
     default_schemes, demand_of, dut_counters, named_retention, run_differential,
-    run_differential_models, run_differential_with, scheme_by_name, DivergenceReport,
-    DivergenceRow, DRAIN_CYCLES, ISSUE_WIDTH, RETENTION_NAMES,
+    run_differential_models, run_differential_with, scheme_by_name, validate_trace,
+    DivergenceReport, DivergenceRow, TraceValidateError, DRAIN_CYCLES, ISSUE_WIDTH,
+    RETENTION_NAMES,
 };

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use uarch::instr::{Instruction, TraceSource};
 use validate::{
     default_schemes, named_retention, run_differential, run_differential_models,
-    run_differential_with, GoldenCache,
+    run_differential_with, validate_trace, GoldenCache, TraceValidateError,
 };
 use workloads::{SpecBenchmark, SyntheticTrace};
 
@@ -313,4 +313,59 @@ fn same_cycle_dead_way_dirty_fill_is_drained_at_the_next_access() {
             "{name}: after drain"
         );
     }
+}
+
+/// A recorded trace file, removed when dropped.
+struct TempTrace(std::path::PathBuf);
+
+impl TempTrace {
+    fn record(tag: &str, len: u64) -> Self {
+        let path = std::env::temp_dir().join(format!(
+            "pv3t1d_validate_{tag}_{}.pvtrace",
+            std::process::id()
+        ));
+        workloads::record_bench_to_path(SpecBenchmark::Gcc, 7, len, &path).unwrap();
+        TempTrace(path)
+    }
+}
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+#[test]
+fn validate_trace_agrees_on_a_whole_file() {
+    let trace = TempTrace::record("whole", 1_500);
+    let cfg = CacheConfig::paper(Scheme::rsp_fifo());
+    let retention = named_retention("mixed", cfg.geometry.lines()).unwrap();
+    let report = validate_trace(&trace.0, cfg, retention.clone(), 0, 0).unwrap();
+    assert!(report.within_tolerance(), "{}", report.render_text());
+    assert!(report.accesses > 0);
+    // A record cap stops the replay early.
+    let capped = validate_trace(&trace.0, cfg, retention, 0, 400).unwrap();
+    assert!(capped.accesses > 0 && capped.accesses < report.accesses);
+}
+
+#[test]
+fn a_trace_cut_mid_chunk_is_an_error_not_a_prefix_report() {
+    let whole = TempTrace::record("cut", workloads::stream::CHUNK_RECORDS as u64 + 300);
+    let bytes = std::fs::read(&whole.0).unwrap();
+    let cut = TempTrace(whole.0.with_extension("cut.pvtrace"));
+    // The first chunk stays whole; the second loses its last records.
+    std::fs::write(&cut.0, &bytes[..bytes.len() - 200]).unwrap();
+    let cfg = CacheConfig::paper(Scheme::rsp_fifo());
+    let retention = named_retention("mixed", cfg.geometry.lines()).unwrap();
+    match validate_trace(&cut.0, cfg, retention.clone(), 0, 0) {
+        Err(TraceValidateError::Read(e)) => {
+            assert!(matches!(e, workloads::TraceError::Truncated { .. }), "{e}")
+        }
+        other => panic!("expected a read error, got {other:?}"),
+    }
+    let missing = whole.0.with_extension("missing.pvtrace");
+    assert!(matches!(
+        validate_trace(&missing, cfg, retention, 0, 0),
+        Err(TraceValidateError::Open(_))
+    ));
 }

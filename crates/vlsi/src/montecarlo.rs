@@ -29,7 +29,9 @@
 //! ```
 
 use crate::array::ArrayLayout;
-use crate::cell3t1d::{self, RetentionSolver};
+use crate::cell3t1d;
+#[cfg(test)]
+use crate::cell3t1d::RetentionSolver;
 use crate::cell6t::{self, CellSize};
 use crate::leakage;
 use crate::math::{sample_min_of_normals, sample_standard_normal};
@@ -201,9 +203,10 @@ impl Chip {
 
     /// The scalar per-cell reference path through the per-node
     /// [`RetentionSolver`]: same stream contract and same solver as the
-    /// [`batch`] kernels, cell-at-a-time. Never cached. The test-suite
-    /// pins the batch product bit-identical against this.
-    pub fn line_retentions_scalar(&self) -> Vec<Time> {
+    /// [`batch`] kernels, cell-at-a-time. Never cached. Test-only: the
+    /// unit tests pin the batch product bit-identical against this.
+    #[cfg(test)]
+    pub(crate) fn line_retentions_scalar(&self) -> Vec<Time> {
         let solver = RetentionSolver::new(self.node);
         self.sample_line_retentions(|dl, dvth1, dvth2| solver.retention(dl, dvth1, dvth2))
     }
@@ -221,10 +224,12 @@ impl Chip {
     /// The scalar reference for [`Chip::line_retentions_tech`]: the same
     /// stream contract, cell-at-a-time through the technology's scalar
     /// solve, with the per-line [`line_scale`] applied after the fold.
-    /// Never cached; the property suite pins the batch product against it.
+    /// Never cached. Test-only: a unit proptest pins the batch product
+    /// against it.
     ///
     /// [`line_scale`]: crate::celltech::CellTechnology::line_scale
-    pub fn line_retentions_tech_scalar(
+    #[cfg(test)]
+    pub(crate) fn line_retentions_tech_scalar(
         &self,
         tech: &dyn crate::celltech::CellTechnology,
     ) -> Vec<Time> {
@@ -515,8 +520,11 @@ impl WordRetentionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::celltech::CellTechKind;
     use crate::stats::Summary;
+    use crate::tech::OperatingPoint;
     use crate::variation::VariationCorner;
+    use proptest::prelude::*;
 
     fn typical_factory(seed: u64) -> ChipFactory {
         ChipFactory::new(TechNode::N32, VariationCorner::Typical.params(), seed)
@@ -863,5 +871,77 @@ mod tests {
             b > w,
             "longer channels must retain longer: best {b} ns vs worst {w} ns"
         );
+    }
+
+    fn node_strategy() -> impl Strategy<Value = TechNode> {
+        prop_oneof![
+            Just(TechNode::N65),
+            Just(TechNode::N45),
+            Just(TechNode::N32)
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn batched_tech_line_retentions_match_scalar(node in node_strategy(),
+                                                     seed in 0u64..1_000_000,
+                                                     vdd_mv in 550f64..1150.0,
+                                                     temp in 0.0f64..125.0) {
+            // The SoA batch kernel must be bit-identical to the cell-at-a-time
+            // scalar reference for every technology, at off-nominal operating
+            // points, under both variation corners.
+            let layout = ArrayLayout {
+                subarrays: 2,
+                rows: 4,
+                cols: 16,
+                tag_bits: 2,
+                sense_amps_per_pair: 8,
+            };
+            let op = OperatingPoint::nominal(node)
+                .with_vdd(Voltage::from_mv(vdd_mv))
+                .with_temp_c(temp);
+            for params in [VariationParams::TYPICAL, VariationParams::SEVERE] {
+                let chip = ChipFactory::with_layout(node, params, layout, seed).chip(0);
+                for kind in CellTechKind::ALL {
+                    let tech = kind.build(node, op);
+                    let batch = chip.line_retentions_tech(tech.as_ref());
+                    let scalar = chip.line_retentions_tech_scalar(tech.as_ref());
+                    prop_assert_eq!(batch.len(), scalar.len());
+                    for (i, (b, s)) in batch.iter().zip(scalar.iter()).enumerate() {
+                        prop_assert_eq!(b, s, "{} line {}", kind.slug(), i);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        // Each case samples two 34k-cell chips twice; fewer cases keep the
+        // unoptimized test build quick.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn screened_line_retentions_match_scalar(node in node_strategy(),
+                                                 seed in 0u64..1_000_000,
+                                                 sigma_scale in 0.5f64..1.6) {
+            // The screened kernel skips the exact solve of every cell it can
+            // certify as no lower than its line's running minimum. It must
+            // still be bit-identical to the scalar path that solves every
+            // cell, with dead lines and stream rewinds common at the upper
+            // sigma scales. Full-width lines, fewer rows.
+            let layout = ArrayLayout { rows: 16, ..ArrayLayout::PAPER_L1D };
+            for params in [VariationParams::TYPICAL, VariationParams::SEVERE] {
+                let params = params.scaled(sigma_scale);
+                let chip = ChipFactory::with_layout(node, params, layout, seed).chip(0);
+                let screened = batch::line_retentions(&chip);
+                let scalar = chip.line_retentions_scalar();
+                prop_assert_eq!(screened.len(), scalar.len());
+                for (i, (a, b)) in screened.iter().zip(scalar.iter()).enumerate() {
+                    prop_assert_eq!(a, b, "sigma x{} line {}", sigma_scale, i);
+                }
+            }
+        }
     }
 }

@@ -121,8 +121,9 @@ pub fn dl_plane(chip: &Chip) -> Vec<f64> {
 }
 
 /// Batch equivalent of the scalar per-line retention sampling: returns the
-/// per-line minimum retention, bit-identical to
-/// [`Chip::line_retentions_scalar`] including RNG stream consumption.
+/// per-line minimum retention, bit-identical to the test-only scalar
+/// reference `Chip::line_retentions_scalar` including RNG stream
+/// consumption.
 ///
 /// Only a cell that could lower its line's running minimum is solved
 /// exactly; the `RetentionScreen` certifies that every other cell's

@@ -2,10 +2,7 @@
 
 use proptest::prelude::*;
 use vlsi::celltech::CellTechKind;
-use vlsi::montecarlo::ChipFactory;
 use vlsi::tech::OperatingPoint;
-use vlsi::variation::VariationParams;
-use vlsi::ArrayLayout;
 use vlsi::cell3t1d::{
     access_time, decay_tau, decay_tau_slice, min_storage_voltage, retention_time,
     storage_voltage_at, stored_one_voltage, stored_one_voltage_slice, RetentionSolver,
@@ -251,38 +248,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_tech_line_retentions_match_scalar(node in node_strategy(),
-                                                 seed in 0u64..1_000_000,
-                                                 vdd_mv in 550f64..1150.0,
-                                                 temp in 0.0f64..125.0) {
-        // The SoA batch kernel must be bit-identical to the cell-at-a-time
-        // scalar reference for every technology, at off-nominal operating
-        // points, under both variation corners.
-        let layout = ArrayLayout {
-            subarrays: 2,
-            rows: 4,
-            cols: 16,
-            tag_bits: 2,
-            sense_amps_per_pair: 8,
-        };
-        let op = OperatingPoint::nominal(node)
-            .with_vdd(Voltage::from_mv(vdd_mv))
-            .with_temp_c(temp);
-        for params in [VariationParams::TYPICAL, VariationParams::SEVERE] {
-            let chip = ChipFactory::with_layout(node, params, layout, seed).chip(0);
-            for kind in CellTechKind::ALL {
-                let tech = kind.build(node, op);
-                let batch = chip.line_retentions_tech(tech.as_ref());
-                let scalar = chip.line_retentions_tech_scalar(tech.as_ref());
-                prop_assert_eq!(batch.len(), scalar.len());
-                for (i, (b, s)) in batch.iter().zip(scalar.iter()).enumerate() {
-                    prop_assert_eq!(b, s, "{} line {}", kind.slug(), i);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn quadtree_field_is_bounded_and_deterministic(seed in 0u64..1_000_000,
                                                    sigma in 0.0f64..0.2,
                                                    x in 0.0f64..1.0, y in 0.0f64..1.0) {
@@ -292,33 +257,5 @@ proptest! {
         prop_assert_eq!(v, f2.value_at(x, y));
         // 3 levels of N(0, sigma/sqrt(3)) can't stray past ~15 sigma total.
         prop_assert!(v.abs() <= 15.0 * sigma + 1e-12);
-    }
-}
-
-proptest! {
-    // Each case samples two 34k-cell chips twice; fewer cases keep the
-    // unoptimized test build quick.
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn screened_line_retentions_match_scalar(node in node_strategy(),
-                                             seed in 0u64..1_000_000,
-                                             sigma_scale in 0.5f64..1.6) {
-        // The screened kernel skips the exact solve of every cell it can
-        // certify as no lower than its line's running minimum. It must
-        // still be bit-identical to the scalar path that solves every
-        // cell, with dead lines and stream rewinds common at the upper
-        // sigma scales. Full-width lines, fewer rows.
-        let layout = ArrayLayout { rows: 16, ..ArrayLayout::PAPER_L1D };
-        for params in [VariationParams::TYPICAL, VariationParams::SEVERE] {
-            let params = params.scaled(sigma_scale);
-            let chip = ChipFactory::with_layout(node, params, layout, seed).chip(0);
-            let screened = vlsi::montecarlo::batch::line_retentions(&chip);
-            let scalar = chip.line_retentions_scalar();
-            prop_assert_eq!(screened.len(), scalar.len());
-            for (i, (a, b)) in screened.iter().zip(scalar.iter()).enumerate() {
-                prop_assert_eq!(a, b, "sigma x{} line {}", sigma_scale, i);
-            }
-        }
     }
 }

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use t3cache::{
         ChipGrade, ChipModel, ChipPopulation, EvalConfig, Evaluator, SensitivitySweep,
     };
-    pub use obs::{MetricsRegistry, RunManifest};
+    pub use obs::MetricsRegistry;
     pub use uarch::{sim::simulate_warmed, Instruction, MachineConfig, TraceSource};
     pub use vlsi::{ChipFactory, TechNode, VariationCorner, VariationParams};
     pub use validate::{run_differential, DivergenceReport, GoldenCache};
