@@ -109,8 +109,16 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> io::Result<Result<Option<Requ
         }
     }
 
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    // The buffer grows with the bytes that arrive, not with the declared
+    // length, so a client that promises 4 MiB and sends nothing costs
+    // nothing.
+    let mut body = Vec::new();
+    if stream.take(content_length as u64).read_to_end(&mut body)? < content_length {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "request body shorter than its Content-Length",
+        ));
+    }
     Ok(Ok(Some(Request { method, path, body })))
 }
 
@@ -216,6 +224,7 @@ pub fn read_response<R: BufRead>(stream: &mut R) -> io::Result<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     #[test]
@@ -262,6 +271,82 @@ mod tests {
         let err = read_request(&mut wire).unwrap().unwrap_err();
         assert_eq!(err.0, "request head too large");
         assert!(wire.position() <= (MAX_HEAD_BYTES + 1) as u64);
+    }
+
+    #[test]
+    fn short_body_is_an_unexpected_eof() {
+        let wire = format!("POST /runs HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n{{}}");
+        let err = read_request(&mut BufReader::new(wire.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A request head with a random `Content-Length` and one more header
+    /// line, either well formed or raw bytes, then a random body that may
+    /// be shorter or longer than declared.
+    fn framed_request() -> impl Strategy<Value = Vec<u8>> {
+        (
+            any::<bool>(),
+            proptest::collection::vec(any::<u8>(), 0..64),
+            0usize..96,
+            proptest::collection::vec(any::<u8>(), 0..96),
+        )
+            .prop_map(|(well_formed, header, len, body)| {
+                let mut wire = format!("POST /runs HTTP/1.1\r\nContent-Length: {len}\r\n")
+                    .into_bytes();
+                if well_formed {
+                    wire.extend(format!("X-Pad: {}", header.len()).into_bytes());
+                } else {
+                    wire.extend(header);
+                }
+                wire.extend(b"\r\n\r\n");
+                wire.extend(body);
+                wire
+            })
+    }
+
+    /// A valid request line, then `X-Pad` header lines of `line` bytes
+    /// each up to about `len` bytes of head, so the head lands on either
+    /// side of the cap.
+    fn long_head() -> impl Strategy<Value = Vec<u8>> {
+        (MAX_HEAD_BYTES - 64..MAX_HEAD_BYTES + 64, 10usize..2048).prop_map(|(len, line)| {
+            let mut wire = b"GET / HTTP/1.1\r\n".to_vec();
+            while wire.len() + line <= len {
+                wire.extend(b"X-Pad: ");
+                wire.resize(wire.len() + line - 9, b'a');
+                wire.extend(b"\r\n");
+            }
+            wire.resize(len, b'b');
+            wire.extend(b"\r\n\r\n");
+            wire
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_or_read_past_the_head_cap(
+            wire in prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..2048),
+                long_head(),
+                framed_request(),
+            ],
+        ) {
+            let mut cursor = io::Cursor::new(&wire[..]);
+            match read_request(&mut cursor) {
+                Ok(Err(_)) => prop_assert!(
+                    cursor.position() <= (MAX_HEAD_BYTES + 1) as u64,
+                    "refused after reading {} bytes",
+                    cursor.position()
+                ),
+                Ok(Ok(Some(req))) => {
+                    prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+                    prop_assert!(cursor.position() <= (MAX_HEAD_BYTES + req.body.len()) as u64);
+                }
+                Ok(Ok(None)) => prop_assert_eq!(cursor.position(), 0),
+                Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            }
+        }
     }
 
     #[test]

@@ -135,7 +135,8 @@ impl FromStr for CellTechKind {
 ///   bit-identical element-wise to [`retention`](CellTechnology::retention)
 ///   — the batch kernels lean on this for their golden equivalence;
 /// * a dead cell is exactly [`Time::ZERO`] (the line fold early-breaks on
-///   it, with the RNG-rewind determinism contract of the batch module);
+///   it, and the batch kernels then leave the line's remaining pairs
+///   unread, per the batch module's determinism contract);
 /// * retention is non-increasing in `temp_c` and
 ///   [`access_time`](CellTechnology::access_time) is non-increasing in
 ///   `vdd`, cell-by-cell (pinned by the workspace property tests).

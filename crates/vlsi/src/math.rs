@@ -19,25 +19,57 @@ use rand::Rng;
 
 /// Draws one standard-normal sample using the Box–Muller transform.
 ///
-/// Uses the polar (Marsaglia) variant to avoid trig calls.
+/// Uses the polar (Marsaglia) variant to avoid trig calls: candidates
+/// from `polar_candidate` are drawn until one is accepted, and the
+/// sample is `polar_normal` of it.
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
-        let u: f64 = rng.gen_range(-1.0..1.0);
-        let v: f64 = rng.gen_range(-1.0..1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
+        let (u, s) = polar_candidate(rng);
+        if polar_accepts(s) {
+            return polar_normal(u, s);
         }
     }
 }
 
-/// Fills `out` with standard-normal samples, consuming the RNG stream in
-/// exactly the same order as repeated [`sample_standard_normal`] calls —
-/// the SoA batch kernels rely on this draw-for-draw equivalence.
-pub fn fill_standard_normals<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    for slot in out {
-        *slot = sample_standard_normal(rng);
-    }
+/// One candidate of the polar method: a uniform `u` on `[−1, 1)` and
+/// `s = u² + v²` for a second such uniform `v`. It needs no `ln`, so a
+/// batch kernel can draw and filter candidates ahead of the transform.
+#[inline]
+pub(crate) fn polar_candidate<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let u = uniform_pm1(rng);
+    let v = uniform_pm1(rng);
+    (u, u * u + v * v)
+}
+
+/// `rng.gen_range(-1.0..1.0)`, bit for bit and draw for draw, without
+/// the generic sampler's range checks and retry loop. The sampler maps
+/// the top 52 bits of one `u64` to `x ∈ [1, 2)` and returns
+/// `x · 2 + (−1 − 2)` unless that reaches the range's end, 1. Its largest
+/// value is `1 − 2⁻⁵¹`, so it never retries. Sampling one chip draws
+/// about 2.8 M of these, where the generic path's overhead shows.
+#[inline]
+fn uniform_pm1<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let x = f64::from_bits((rng.next_u64() >> 12) | (1023u64 << 52));
+    x * 2.0 + (-1.0 - 2.0)
+}
+
+/// Whether the polar method accepts a candidate with this `s`.
+#[inline]
+pub(crate) fn polar_accepts(s: f64) -> bool {
+    s > 0.0 && s < 1.0
+}
+
+/// The polar method's scale `g(s) = √(−2 ln s / s)`, which decreases on
+/// `(0, 1)`.
+#[inline]
+pub(crate) fn polar_scale(s: f64) -> f64 {
+    (-2.0 * s.ln() / s).sqrt()
+}
+
+/// The standard normal an accepted polar candidate `(u, s)` yields.
+#[inline]
+pub(crate) fn polar_normal(u: f64, s: f64) -> f64 {
+    u * polar_scale(s)
 }
 
 /// Draws a normal sample with the given mean and standard deviation.
@@ -280,6 +312,35 @@ mod tests {
     #[should_panic(expected = "p must be in (0,1)")]
     fn inverse_cdf_rejects_boundary() {
         let _ = normal_inv_cdf(1.0);
+    }
+
+    #[test]
+    fn uniform_pm1_is_gen_range_bit_for_bit() {
+        /// Replays fixed words, to reach the ends of the bit range.
+        struct Words(Vec<u64>);
+        impl rand::RngCore for Words {
+            fn next_u32(&mut self) -> u32 {
+                self.next_u64() as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0.pop().expect("enough words")
+            }
+            fn fill_bytes(&mut self, _: &mut [u8]) {
+                unreachable!()
+            }
+        }
+        let edges = vec![0, 1, 1 << 12, (1 << 63) - 1, 1 << 63, u64::MAX - (1 << 12), u64::MAX];
+        let (mut a, mut b) = (Words(edges.clone()), Words(edges.clone()));
+        for _ in &edges {
+            let want: f64 = b.gen_range(-1.0..1.0);
+            assert_eq!(uniform_pm1(&mut a).to_bits(), want.to_bits());
+        }
+        let mut a = SmallRng::seed_from_u64(3);
+        let mut b = a.clone();
+        for _ in 0..1_000_000 {
+            let want: f64 = b.gen_range(-1.0..1.0);
+            assert_eq!(uniform_pm1(&mut a).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

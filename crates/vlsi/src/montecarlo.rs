@@ -929,8 +929,8 @@ mod tests {
             // The screened kernel skips the exact solve of every cell it can
             // certify as no lower than its line's running minimum. It must
             // still be bit-identical to the scalar path that solves every
-            // cell, with dead lines and stream rewinds common at the upper
-            // sigma scales. Full-width lines, fewer rows.
+            // cell, with dead lines cutting the stream short common at the
+            // upper sigma scales. Full-width lines, fewer rows.
             let layout = ArrayLayout { rows: 16, ..ArrayLayout::PAPER_L1D };
             for params in [VariationParams::TYPICAL, VariationParams::SEVERE] {
                 let params = params.scaled(sigma_scale);

@@ -11,25 +11,31 @@
 //!   LUT (built once per process, shared across all chips of a layout) maps
 //!   every cell straight to its leaf — no per-cell descent, no per-cell
 //!   trigonometry of coordinates;
-//! * the random-dopant Vth planes are filled line-at-a-time straight from
-//!   the RNG stream; and
+//! * the random-dopant Vth deviations are read line-at-a-time from a
+//!   `PairStream`: the polar method's accepted `(u, s)` pairs, drawn in
+//!   fixed blocks; and
 //! * the retention solve runs as [`RetentionSolver::retention_slice`], a
 //!   tight loop over the three planes. The 3T1D line kernel,
 //!   [`line_retentions`], goes further: a per-chip `RetentionScreen`
 //!   certifies most cells as no lower than their line's running minimum,
-//!   and only the rest take the exact solve.
+//!   first from bounds on the cell's normals (a table over `s` brackets
+//!   the polar scale `√(−2 ln s / s)`), then from the exact normals, and
+//!   only the rest take the exact solve.
 //!
 //! **Determinism contract.** Every kernel consumes the chip's RNG streams
 //! draw-for-draw like its scalar counterpart and produces bit-identical
 //! results — pinned by golden tests against the scalar reference paths
 //! (which remain in [`super`] precisely to serve as that reference). The
-//! subtle case is the line loop's dead-line early exit: the scalar path
-//! stops drawing mid-line when a line is proven dead. The batch kernel
-//! draws the whole line, and on the first dead cell `j` rewinds to a
-//! snapshot of the generator taken at line start and re-consumes exactly
-//! the `2 * (j + 1)` normals the scalar path would have, leaving the
-//! stream position identical for every subsequent line.
+//! k-th pair a `PairStream` yields is the candidate the k-th
+//! [`sample_standard_normal`] call on the same generator accepts, so
+//! `polar_normal(u, s)` of it is that call's value bit for bit: rejection
+//! only filters the raw candidates, whatever the block size. The scalar
+//! line loop stops drawing mid-line when a line is proven dead; a batch
+//! line kernel reads the same prefix of the pair stream and leaves the
+//! rest of the line's pairs unread, so the next line starts at the pair
+//! the scalar path's next draw would return.
 //!
+//! [`sample_standard_normal`]: crate::math::sample_standard_normal
 //! [`cell_position`]: crate::array::ArrayLayout::cell_position
 //! [`leaf_totals`]: crate::quadtree::QuadTreeField::leaf_totals
 //! [`RetentionSolver::retention_slice`]: crate::cell3t1d::RetentionSolver::retention_slice
@@ -38,9 +44,10 @@ use super::{Chip, WordRetentionMap, RETENTION_PURPOSE, WORD_RETENTION_PURPOSE};
 use crate::array::ArrayLayout;
 use crate::cell3t1d::RetentionSolver;
 use crate::celltech::CellTechnology;
-use crate::math::{fill_standard_normals, sample_standard_normal};
+use crate::math::{polar_accepts, polar_candidate, polar_normal, polar_scale};
 use crate::quadtree::QuadTreeField;
 use crate::units::Time;
+use rand::rngs::SmallRng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -128,35 +135,61 @@ pub fn dl_plane(chip: &Chip) -> Vec<f64> {
 /// Only a cell that could lower its line's running minimum is solved
 /// exactly; the `RetentionScreen` certifies that every other cell's
 /// retention is at least that minimum, so the `<` fold never sees it.
+/// The screen first sees the cell's normals as intervals from the
+/// `PolarScaleBounds` table; only a cell it cannot clear that way pays
+/// for the exact normals (`ln`, `sqrt`, a divide) and the exact-value
+/// screen.
 pub fn line_retentions(chip: &Chip) -> Vec<Time> {
     let _span = obs::trace::span_with("vlsi", || format!("batch.retention:chip{}", chip.index));
-    let (out, exact_solves) = screened_line_retentions(chip);
+    let (out, counts) = screened_line_retentions(chip);
     let cells = out.len() * chip.layout.cells_per_line() as usize;
     obs::trace::counter("batch.retention", cells as f64);
-    obs::trace::counter("batch.exact_solves", exact_solves as f64);
+    obs::trace::counter("batch.exact_normals", counts.exact_normals as f64);
+    obs::trace::counter("batch.exact_solves", counts.exact_solves as f64);
     out
 }
 
-/// [`line_retentions`] plus the number of cells it solved exactly.
-fn screened_line_retentions(chip: &Chip) -> (Vec<Time>, u64) {
+/// How much exact work [`line_retentions`] did on one chip.
+#[derive(Default)]
+struct ScreenCounts {
+    /// Normals whose polar transform was evaluated (two per cell).
+    exact_normals: u64,
+    /// Cells solved exactly.
+    exact_solves: u64,
+}
+
+/// [`line_retentions`] plus the exact work it did.
+fn screened_line_retentions(chip: &Chip) -> (Vec<Time>, ScreenCounts) {
     let solver = RetentionSolver::new(chip.node);
     let sigma_vth = chip.params.sigma_vth(chip.node).volts();
     let lut = leaf_lut(&chip.layout, chip.field.levels());
     let leaf_dl = leaf_dl(chip);
     let screen = RetentionScreen::new(&solver, &leaf_dl, sigma_vth);
+    let scale = PolarScaleBounds::get();
     let cells = chip.layout.cells_per_line() as usize;
-    let mut exact_solves = 0u64;
-    let out = fold_lines(chip, |line, normals| {
+    let mut counts = ScreenCounts::default();
+    let out = fold_lines(chip, |line, pairs| {
         let leaves = &lut[line * cells..(line + 1) * cells];
         let mut min_ret = Time::from_us(f64::INFINITY);
-        for (bit, &leaf) in leaves.iter().enumerate() {
-            let dvth1 = sigma_vth * normals[2 * bit];
-            let dvth2 = sigma_vth * normals[2 * bit + 1];
-            let dl = leaf_dl[leaf as usize];
-            if screen.clears(leaf as usize, dvth1, solver.ln_floor(dl, dvth2), min_ret) {
+        for (bit, (&leaf, cell)) in leaves.iter().zip(pairs.chunks_exact(2)).enumerate() {
+            let ((u1, s1), (u2, s2)) = (cell[0], cell[1]);
+            let leaf = leaf as usize;
+            let dl = leaf_dl[leaf];
+            if let (Some(g1), Some(g2)) = (scale.bounds(s1), scale.bounds(s2)) {
+                let (z1_lo, z1_hi) = normal_range(u1, g1);
+                let floor_hi = solver.ln_floor(dl, sigma_vth * normal_range(u2, g2).1);
+                let (lo, hi) = (sigma_vth * z1_lo, sigma_vth * z1_hi);
+                if screen.clears(leaf, lo, hi, floor_hi, min_ret) {
+                    continue;
+                }
+            }
+            counts.exact_normals += 2;
+            let dvth1 = sigma_vth * polar_normal(u1, s1);
+            let dvth2 = sigma_vth * polar_normal(u2, s2);
+            if screen.clears(leaf, dvth1, dvth1, solver.ln_floor(dl, dvth2), min_ret) {
                 continue;
             }
-            exact_solves += 1;
+            counts.exact_solves += 1;
             let r = solver.retention(dl, dvth1, dvth2);
             if r < min_ret {
                 min_ret = r;
@@ -167,13 +200,22 @@ fn screened_line_retentions(chip: &Chip) -> (Vec<Time>, u64) {
         }
         (min_ret, None)
     });
-    (out, exact_solves)
+    (out, counts)
+}
+
+/// The range of `u · g` over `g ∈ [g_lo, g_hi]`. Multiplying by a fixed
+/// `u` is monotone under IEEE rounding, so for any `g` in the bracket,
+/// the computed `u * g` lies in the returned range.
+#[inline]
+fn normal_range(u: f64, (g_lo, g_hi): (f64, f64)) -> (f64, f64) {
+    let (a, b) = (u * g_lo, u * g_hi);
+    (a.min(b), a.max(b))
 }
 
 /// [`line_retentions`] for an arbitrary [`CellTechnology`]: the same RNG
-/// streams, min-fold, and dead-line rewind, with every cell solved by the
-/// technology's slice kernel and its [`line_scale`] applied after the
-/// fold.
+/// streams, min-fold, and dead-line cut, with every cell's normals
+/// evaluated exactly and solved by the technology's slice kernel and its
+/// [`line_scale`] applied after the fold.
 ///
 /// For the 3T1D technology at the nominal operating point this is
 /// bit-identical to [`line_retentions`] (the retention scale and line
@@ -189,11 +231,8 @@ pub fn line_retentions_with(chip: &Chip, tech: &dyn CellTechnology) -> Vec<Time>
     let mut dvth1 = vec![0.0f64; cells];
     let mut dvth2 = vec![0.0f64; cells];
     let mut rets: Vec<Time> = Vec::with_capacity(cells);
-    let out = fold_lines(chip, |line, normals| {
-        for bit in 0..cells {
-            dvth1[bit] = sigma_vth * normals[2 * bit];
-            dvth2[bit] = sigma_vth * normals[2 * bit + 1];
-        }
+    let out = fold_lines(chip, |line, pairs| {
+        fill_dvth(pairs, sigma_vth, &mut dvth1, &mut dvth2);
         let base = line * cells;
         tech.retention_slice(&dl[base..base + cells], &dvth1, &dvth2, &mut rets);
         // Same reduction as the scalar loop, dead-line break included.
@@ -209,48 +248,157 @@ pub fn line_retentions_with(chip: &Chip, tech: &dyn CellTechnology) -> Vec<Time>
         (min_ret, None)
     });
     obs::trace::counter("batch.retention", (out.len() * cells) as f64);
+    obs::trace::counter("batch.exact_normals", (out.len() * 2 * cells) as f64);
     out.into_iter()
         .enumerate()
         .map(|(line, t)| t * tech.line_scale(line as u32, lines))
         .collect()
 }
 
-/// The line loop both line kernels share: draws each line's `2 · cells`
-/// normals on the retention stream, lets `fold_line(line, normals)`
-/// reduce them to the line's minimum retention and the first dead cell
-/// (if any), and rewinds the stream after a dead line.
+/// Evaluates one line's normals exactly from its `2 · cells` pairs, in
+/// the scalar visit order (T1 then T2 per cell), as Vth deviations in
+/// volts.
+fn fill_dvth(pairs: &[(f64, f64)], sigma_vth: f64, dvth1: &mut [f64], dvth2: &mut [f64]) {
+    for ((cell, d1), d2) in pairs.chunks_exact(2).zip(dvth1).zip(dvth2) {
+        *d1 = sigma_vth * polar_normal(cell[0].0, cell[0].1);
+        *d2 = sigma_vth * polar_normal(cell[1].0, cell[1].1);
+    }
+}
+
+/// The line loop both line kernels share: shows `fold_line(line, pairs)`
+/// the next `2 · cells` pairs of the retention stream, and lets it reduce
+/// them to the line's minimum retention and the first dead cell (if any).
+/// A dead line at cell `j` consumes only its first `2 · (j + 1)` pairs,
+/// like the scalar path's draws; the rest stay unread for the next line.
 fn fold_lines(
     chip: &Chip,
-    mut fold_line: impl FnMut(usize, &[f64]) -> (Time, Option<usize>),
+    mut fold_line: impl FnMut(usize, &[(f64, f64)]) -> (Time, Option<usize>),
 ) -> Vec<Time> {
     let lines = chip.layout.lines() as usize;
     let cells = chip.layout.cells_per_line() as usize;
-    let mut rng = chip.rng_for(RETENTION_PURPOSE);
-    let mut normals = vec![0.0f64; 2 * cells];
+    let mut pairs = PairStream::new(chip.rng_for(RETENTION_PURPOSE));
     let mut out = Vec::with_capacity(lines);
     let mut normals_drawn = 0u64;
     for line in 0..lines {
-        // Snapshot lets a dead line rewind to the scalar path's stream
-        // position (see the module-level determinism contract).
-        let snapshot = rng.clone();
-        fill_standard_normals(&mut rng, &mut normals);
-        let (min_ret, dead_at) = fold_line(line, &normals);
-        match dead_at {
-            Some(j) if j + 1 < cells => {
-                // The scalar path stopped after cell j's two draws; replay
-                // exactly those from the snapshot.
-                rng = snapshot;
-                for _ in 0..2 * (j + 1) {
-                    let _ = sample_standard_normal(&mut rng);
-                }
-                normals_drawn += 2 * (j as u64 + 1);
-            }
-            _ => normals_drawn += 2 * cells as u64,
-        }
+        let (min_ret, dead_at) = fold_line(line, pairs.peek(2 * cells));
+        let used = dead_at.map_or(2 * cells, |j| 2 * (j + 1));
+        pairs.consume(used);
+        normals_drawn += used as u64;
         out.push(min_ret);
     }
     obs::trace::counter("batch.sample", normals_drawn as f64);
     out
+}
+
+/// Raw polar candidates a [`PairStream`] draws per refill.
+const PAIR_BLOCK: usize = 64;
+
+/// The accepted `(u, s)` pairs of the polar method on one RNG stream, in
+/// draw order: the k-th pair read is the one the k-th
+/// [`sample_standard_normal`] call on the same generator accepts.
+///
+/// Candidates are drawn [`PAIR_BLOCK`] at a time, and rejection only
+/// filters them, so the block size cannot change which pair comes k-th.
+/// The generator runs ahead of the pairs read, so the stream owns it.
+///
+/// [`sample_standard_normal`]: crate::math::sample_standard_normal
+struct PairStream {
+    rng: SmallRng,
+    pairs: Vec<(f64, f64)>,
+    /// Index of the first unread pair.
+    pos: usize,
+}
+
+impl PairStream {
+    fn new(rng: SmallRng) -> Self {
+        Self {
+            rng,
+            pairs: Vec::new(),
+            pos: 0,
+        }
+    }
+
+    /// The next `n` unread pairs, drawing blocks as needed. They stay
+    /// unread until [`PairStream::consume`].
+    fn peek(&mut self, n: usize) -> &[(f64, f64)] {
+        if self.pairs.len() - self.pos < n {
+            self.pairs.drain(..self.pos);
+            self.pos = 0;
+            while self.pairs.len() < n {
+                self.refill();
+            }
+        }
+        &self.pairs[self.pos..self.pos + n]
+    }
+
+    /// Marks the first `n` unread pairs as read.
+    fn consume(&mut self, n: usize) {
+        assert!(n <= self.pairs.len() - self.pos, "consuming unpeeked pairs");
+        self.pos += n;
+    }
+
+    /// Appends the accepted candidates of one block. Every candidate is
+    /// written; a rejected one is overwritten by the next.
+    fn refill(&mut self) {
+        let mut n = self.pairs.len();
+        self.pairs.resize(n + PAIR_BLOCK, (0.0, 0.0));
+        for _ in 0..PAIR_BLOCK {
+            let (u, s) = polar_candidate(&mut self.rng);
+            self.pairs[n] = (u, s);
+            n += polar_accepts(s) as usize;
+        }
+        self.pairs.truncate(n);
+    }
+}
+
+/// Mantissa bits of `s` that, with its exponent, index a
+/// [`PolarScaleBounds`] cell: 2⁸ cells per octave.
+const SCALE_MANTISSA_BITS: u32 = 8;
+/// Octaves of `s` the table covers: `[2⁻²⁵, 1)`. An accepted `s` falls
+/// below that about three times in 10⁸.
+const SCALE_OCTAVES: u64 = 25;
+/// Shift that leaves a positive `f64`'s exponent and top mantissa bits.
+const SCALE_SHIFT: u32 = 52 - SCALE_MANTISSA_BITS;
+/// Index bits of the table's floor, `2⁻²⁵`.
+const SCALE_FIRST: u64 = (1023 - SCALE_OCTAVES) << SCALE_MANTISSA_BITS;
+/// Relative padding on each bound. The computed `polar_scale` is within
+/// a few ulps (~1e-15) of the true, monotone `g`; this covers that.
+const SCALE_PAD: f64 = 1e-12;
+
+/// `[g_lo, g_hi]` brackets on the polar scale `g(s) = √(−2 ln s / s)`
+/// for every cell of `s` values that share an exponent and their top
+/// [`SCALE_MANTISSA_BITS`] mantissa bits. `g` decreases on `(0, 1)`, so a
+/// cell's bounds are `g` at its two edges, padded by [`SCALE_PAD`].
+/// Built once per process: 6,400 cells, 100 KB.
+struct PolarScaleBounds {
+    bounds: Vec<(f64, f64)>,
+}
+
+impl PolarScaleBounds {
+    fn get() -> &'static Self {
+        static TABLE: OnceLock<PolarScaleBounds> = OnceLock::new();
+        TABLE.get_or_init(Self::new)
+    }
+
+    fn new() -> Self {
+        let edge = |k: u64| f64::from_bits((SCALE_FIRST + k) << SCALE_SHIFT);
+        let bounds = (0..SCALE_OCTAVES << SCALE_MANTISSA_BITS)
+            .map(|k| {
+                let g_lo = polar_scale(edge(k + 1)) * (1.0 - SCALE_PAD);
+                let g_hi = polar_scale(edge(k)) * (1.0 + SCALE_PAD);
+                (g_lo, g_hi)
+            })
+            .collect();
+        Self { bounds }
+    }
+
+    /// `(g_lo, g_hi)` with `g_lo ≤ polar_scale(s) ≤ g_hi` for an accepted
+    /// `s`, or `None` when `s` is below the table's floor.
+    #[inline]
+    fn bounds(&self, s: f64) -> Option<(f64, f64)> {
+        let k = (s.to_bits() >> SCALE_SHIFT).wrapping_sub(SCALE_FIRST);
+        self.bounds.get(k as usize).copied()
+    }
 }
 
 /// Half-width of the screened ΔVth₁ range, in σ. Cells beyond it (about
@@ -269,12 +417,14 @@ const SCREEN_SLACK: f64 = 1.0 - 1e-6;
 /// All cells of a leaf share one ΔL/L, so a cell's retention is
 /// `τ(ΔVth₁) · (ln V₀(ΔVth₁) − floor(ΔVth₂))`, where τ rises and `ln V₀`
 /// falls with ΔVth₁. For the cells of one bin, τ at the bin's low edge
-/// and `ln V₀` at its high edge therefore bound both factors from below.
-/// The read-path floor is computed exactly per cell, so
-/// `τ_lo · (ln V₀_lo − floor) · SCREEN_SLACK` is at most the cell's exact
-/// retention. When that bound reaches the line's running minimum, the
-/// cell can neither lower the minimum nor be dead, so skipping its solve
-/// leaves the fold unchanged.
+/// and `ln V₀` at its high edge therefore bound both factors from below;
+/// for a ΔVth₁ range spanning several bins, τ's bound from the lowest bin
+/// and `ln V₀`'s from the highest do. The read-path floor rises with
+/// ΔVth₂, so its value at an upper bound on ΔVth₂ bounds it from above.
+/// Then `τ_lo · (ln V₀_lo − floor) · SCREEN_SLACK` is at most the cell's
+/// exact retention. When that bound reaches the line's running minimum,
+/// the cell can neither lower the minimum nor be dead, so skipping its
+/// solve leaves the fold unchanged.
 struct RetentionScreen {
     /// `(τ_lo, ln V₀_lo)` at index `leaf * SCREEN_BINS + bin`.
     bounds: Vec<(f64, f64)>,
@@ -305,17 +455,22 @@ impl RetentionScreen {
         }
     }
 
-    /// Whether the cell in `leaf` with T1 deviation `dvth1` and read-path
-    /// floor `ln_floor` certainly has a retention of at least `min_ret`.
-    /// A cell outside the screened range, or one whose bound falls short
-    /// (NaN included), is not cleared.
+    /// Whether every cell in `leaf` with a T1 deviation in
+    /// `[dvth1_lo, dvth1_hi]` and a read-path floor of at most `ln_floor`
+    /// certainly has a retention of at least `min_ret`. τ's bound comes
+    /// from the bin of the range's low end, `ln V₀`'s from the bin of its
+    /// high end. A range leaving the screened span, or a bound that falls
+    /// short (NaN included), is not cleared.
     #[inline]
-    fn clears(&self, leaf: usize, dvth1: f64, ln_floor: f64, min_ret: Time) -> bool {
-        let t = (dvth1 - self.lo) * self.bins_per_volt;
-        if !(t >= 0.0 && t < SCREEN_BINS as f64) {
+    fn clears(&self, leaf: usize, dvth1_lo: f64, dvth1_hi: f64, ln_floor: f64, min_ret: Time) -> bool {
+        let t_lo = (dvth1_lo - self.lo) * self.bins_per_volt;
+        let t_hi = (dvth1_hi - self.lo) * self.bins_per_volt;
+        if !(t_lo >= 0.0 && t_hi < SCREEN_BINS as f64) {
             return false;
         }
-        let (tau_lo, ln_v0_lo) = self.bounds[leaf * SCREEN_BINS + t as usize];
+        let row = &self.bounds[leaf * SCREEN_BINS..(leaf + 1) * SCREEN_BINS];
+        let (tau_lo, _) = row[t_lo as usize];
+        let (_, ln_v0_lo) = row[t_hi as usize];
         tau_lo * (ln_v0_lo - ln_floor) * SCREEN_SLACK >= min_ret.value()
     }
 }
@@ -335,19 +490,16 @@ pub fn sample_word_planes(chip: &Chip) -> DeviationPlanes {
     let lines = chip.layout.lines() as usize;
     let cells = chip.layout.cells_per_line() as usize;
     let sigma_vth = chip.params.sigma_vth(chip.node).volts();
-    let mut rng = chip.rng_for(WORD_RETENTION_PURPOSE);
-    let mut normals = vec![0.0f64; 2 * cells];
+    let mut pairs = PairStream::new(chip.rng_for(WORD_RETENTION_PURPOSE));
     let mut dvth1 = vec![0.0f64; lines * cells];
     let mut dvth2 = vec![0.0f64; lines * cells];
-    for line in 0..lines {
-        fill_standard_normals(&mut rng, &mut normals);
-        let base = line * cells;
-        for bit in 0..cells {
-            dvth1[base + bit] = sigma_vth * normals[2 * bit];
-            dvth2[base + bit] = sigma_vth * normals[2 * bit + 1];
-        }
+    for (d1, d2) in dvth1.chunks_exact_mut(cells).zip(dvth2.chunks_exact_mut(cells)) {
+        fill_dvth(pairs.peek(2 * cells), sigma_vth, d1, d2);
+        pairs.consume(2 * cells);
     }
-    obs::trace::counter("batch.sample", 2.0 * (lines * cells) as f64);
+    let normals = 2.0 * (lines * cells) as f64;
+    obs::trace::counter("batch.sample", normals);
+    obs::trace::counter("batch.exact_normals", normals);
     DeviationPlanes {
         lines,
         cells_per_line: cells,
@@ -454,7 +606,7 @@ mod tests {
     #[test]
     fn batch_line_retentions_bit_identical_across_corners_and_nodes() {
         // The tentpole golden test: batch vs scalar, exact equality,
-        // including Severe corners where dead-line rewind is exercised.
+        // including Severe corners where dead lines cut the stream short.
         for node in [TechNode::N65, TechNode::N45, TechNode::N32] {
             for corner in [VariationCorner::Typical, VariationCorner::Severe] {
                 let f = ChipFactory::new(node, corner.params(), 71);
@@ -483,8 +635,9 @@ mod tests {
 
     #[test]
     fn dead_line_rewind_keeps_stream_aligned() {
-        // Severe corner produces dead lines; if the rewind were wrong every
-        // line after the first dead one would diverge from the scalar path.
+        // Severe corner produces dead lines; if a dead line consumed the
+        // wrong number of pairs, every line after the first dead one would
+        // diverge from the scalar path.
         let f = ChipFactory::new(TechNode::N32, VariationCorner::Severe.params(), 17);
         for i in 0..4 {
             let chip = f.chip(i);
@@ -516,18 +669,91 @@ mod tests {
     #[test]
     fn screen_skips_most_exact_solves() {
         // A screen that never clears a cell would still be bit-identical;
-        // this pins that it actually saves the solves.
+        // this pins that it actually saves the solves, and that the
+        // interval check spares most cells their exact normals.
         for corner in [VariationCorner::Typical, VariationCorner::Severe] {
             let f = ChipFactory::new(TechNode::N32, corner.params(), 11);
             let chip = f.chip(0);
-            let (rets, exact) = screened_line_retentions(&chip);
+            let (rets, counts) = screened_line_retentions(&chip);
             assert_eq!(rets, chip.line_retentions_scalar(), "{corner:?}");
             let cells = chip.layout().total_cells();
+            let ScreenCounts {
+                exact_normals,
+                exact_solves,
+            } = counts;
             assert!(
-                (exact as f64) < 0.05 * cells as f64,
-                "{corner:?}: {exact} exact solves of {cells} cells"
+                (exact_solves as f64) < 0.05 * cells as f64,
+                "{corner:?}: {exact_solves} exact solves of {cells} cells"
+            );
+            // Two normals per cell that fell through the interval check.
+            assert!(
+                (exact_normals as f64) < 0.05 * 2.0 * cells as f64,
+                "{corner:?}: {exact_normals} exact normals for {cells} cells"
             );
         }
+    }
+
+    #[test]
+    fn polar_scale_table_brackets_the_exact_normal() {
+        use rand::SeedableRng;
+        let table = PolarScaleBounds::get();
+        let inside = |u: f64, s: f64| {
+            let (lo, hi) = normal_range(u, table.bounds(s).expect("s above the floor"));
+            let z = polar_normal(u, s);
+            assert!(lo <= z && z <= hi, "u {u} s {s}: {z} outside [{lo}, {hi}]");
+        };
+        let us = [1.0 - f64::EPSILON, 0.999, 0.5, 1e-3, 0.0, -0.3, -0.75, -1.0];
+        // Both edges of every cell: its first `s` and the last one below
+        // the next cell's first.
+        for k in 0..SCALE_OCTAVES << SCALE_MANTISSA_BITS {
+            let first = f64::from_bits((SCALE_FIRST + k) << SCALE_SHIFT);
+            let last = f64::from_bits(((SCALE_FIRST + k + 1) << SCALE_SHIFT) - 1);
+            for s in [first, last] {
+                for u in us {
+                    inside(u, s);
+                }
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut accepted = 0;
+        while accepted < 200_000 {
+            let (u, s) = polar_candidate(&mut rng);
+            if polar_accepts(s) && s >= 2f64.powi(-(SCALE_OCTAVES as i32)) {
+                inside(u, s);
+                accepted += 1;
+            }
+        }
+        // Below the floor there is no bound, so such a cell takes the
+        // exact path.
+        let floor = 2f64.powi(-(SCALE_OCTAVES as i32));
+        for s in [f64::from_bits(floor.to_bits() - 1), floor / 2.0, 1e-300, f64::MIN_POSITIVE] {
+            assert_eq!(table.bounds(s), None, "s {s}");
+        }
+        assert!(table.bounds(floor).is_some());
+    }
+
+    #[test]
+    fn pair_stream_matches_repeated_normal_draws() {
+        use crate::math::sample_standard_normal;
+        use rand::SeedableRng;
+        let rng = SmallRng::seed_from_u64(0xfeed);
+        let mut reference = rng.clone();
+        let mut pairs = PairStream::new(rng);
+        // 37 pairs a "line" is not a multiple of the block; every third
+        // line is cut short, leaving its tail for the next.
+        const LINE: usize = 37;
+        assert_ne!(LINE % PAIR_BLOCK, 0);
+        let mut read = 0;
+        for line in 0..2_000 {
+            let used = if line % 3 == 0 { line % LINE + 1 } else { LINE };
+            for &(u, s) in &pairs.peek(LINE)[..used] {
+                let want = sample_standard_normal(&mut reference);
+                assert_eq!(polar_normal(u, s).to_bits(), want.to_bits(), "pair {read}");
+                read += 1;
+            }
+            pairs.consume(used);
+        }
+        assert!(read > 20 * PAIR_BLOCK, "only {read} pairs read");
     }
 
     #[test]
