@@ -39,11 +39,6 @@ impl RefreshPolicy {
             threshold_cycles: 6_000,
         }
     }
-
-    /// Whether this policy ever refreshes an individual line in place.
-    pub fn refreshes_lines(&self) -> bool {
-        matches!(self, RefreshPolicy::Partial { .. } | RefreshPolicy::Full)
-    }
 }
 
 impl fmt::Display for RefreshPolicy {
@@ -79,11 +74,6 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Whether this policy is aware of per-way retention/death.
-    pub fn is_retention_aware(&self) -> bool {
-        !matches!(self, ReplacementPolicy::Lru)
-    }
-
     /// Whether this policy carries an intrinsic refresh (and therefore is
     /// not combined with an explicit refresh policy — §4.3.3).
     pub fn has_intrinsic_refresh(&self) -> bool {
@@ -247,16 +237,6 @@ mod tests {
         assert!(ReplacementPolicy::RspFifo.has_intrinsic_refresh());
         assert!(ReplacementPolicy::RspLru.has_intrinsic_refresh());
         assert!(!ReplacementPolicy::Dsp.has_intrinsic_refresh());
-        assert!(ReplacementPolicy::Dsp.is_retention_aware());
-        assert!(!ReplacementPolicy::Lru.is_retention_aware());
-    }
-
-    #[test]
-    fn refresh_policy_flags() {
-        assert!(RefreshPolicy::Full.refreshes_lines());
-        assert!(RefreshPolicy::partial_6k().refreshes_lines());
-        assert!(!RefreshPolicy::None.refreshes_lines());
-        assert!(!RefreshPolicy::Global.refreshes_lines());
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl EventBus {
         cv.notify_all();
     }
 
-    /// Whether [`close`](EventBus::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.0.lock().expect("event bus poisoned").closed
-    }
-
     /// Events published so far.
     pub fn len(&self) -> usize {
         self.inner.0.lock().expect("event bus poisoned").events.len()
@@ -150,7 +145,7 @@ mod tests {
         bus.publish(ev(9.0));
         bus.close();
         assert_eq!(bus.len(), 1);
-        assert!(bus.is_closed());
+        assert!(bus.wait_from(0, Duration::ZERO).1, "closed");
     }
 
     /// Regression guard for the close boundary: a consumer tailing with

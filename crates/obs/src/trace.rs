@@ -163,7 +163,8 @@ pub fn clear() {
 }
 
 /// Events currently held in the ring buffer.
-pub fn event_count() -> usize {
+#[cfg(test)]
+fn event_count() -> usize {
     tracer().events.len()
 }
 

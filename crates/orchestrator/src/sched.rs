@@ -1089,3 +1089,92 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         "panicked (non-string payload)".to_string()
     }
 }
+
+/// Scheduler tests that need the failure-injection stage kinds, which
+/// only test builds of this crate register.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::StageSpec;
+
+    fn temp_results(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pv3t1d_sched_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn opts(results_dir: &Path) -> RunOptions {
+        RunOptions {
+            results_dir: results_dir.to_path_buf(),
+            ..RunOptions::default()
+        }
+    }
+
+    fn status_of<'a>(summary: &'a RunSummary, id: &str) -> &'a StageStatus {
+        &summary
+            .stages
+            .iter()
+            .find(|s| s.id == id)
+            .unwrap_or_else(|| panic!("stage {id} missing from summary"))
+            .status
+    }
+
+    #[test]
+    fn panicking_stage_isolates_without_aborting_siblings() {
+        let dir = temp_results("failure");
+        let mut sc = Scenario::new("failure", RunScale::QUICK);
+        sc.stages.push(
+            StageSpec::new("bad", "fail").with_param("message", Json::Str("injected crash".into())),
+        );
+        sc.stages.push(StageSpec::new("doomed", "sleep").with_deps(&["bad"]));
+        sc.stages.push(StageSpec::new("doomed_too", "report").with_deps(&["doomed"]));
+        sc.stages
+            .push(StageSpec::new("sibling", "sleep").with_param("seconds", Json::Num(0.01)));
+
+        let summary = run_scenario(&sc, &opts(&dir)).unwrap();
+        assert!(!summary.ok());
+        assert!(
+            matches!(status_of(&summary, "bad"), StageStatus::Failed(e) if e.message.contains("injected crash")),
+            "{summary:?}"
+        );
+        // The panic cascades as skips, transitively — and only there.
+        assert!(matches!(status_of(&summary, "doomed"), StageStatus::Skipped(_)));
+        assert!(matches!(status_of(&summary, "doomed_too"), StageStatus::Skipped(_)));
+        assert_eq!(*status_of(&summary, "sibling"), StageStatus::Ran);
+
+        // The manifest carries a per-stage structured error report.
+        let manifest = summary.to_json();
+        let errors = manifest.get("errors").unwrap();
+        let bad = errors.get("bad").unwrap();
+        assert!(bad.get("message").unwrap().as_str().unwrap().contains("injected crash"));
+        // The `fail` stage kind panics, and the classifier records that.
+        assert_eq!(bad.get("kind").unwrap().as_str(), Some("panic"));
+        assert!(errors.get("doomed").is_some());
+        assert!(errors.get("sibling").is_none());
+        assert_eq!(manifest.get("ok").unwrap().as_bool(), Some(false));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn transient_failure_is_retried_to_success() {
+        let dir = temp_results("retry_ok");
+        std::fs::create_dir_all(&dir).unwrap();
+        let marker = dir.join("flaky.marker");
+        let mut sc = Scenario::new("retry_ok", RunScale::QUICK);
+        sc.stages.push(
+            StageSpec::new("wobbly", "flaky")
+                .with_param("marker", Json::Str(marker.display().to_string()))
+                .with_retries(2, 10.0),
+        );
+        sc.stages.push(StageSpec::new("after", "sleep").with_deps(&["wobbly"]));
+
+        let summary = run_scenario(&sc, &opts(&dir)).unwrap();
+        assert!(summary.ok(), "{summary:?}");
+        assert_eq!(*status_of(&summary, "wobbly"), StageStatus::Ran);
+        let wobbly = summary.stages.iter().find(|s| s.id == "wobbly").unwrap();
+        assert_eq!(wobbly.attempts, 2, "one failure + one successful retry");
+        assert_eq!(summary.metrics.counter("orchestrator.stages.retried"), Some(1));
+        assert_eq!(summary.metrics.counter("orchestrator.stages.failed"), Some(0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

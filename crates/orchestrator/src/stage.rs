@@ -34,8 +34,15 @@
 //!   median chip's suite performance at that clock and rail;
 //! * `dvfs_frontier` — joins its `dvfs_point` dependencies into the
 //!   Pareto frontier on the (throughput, leakage) plane;
-//! * `sleep` / `fail` — timeout- and failure-injection kinds for the
-//!   scheduler's own test suite.
+//! * `sleep` — sleeps for its `seconds` param: the controllable slow
+//!   stage of the timeout tests, the daemon smoke scenario and the
+//!   serving load test.
+//!
+//! Test builds of this crate add two failure-injection kinds, `fail`
+//! (panics or errors on purpose) and `flaky` (fails once, then
+//! succeeds), for the scheduler's own unit tests. They are not in
+//! [`known_kinds`] of any other build, so no scenario or `POST /runs`
+//! body can name them.
 
 use crate::cas::StageCheckpoint;
 use bench_harness::RunScale;
@@ -56,18 +63,35 @@ use vlsi::variation::VariationCorner;
 /// artifacts at once.
 pub const STAGE_SCHEMA: u64 = 1;
 
-/// The non-figure stage kinds.
-const BUILTIN_KINDS: [&str; 9] = [
-    "chip_campaign",
-    "retention_map",
-    "report",
-    "trace_validate",
-    "dvfs_point",
-    "dvfs_frontier",
-    "sleep",
-    "fail",
-    "flaky",
+/// A non-figure stage kind's executor.
+type StageFn = fn(&StageCtx<'_>) -> Result<Json, String>;
+
+/// The non-figure stage kinds and their executors.
+const BUILTIN_KINDS: [(&str, StageFn); 7] = [
+    ("chip_campaign", chip_campaign),
+    ("retention_map", retention_map),
+    ("report", report),
+    ("trace_validate", trace_validate),
+    ("dvfs_point", dvfs_point),
+    ("dvfs_frontier", dvfs_frontier),
+    ("sleep", sleep),
 ];
+
+/// The failure-injection kinds: registered in test builds only.
+#[cfg(test)]
+const TEST_KINDS: [(&str, StageFn); 2] = [("fail", fail), ("flaky", flaky)];
+#[cfg(not(test))]
+const TEST_KINDS: [(&str, StageFn); 0] = [];
+
+fn builtin_kinds() -> impl Iterator<Item = &'static (&'static str, StageFn)> {
+    BUILTIN_KINDS.iter().chain(&TEST_KINDS)
+}
+
+fn builtin_fn(kind: &str) -> Option<StageFn> {
+    builtin_kinds()
+        .find(|(name, _)| *name == kind)
+        .map(|&(_, f)| f)
+}
 
 /// The params a stage is actually fingerprinted and executed with.
 ///
@@ -85,8 +109,7 @@ pub fn effective_params(kind: &str, params: &Json) -> Json {
     let digest = params
         .get("trace")
         .and_then(Json::as_str)
-        .and_then(|path| std::fs::read(path).ok())
-        .map(|bytes| crate::hash::content_hash(&bytes));
+        .and_then(|path| crate::hash::file_hash(path).ok());
     let mut p = params.clone();
     p.insert("trace_digest", digest.map_or(Json::Null, Json::Str));
     p
@@ -94,7 +117,7 @@ pub fn effective_params(kind: &str, params: &Json) -> Json {
 
 /// Every known stage kind, sorted.
 pub fn known_kinds() -> Vec<&'static str> {
-    let mut v: Vec<&'static str> = BUILTIN_KINDS.into();
+    let mut v: Vec<&'static str> = builtin_kinds().map(|&(name, _)| name).collect();
     v.extend(bench_harness::figures::stage_names());
     v.sort_unstable();
     v
@@ -102,7 +125,7 @@ pub fn known_kinds() -> Vec<&'static str> {
 
 /// Whether `kind` names a runnable stage.
 pub fn is_known(kind: &str) -> bool {
-    BUILTIN_KINDS.contains(&kind) || bench_harness::figures::stage_fn(kind).is_some()
+    builtin_fn(kind).is_some() || bench_harness::figures::stage_fn(kind).is_some()
 }
 
 /// Everything a stage execution sees.
@@ -163,17 +186,9 @@ pub fn execute(kind: &str, ctx: &StageCtx<'_>) -> Result<Json, String> {
     if let Some(f) = bench_harness::figures::stage_fn(kind) {
         return Ok(figure_payload(kind, f(&ctx.scale)));
     }
-    match kind {
-        "chip_campaign" => chip_campaign(ctx),
-        "retention_map" => retention_map(ctx),
-        "report" => report(ctx),
-        "trace_validate" => trace_validate(ctx),
-        "dvfs_point" => dvfs_point(ctx),
-        "dvfs_frontier" => dvfs_frontier(ctx),
-        "sleep" => sleep(ctx),
-        "fail" => fail(ctx),
-        "flaky" => flaky(ctx),
-        other => Err(format!("unknown stage kind {other:?}")),
+    match builtin_fn(kind) {
+        Some(f) => f(ctx),
+        None => Err(format!("unknown stage kind {kind:?}")),
     }
 }
 
@@ -424,8 +439,8 @@ fn trace_validate(ctx: &StageCtx<'_>) -> Result<Json, String> {
         list => list.split(',').map(|s| s.trim().to_string()).collect(),
     };
 
-    let bytes = std::fs::read(&path).map_err(|e| format!("reading trace {path:?}: {e}"))?;
-    let digest = crate::hash::content_hash(&bytes);
+    let digest =
+        crate::hash::file_hash(&path).map_err(|e| format!("reading trace {path:?}: {e}"))?;
     let (meta, total) = {
         let r = workloads::TraceReader::open(&path)
             .map_err(|e| format!("opening trace {path:?}: {e}"))?;
@@ -637,9 +652,9 @@ fn dvfs_frontier(ctx: &StageCtx<'_>) -> Result<Json, String> {
     Ok(p)
 }
 
-/// `sleep`: sleeps `seconds` (default 0.05) — the scheduler test suite's
-/// controllable slow stage. The payload records only the *requested*
-/// duration, keeping it deterministic.
+/// `sleep`: sleeps `seconds` (default 0.05) — the controllable slow
+/// stage. The payload records only the *requested* duration, keeping it
+/// deterministic; a `seconds` outside `[0, 3600]` fails every attempt.
 fn sleep(ctx: &StageCtx<'_>) -> Result<Json, String> {
     let seconds = ctx.f64_param("seconds", 0.05)?;
     if !(0.0..=3600.0).contains(&seconds) {
@@ -652,10 +667,10 @@ fn sleep(ctx: &StageCtx<'_>) -> Result<Json, String> {
     Ok(p)
 }
 
-/// `fail`: fails on purpose — `mode: "panic"` (default) panics like a
-/// crashed simulation kernel; `mode: "error"` returns a stage error.
-/// Exists so failure isolation is testable without breaking a real
-/// stage.
+/// `fail` (test builds only): fails on purpose — `mode: "panic"`
+/// (default) panics like a crashed simulation kernel; `mode: "error"`
+/// returns a stage error.
+#[cfg(test)]
 fn fail(ctx: &StageCtx<'_>) -> Result<Json, String> {
     let message = ctx.str_param("message", "injected failure")?;
     match ctx.str_param("mode", "panic")?.as_str() {
@@ -665,12 +680,13 @@ fn fail(ctx: &StageCtx<'_>) -> Result<Json, String> {
     }
 }
 
-/// `flaky`: deterministic *transient* failure injection for the
-/// scheduler's retry tests. The required `marker` param names a file:
+/// `flaky` (test builds only): deterministic *transient* failure
+/// injection for the scheduler's retry tests. The required `marker` param names a file:
 /// when it does not exist the stage creates it and fails (the first
 /// attempt); when it exists the stage succeeds (any retry). The success
 /// payload is constant, so the purity contract holds for the payload
 /// that actually lands in the cache.
+#[cfg(test)]
 fn flaky(ctx: &StageCtx<'_>) -> Result<Json, String> {
     let marker = ctx.str_param("marker", "")?;
     if marker.is_empty() {
@@ -709,7 +725,7 @@ mod tests {
         assert!(!is_known("nope"));
         assert_eq!(
             known_kinds().len(),
-            BUILTIN_KINDS.len() + bench_harness::figures::STAGES.len()
+            BUILTIN_KINDS.len() + TEST_KINDS.len() + bench_harness::figures::STAGES.len()
         );
     }
 

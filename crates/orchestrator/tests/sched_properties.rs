@@ -30,9 +30,8 @@ fn build_scenario(stages: &[(u8, u8, u8, u8)]) -> Scenario {
         let mut spec = match kind_sel % 4 {
             // Healthy short stage.
             0 | 1 => StageSpec::new(&id, "sleep").with_param("seconds", Json::Num(0.01)),
-            // Deterministic failure — retries burn out and it fails.
-            2 => StageSpec::new(&id, "fail")
-                .with_param("message", Json::Str(format!("injected s{i}"))),
+            // Out-of-range param: every attempt fails, retries burn out.
+            2 => StageSpec::new(&id, "sleep").with_param("seconds", Json::Num(-1.0)),
             // Sleep that always overruns a tight wall-clock budget.
             _ => StageSpec::new(&id, "sleep")
                 .with_param("seconds", Json::Num(0.3))

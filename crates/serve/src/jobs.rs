@@ -427,7 +427,8 @@ mod tests {
             "status must echo the correlation id"
         );
         assert!(status.get("manifest").is_some());
-        assert!(claim.events.is_closed(), "finish closes the bus");
+        let (_, closed) = claim.events.wait_from(0, std::time::Duration::ZERO);
+        assert!(closed, "finish closes the bus");
     }
 
     #[test]

@@ -331,12 +331,6 @@ impl Server {
         &self.addr
     }
 
-    /// The token that stops the daemon when cancelled (hand it to a
-    /// signal handler).
-    pub fn shutdown_token(&self) -> CancelToken {
-        self.shared.shutdown.clone()
-    }
-
     /// Blocks until the shutdown token fires, then drains.
     pub fn wait(self) {
         while !self.shared.shutdown.is_cancelled() {

@@ -120,11 +120,6 @@ impl Telemetry {
         }
         out
     }
-
-    /// Samples currently retained (for tests and `/healthz`).
-    pub fn history_len(&self) -> usize {
-        self.history.lock().expect("telemetry history poisoned").len()
-    }
 }
 
 /// Parses the `window=<seconds>` query parameter of
@@ -186,7 +181,6 @@ mod tests {
             s.insert("i", Json::Num(i as f64));
             t.push_sample(s);
         }
-        assert_eq!(t.history_len(), HISTORY_CAPACITY);
         let all = t.history_ndjson(None);
         assert_eq!(all.lines().count(), HISTORY_CAPACITY);
         // A 5-second window keeps only the newest handful.

@@ -457,6 +457,39 @@ fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The failure-injection stage kinds exist only in the orchestrator's
+/// own test build. A `POST /runs` naming one is a 400 that names the
+/// kind, and a `flaky` stage's `marker` path is never written.
+#[test]
+fn failure_injection_kinds_are_rejected_without_writing_files() {
+    let dir = temp_results("injection");
+    let server = start_server(&dir, 1);
+    let addr = server.addr().to_string();
+    for kind in ["flaky", "fail"] {
+        let marker =
+            std::env::temp_dir().join(format!("pv3t1d_serve_marker_{kind}_{}", std::process::id()));
+        let _ = std::fs::remove_file(&marker);
+        let body = format!(
+            r#"{{"schema": 1, "name": "inject", "scale": "quick", "stages": [
+                {{"id": "x", "kind": "{kind}",
+                  "params": {{"marker": "{}", "mode": "error"}}}}
+            ]}}"#,
+            marker.display()
+        );
+        let resp = exchange(&addr, "POST", "/runs", Some(&body)).unwrap();
+        assert_eq!(resp.status, 400, "{kind}: {resp:?}");
+        let doc = parse_body(&resp);
+        let msg = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(
+            msg.contains(&format!("unknown kind \"{kind}\"")),
+            "{kind}: {msg}"
+        );
+        assert!(!marker.exists(), "{kind}: {} was created", marker.display());
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn event_stream_replays_history_and_reports_lifecycle() {
     let dir = temp_results("events");

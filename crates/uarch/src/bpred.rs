@@ -110,15 +110,6 @@ impl TournamentPredictor {
     pub fn mispredictions(&self) -> u64 {
         self.mispredictions
     }
-
-    /// Misprediction rate in [0, 1].
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
 }
 
 impl Default for TournamentPredictor {
@@ -201,9 +192,9 @@ mod tests {
     #[test]
     fn rate_accounting() {
         let mut bp = TournamentPredictor::new();
-        assert_eq!(bp.misprediction_rate(), 0.0);
+        assert_eq!((bp.predictions(), bp.mispredictions()), (0, 0));
         bp.predict_and_update(0, true);
         assert_eq!(bp.predictions(), 1);
-        assert!(bp.misprediction_rate() <= 1.0);
+        assert!(bp.mispredictions() <= 1);
     }
 }

@@ -59,14 +59,6 @@ pub struct DivergenceReport {
 }
 
 impl DivergenceReport {
-    /// Rows whose divergence exceeds the tolerance.
-    pub fn divergent_rows(&self) -> Vec<&DivergenceRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.delta() > self.tolerance)
-            .collect()
-    }
-
     /// The largest per-counter divergence (result mismatches included).
     pub fn max_divergence(&self) -> u64 {
         self.rows

@@ -10,8 +10,6 @@
 //! bit position to normalized die coordinates, which is what couples the
 //! spatially correlated variation field to individual cells.
 
-use crate::units::Time;
-
 /// Physical geometry of the cache data array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayLayout {
@@ -54,11 +52,6 @@ impl ArrayLayout {
         self.pairs() * self.rows
     }
 
-    /// Total data capacity in bytes.
-    pub fn capacity_bytes(&self) -> u32 {
-        self.lines() * self.bits_per_line() / 8
-    }
-
     /// Total number of memory cells (data + per-line tag/state bits).
     pub fn total_cells(&self) -> u64 {
         self.lines() as u64 * (self.bits_per_line() + self.tag_bits) as u64
@@ -67,26 +60,6 @@ impl ArrayLayout {
     /// Cells whose retention matters for one line (data + tag).
     pub fn cells_per_line(&self) -> u32 {
         self.bits_per_line() + self.tag_bits
-    }
-
-    /// Cycles needed to refresh one line through the shared sense amps
-    /// (512 bits / 64 amps = 8 cycles in the paper).
-    pub fn refresh_cycles_per_line(&self) -> u64 {
-        (self.bits_per_line() as u64).div_ceil(self.sense_amps_per_pair as u64)
-    }
-
-    /// Cycles for a full refresh pass over every line of one sub-array pair.
-    /// Pairs refresh in parallel (the refresh is "encapsulated into each
-    /// sub-array"), so this is also the full-cache refresh pass length:
-    /// 256 lines × 8 cycles = 2K cycles (§4.1).
-    pub fn refresh_pass_cycles(&self) -> u64 {
-        self.rows as u64 * self.refresh_cycles_per_line()
-    }
-
-    /// Wall-clock duration of a full refresh pass at a given clock period
-    /// (§4.1: 2K cycles at 4.3 GHz = 476.3 ns).
-    pub fn refresh_pass_time(&self, clock_period: Time) -> Time {
-        clock_period * self.refresh_pass_cycles() as f64
     }
 
     /// Normalized die coordinates of a cell.
@@ -152,7 +125,7 @@ mod tests {
         assert_eq!(l.pairs(), 4);
         assert_eq!(l.bits_per_line(), 512);
         assert_eq!(l.lines(), 1024);
-        assert_eq!(l.capacity_bytes(), 64 * 1024);
+        assert_eq!(l.lines() * l.bits_per_line() / 8, 64 * 1024);
         assert_eq!(l.cells_per_line(), 536);
         assert_eq!(l.total_cells(), 1024 * 536);
     }
@@ -160,9 +133,16 @@ mod tests {
     #[test]
     fn refresh_timing_matches_section_4_1() {
         let l = ArrayLayout::PAPER_L1D;
-        assert_eq!(l.refresh_cycles_per_line(), 8);
-        assert_eq!(l.refresh_pass_cycles(), 2048);
-        let t = l.refresh_pass_time(TechNode::N32.clock_period());
+        // A line refreshes through the pair's shared sense amps: 512 bits /
+        // 64 amps = 8 cycles, the `refresh_cycles` of cachesim's paper
+        // config. Pairs refresh in parallel (the refresh is "encapsulated
+        // into each sub-array"), so a full pass is one pair's 256 lines ×
+        // 8 cycles = 2K cycles, 476.3 ns at 4.3 GHz.
+        let line_cycles = l.bits_per_line().div_ceil(l.sense_amps_per_pair);
+        assert_eq!(line_cycles, 8);
+        let pass_cycles = u64::from(l.rows * line_cycles);
+        assert_eq!(pass_cycles, 2048);
+        let t = TechNode::N32.clock_period() * pass_cycles as f64;
         assert!((t.ns() - 476.3).abs() < 0.5, "pass time {} ns", t.ns());
     }
 

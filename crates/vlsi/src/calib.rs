@@ -211,17 +211,6 @@ pub fn lambda_dibl(node: TechNode) -> f64 {
 // Drive / dynamic-energy constants
 // ---------------------------------------------------------------------------
 
-/// Nominal saturation current of the minimum-size access device.
-pub fn nominal_drive_current(node: TechNode) -> Current {
-    // Scaled so bitline slew with the node's wire capacitance reproduces the
-    // CELL_DELAY_FRACTION share of the Table 3 access times.
-    match node {
-        TechNode::N65 => Current::from_ua(55.0),
-        TechNode::N45 => Current::from_ua(48.0),
-        TechNode::N32 => Current::from_ua(42.0),
-    }
-}
-
 /// Dynamic energy of one port access touching one 512-bit line (decode,
 /// wordline, bitline swing, sense). Anchored on Table 3's "full dynamic
 /// power" = energy × 3 ports × chip frequency.

@@ -384,17 +384,6 @@ pub fn op_retention_scale(node: TechNode, op: OperatingPoint) -> f64 {
     temp * vdd
 }
 
-/// [`retention_time`] at an arbitrary die temperature (80 °C = the
-/// worst-case test condition the paper programs counters for).
-pub fn retention_time_at(
-    node: TechNode,
-    dev_t1: DeviceDeviation,
-    dev_t2: DeviceDeviation,
-    temp_c: f64,
-) -> Time {
-    retention_time(node, dev_t1, dev_t2) * retention_temperature_factor(temp_c)
-}
-
 /// The storage-node voltage `elapsed` after a write of "1".
 pub fn storage_voltage_at(node: TechNode, dev_t1: DeviceDeviation, elapsed: Time) -> Voltage {
     assert!(elapsed.value() >= 0.0, "elapsed time cannot be negative");
@@ -634,12 +623,14 @@ mod tests {
 
     #[test]
     fn retention_at_temperature_scales() {
-        let hot = retention_time_at(TechNode::N32, DeviceDeviation::NOMINAL,
-                                    DeviceDeviation::NOMINAL, 100.0);
-        let test = retention_time_at(TechNode::N32, DeviceDeviation::NOMINAL,
-                                     DeviceDeviation::NOMINAL, 80.0);
-        let cool = retention_time_at(TechNode::N32, DeviceDeviation::NOMINAL,
-                                     DeviceDeviation::NOMINAL, 50.0);
+        // 80 °C is the worst-case test condition counters are set for.
+        let nominal = retention_time(
+            TechNode::N32,
+            DeviceDeviation::NOMINAL,
+            DeviceDeviation::NOMINAL,
+        );
+        let at = |temp_c: f64| nominal * retention_temperature_factor(temp_c);
+        let (hot, test, cool) = (at(100.0), at(80.0), at(50.0));
         assert!(hot < test && test < cool);
         assert!((test.ns() - 6_000.0).abs() < 1.0);
     }

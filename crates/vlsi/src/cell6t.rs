@@ -66,14 +66,6 @@ impl CellSize {
             CellSize::X2 => CELL_2X_SPEEDUP,
         }
     }
-
-    /// Cell area multiplier relative to 1X (for area accounting).
-    pub fn area_multiplier(self) -> f64 {
-        match self {
-            CellSize::X1 => 1.0,
-            CellSize::X2 => 4.0,
-        }
-    }
 }
 
 impl fmt::Display for CellSize {

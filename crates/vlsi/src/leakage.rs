@@ -61,25 +61,11 @@ pub fn golden_cache_leakage_6t(node: TechNode, cells: u64) -> Power {
     with_periphery(node, cell_total)
 }
 
-/// The golden (no-variation) leakage of a 3T1D cache with `cells` bits.
-pub fn golden_cache_leakage_3t1d(node: TechNode, cells: u64) -> Power {
-    let cell_total = cell_leakage_3t1d(node, DeviceDeviation::NOMINAL) * cells as f64;
-    // Periphery is organization-independent: same absolute power as the 6T
-    // periphery for the same array geometry.
-    let periphery = golden_cache_leakage_6t(node, cells) * calib::periphery_leak_fraction(node);
-    cell_total + periphery
-}
-
 /// Adds the periphery leakage share on top of a cell-array total.
 pub fn with_periphery(node: TechNode, cell_total: Power) -> Power {
     let frac = calib::periphery_leak_fraction(node);
     // cell_total = (1 - frac) × full ⇒ full = cell_total / (1 - frac).
     Power::new(cell_total.value() / (1.0 - frac))
-}
-
-/// The absolute periphery leakage for a cache of `cells` 6T-equivalent bits.
-pub fn periphery_leakage(node: TechNode, cells: u64) -> Power {
-    golden_cache_leakage_6t(node, cells) * calib::periphery_leak_fraction(node)
 }
 
 #[cfg(test)]
@@ -89,6 +75,15 @@ mod tests {
 
     /// 64 KiB data + ~7 % tag overhead, as used in the calibration.
     const CACHE_CELLS: u64 = (64 * 1024 * 8) as u64 * 107 / 100;
+
+    /// The golden (no-variation) leakage of a 3T1D cache with `cells` bits.
+    fn golden_cache_leakage_3t1d(node: TechNode, cells: u64) -> Power {
+        let cell_total = cell_leakage_3t1d(node, DeviceDeviation::NOMINAL) * cells as f64;
+        // Periphery is organization-independent: same absolute power as the
+        // 6T periphery for the same array geometry.
+        let periphery = golden_cache_leakage_6t(node, cells) * calib::periphery_leak_fraction(node);
+        cell_total + periphery
+    }
 
     #[test]
     fn golden_6t_leakage_matches_table3() {
@@ -156,15 +151,6 @@ mod tests {
         let r3 = path_leakage_ratio(TechNode::N32, dev, calib::T3_LEAK_LAMBDA_SCALE);
         assert!(r3 < r6);
         assert!(r3 > 1.5);
-    }
-
-    #[test]
-    fn periphery_share_is_consistent() {
-        let node = TechNode::N32;
-        let total = golden_cache_leakage_6t(node, CACHE_CELLS);
-        let periph = periphery_leakage(node, CACHE_CELLS);
-        let frac = periph.value() / total.value();
-        assert!((frac - calib::periphery_leak_fraction(node)).abs() < 1e-9);
     }
 
     #[test]

@@ -264,21 +264,21 @@ pub fn binomial_tail_ge(n: u64, k: u64, p: f64) -> f64 {
     tail.clamp(0.0, 1.0)
 }
 
-/// Expected value of the minimum of `n` i.i.d. standard normals
-/// (first-order extreme-value approximation). Useful for calibration
-/// sanity checks, not for sampling.
-pub fn expected_min_of_normals(n: u64) -> f64 {
-    assert!(n > 1, "n must exceed 1");
-    let n = n as f64;
-    // Blom-style approximation of E[min] = -Φ⁻¹((n - 0.375)/(n + 0.25)).
-    -normal_inv_cdf((n - 0.375) / (n + 0.25))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Expected value of the minimum of `n` i.i.d. standard normals
+    /// (first-order extreme-value approximation): the analytic reference
+    /// the sampled minima are checked against.
+    fn expected_min_of_normals(n: u64) -> f64 {
+        assert!(n > 1, "n must exceed 1");
+        let n = n as f64;
+        // Blom-style approximation of E[min] = -Φ⁻¹((n - 0.375)/(n + 0.25)).
+        -normal_inv_cdf((n - 0.375) / (n + 0.25))
+    }
 
     #[test]
     fn erf_known_values() {

@@ -29,9 +29,8 @@
 //! ```
 
 use crate::array::ArrayLayout;
-use crate::cell3t1d;
 #[cfg(test)]
-use crate::cell3t1d::RetentionSolver;
+use crate::cell3t1d::{self, RetentionSolver};
 use crate::cell6t::{self, CellSize};
 use crate::leakage;
 use crate::math::{sample_min_of_normals, sample_standard_normal};
@@ -244,9 +243,10 @@ impl Chip {
 
     /// The exact reference path: every cell solved with
     /// [`cell3t1d::retention_time`], never cached. Consumes the RNG stream
-    /// draw-for-draw like the fast path; the test-suite pins the two
-    /// against each other (the memoization golden test).
-    pub fn line_retentions_uncached(&self) -> Vec<Time> {
+    /// draw-for-draw like the fast path. Test-only: the memoization golden
+    /// test pins the two against each other.
+    #[cfg(test)]
+    pub(crate) fn line_retentions_uncached(&self) -> Vec<Time> {
         self.sample_line_retentions(|dl, dvth1, dvth2| {
             let t1 = DeviceDeviation {
                 dl_frac: dl,
@@ -265,6 +265,7 @@ impl Chip {
     /// `ret` solve the cell. A line that is already dead stops scanning
     /// early — the skipped draws are part of the stream contract both
     /// paths share.
+    #[cfg(test)]
     fn sample_line_retentions(&self, mut ret: impl FnMut(f64, f64, f64) -> Time) -> Vec<Time> {
         let mut rng = self.rng_for(RETENTION_PURPOSE);
         let sigma_vth = self.params.sigma_vth(self.node).volts();

@@ -57,31 +57,20 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `dl` holds the total (die-to-die + correlated within-die) ΔL/L at each
 /// cell; `dvth1` / `dvth2` hold the write- and read-transistor random
 /// dopant Vth deviations in volts (σ already applied).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviationPlanes {
+struct DeviationPlanes {
     lines: usize,
     cells_per_line: usize,
     /// Correlated + die-to-die ΔL/L per cell.
-    pub dl: Vec<f64>,
+    dl: Vec<f64>,
     /// Write transistor (T1) random Vth deviation per cell, in volts.
-    pub dvth1: Vec<f64>,
+    dvth1: Vec<f64>,
     /// Read transistor (T2) random Vth deviation per cell, in volts.
-    pub dvth2: Vec<f64>,
+    dvth2: Vec<f64>,
 }
 
 impl DeviationPlanes {
-    /// Number of cache lines covered.
-    pub fn lines(&self) -> usize {
-        self.lines
-    }
-
-    /// Cells per line (data bits + tag bits).
-    pub fn cells_per_line(&self) -> usize {
-        self.cells_per_line
-    }
-
     /// The index range of one line's cells within each plane.
-    pub fn row(&self, line: usize) -> std::ops::Range<usize> {
+    fn row(&self, line: usize) -> std::ops::Range<usize> {
         let base = line * self.cells_per_line;
         base..base + self.cells_per_line
     }
@@ -121,7 +110,7 @@ fn leaf_lut(layout: &ArrayLayout, levels: usize) -> Arc<Vec<u32>> {
 ///
 /// `dl_plane(chip)[line * cells_per_line + bit]` is bit-identical to
 /// `chip.dl_at(x, y)` at that cell's position.
-pub fn dl_plane(chip: &Chip) -> Vec<f64> {
+fn dl_plane(chip: &Chip) -> Vec<f64> {
     let lut = leaf_lut(&chip.layout, chip.field.levels());
     let leaf_dl = leaf_dl(chip);
     lut.iter().map(|&leaf| leaf_dl[leaf as usize]).collect()
@@ -485,7 +474,7 @@ fn leaf_dl(chip: &Chip) -> Vec<f64> {
 /// Samples the chip's full deviation planes on the word-retention RNG
 /// stream (which, unlike the line stream, consumes both normals of every
 /// cell unconditionally — so the whole plane can be drawn up front).
-pub fn sample_word_planes(chip: &Chip) -> DeviationPlanes {
+fn sample_word_planes(chip: &Chip) -> DeviationPlanes {
     let _span = obs::trace::span_with("vlsi", || format!("batch.sample:chip{}", chip.index));
     let lines = chip.layout.lines() as usize;
     let cells = chip.layout.cells_per_line() as usize;
@@ -519,7 +508,7 @@ pub fn sample_word_planes(chip: &Chip) -> DeviationPlanes {
 ///
 /// Panics unless `words_per_line` divides the line's data bits, or if the
 /// planes' geometry does not match the chip's layout.
-pub fn word_retention_map_from_planes(
+fn word_retention_map_from_planes(
     chip: &Chip,
     planes: &DeviationPlanes,
     words_per_line: u32,
@@ -569,9 +558,9 @@ pub fn word_retention_map_from_planes(
     WordRetentionMap { words, tags }
 }
 
-/// Batch word-retention map: [`sample_word_planes`] +
-/// [`word_retention_map_from_planes`]. Bit-identical to the scalar
-/// [`Chip::word_retention_map`] product.
+/// Batch word-retention map: samples the chip's deviation planes on the
+/// word-retention stream, then solves and folds them per word/tag slot.
+/// Bit-identical to the scalar [`Chip::word_retention_map`] product.
 pub fn word_retention_map(chip: &Chip, words_per_line: u32) -> WordRetentionMap {
     let planes = sample_word_planes(chip);
     word_retention_map_from_planes(chip, &planes, words_per_line)

@@ -6,7 +6,7 @@
 
 use crate::calib;
 use crate::tech::TechNode;
-use crate::units::{Energy, Power, Time};
+use crate::units::{Energy, Power};
 
 /// Which memory organization an access energy is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -71,15 +71,6 @@ impl EnergyCounter {
             + e_l1_equiv * (L2_ACCESS_ENERGY_FACTOR * self.extra_l2_accesses as f64)
     }
 
-    /// Mean dynamic power over a simulated wall-clock duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is not positive.
-    pub fn mean_power(&self, node: TechNode, kind: MemKind, duration: Time) -> Power {
-        self.total_energy(node, kind).average_power(duration)
-    }
-
     /// Merges another counter's events into this one.
     pub fn merge(&mut self, other: &EnergyCounter) {
         self.accesses += other.accesses;
@@ -137,18 +128,6 @@ mod tests {
         assert!(
             (c.total_energy(node, MemKind::Dram3t1d).value() - expected).abs() < 1e-18
         );
-    }
-
-    #[test]
-    fn mean_power_is_energy_over_time() {
-        let node = TechNode::N32;
-        let c = EnergyCounter {
-            accesses: 1000,
-            ..EnergyCounter::default()
-        };
-        let p = c.mean_power(node, MemKind::Sram6t, Time::from_us(1.0));
-        let expected = access_energy(node, MemKind::Sram6t).value() * 1000.0 / 1e-6;
-        assert!((p.value() - expected).abs() / expected < 1e-12);
     }
 
     #[test]

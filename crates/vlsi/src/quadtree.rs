@@ -150,31 +150,6 @@ impl QuadTreeField {
         let cy = ((y * side as f64) as usize).min(side - 1);
         cy * side + cx
     }
-
-    /// Pearson correlation of the field between two points, computed
-    /// analytically from shared quadrants (1 when all levels shared, 0 when
-    /// none). Mostly useful for tests and model validation.
-    pub fn correlation_between(&self, a: (f64, f64), b: (f64, f64)) -> f64 {
-        let mut shared = 0usize;
-        for l in 0..self.levels.len() {
-            let side = 2usize << l;
-            let qa = Self::quadrant(a, side);
-            let qb = Self::quadrant(b, side);
-            if qa == qb {
-                shared += 1;
-            }
-        }
-        shared as f64 / self.levels.len() as f64
-    }
-
-    fn quadrant(p: (f64, f64), side: usize) -> (usize, usize) {
-        let x = p.0.clamp(0.0, 1.0);
-        let y = p.1.clamp(0.0, 1.0);
-        (
-            ((x * side as f64) as usize).min(side - 1),
-            ((y * side as f64) as usize).min(side - 1),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -200,14 +175,6 @@ mod tests {
         let a = f.value_at(0.01, 0.01);
         let b = f.value_at(0.02, 0.02);
         assert_eq!(a, b);
-        assert_eq!(f.correlation_between((0.01, 0.01), (0.02, 0.02)), 1.0);
-    }
-
-    #[test]
-    fn far_points_share_no_levels() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let f = QuadTreeField::sample(3, 0.05, &mut rng);
-        assert_eq!(f.correlation_between((0.01, 0.01), (0.99, 0.99)), 0.0);
     }
 
     #[test]

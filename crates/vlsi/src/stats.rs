@@ -294,62 +294,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// An empirical CDF over recorded samples.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Ecdf {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Ecdf {
-    /// Creates an empty empirical CDF.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn push(&mut self, value: f64) {
-        self.samples.push(value);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Fraction of observations ≤ `x`. Returns 0 for an empty CDF.
-    pub fn fraction_at_most(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let idx = self.samples.partition_point(|&s| s <= x);
-        idx as f64 / self.samples.len() as f64
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN in ECDF"));
-            self.sorted = true;
-        }
-    }
-}
-
-impl Extend<f64> for Ecdf {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,16 +371,6 @@ mod tests {
         assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
         let fr = h.fractions();
         assert!((fr[0] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ecdf_fractions() {
-        let mut e = Ecdf::new();
-        e.extend([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.len(), 4);
-        assert!((e.fraction_at_most(2.5) - 0.5).abs() < 1e-12);
-        assert!((e.fraction_at_most(0.0) - 0.0).abs() < 1e-12);
-        assert!((e.fraction_at_most(4.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -98,13 +98,6 @@ impl OperatingPoint {
         self.freq.period()
     }
 
-    /// Whether this is exactly the paper's corner for `node` (the condition
-    /// under which every model must reproduce the pinned anchors bit-for-
-    /// bit).
-    pub fn is_nominal(&self, node: TechNode) -> bool {
-        *self == OperatingPoint::nominal(node)
-    }
-
     /// A filesystem/stage-id-safe slug (`v900f3200t80`: millivolts,
     /// megahertz, rounded Celsius) for naming swept artifacts.
     pub fn slug(&self) -> String {
@@ -151,11 +144,6 @@ impl TechNode {
             TechNode::N45 => 45.0,
             TechNode::N32 => 32.0,
         }
-    }
-
-    /// Nominal gate length.
-    pub fn gate_length(self) -> Length {
-        Length::from_nm(self.feature_nm())
     }
 
     /// Minimum-size cell area used for the cache (Table 1).
@@ -328,10 +316,9 @@ mod tests {
             assert_eq!(op.vdd, node.vdd());
             assert_eq!(op.freq.value(), node.chip_frequency().value());
             assert_eq!(op.temp_c, SIM_TEMPERATURE_C);
-            assert!(op.is_nominal(node));
             assert_eq!(op.clock_period().value(), node.clock_period().value());
-            assert!(!op.with_vdd(Voltage::new(0.9)).is_nominal(node));
-            assert!(!op.with_temp_c(60.0).is_nominal(node));
+            assert_ne!(op.with_vdd(Voltage::new(0.9)), op);
+            assert_ne!(op.with_temp_c(60.0), op);
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::calib;
 use crate::tech::{OperatingPoint, TechNode};
-use crate::units::{Current, Voltage};
+use crate::units::Voltage;
 use crate::variation::DeviceDeviation;
 
 /// Velocity-saturation exponent of the alpha-power law for these nodes.
@@ -50,16 +50,6 @@ pub fn drive_ratio_at(node: TechNode, vgs: Voltage, dev: DeviceDeviation) -> f64
     ratio / dev.length_multiplier()
 }
 
-/// Absolute saturation current of the nominal minimum-size NMOS at `V_dd`.
-pub fn nominal_drive(node: TechNode) -> Current {
-    calib::nominal_drive_current(node)
-}
-
-/// Absolute drive current of a device (nominal current × [`drive_ratio`]).
-pub fn drive_current(node: TechNode, dev: DeviceDeviation) -> Current {
-    nominal_drive(node) * drive_ratio(node, dev)
-}
-
 /// Subthreshold leakage of one off transistor relative to the nominal
 /// device of the same node (1.0 = nominal).
 ///
@@ -77,12 +67,6 @@ pub fn leakage_ratio_at(node: TechNode, op: OperatingPoint, dev: DeviceDeviation
     let dvth = dev.vth_total(node).volts();
     let x = -dvth / nvt - calib::lambda_dibl(node) * dev.dl_frac;
     x.clamp(-30.0, 30.0).exp()
-}
-
-/// Absolute leakage of one strong (single-off-transistor) leakage path for
-/// the nominal device.
-pub fn nominal_path_leakage(node: TechNode) -> Current {
-    calib::leakage_per_path(node)
 }
 
 #[cfg(test)]
@@ -179,13 +163,12 @@ mod tests {
     #[test]
     fn absolute_currents_positive_and_scaling() {
         for node in TechNode::ALL {
-            assert!(nominal_drive(node).value() > 0.0);
-            assert!(nominal_path_leakage(node).value() > 0.0);
+            assert!(calib::leakage_per_path(node).value() > 0.0);
         }
         // Leakage per path grows as nodes shrink (the scaling crisis).
         assert!(
-            nominal_path_leakage(TechNode::N32).value()
-                > nominal_path_leakage(TechNode::N65).value()
+            calib::leakage_per_path(TechNode::N32).value()
+                > calib::leakage_per_path(TechNode::N65).value()
         );
     }
 }

@@ -256,12 +256,6 @@ impl Voltage {
 }
 
 impl Current {
-    /// Creates a current from microamperes.
-    #[inline]
-    pub fn from_ua(ua: f64) -> Self {
-        Self(ua * 1e-6)
-    }
-
     /// Creates a current from nanoamperes.
     #[inline]
     pub fn from_na(na: f64) -> Self {
@@ -282,12 +276,6 @@ impl Power {
         Self(mw * 1e-3)
     }
 
-    /// Creates a power from microwatts.
-    #[inline]
-    pub fn from_uw(uw: f64) -> Self {
-        Self(uw * 1e-6)
-    }
-
     /// The power expressed in milliwatts.
     #[inline]
     pub fn mw(self) -> f64 {
@@ -300,12 +288,6 @@ impl Energy {
     #[inline]
     pub fn from_pj(pj: f64) -> Self {
         Self(pj * 1e-12)
-    }
-
-    /// Creates an energy from femtojoules.
-    #[inline]
-    pub fn from_fj(fj: f64) -> Self {
-        Self(fj * 1e-15)
     }
 
     /// The energy expressed in picojoules.
@@ -327,12 +309,6 @@ impl Energy {
 }
 
 impl Capacitance {
-    /// Creates a capacitance from femtofarads.
-    #[inline]
-    pub fn from_ff(ff: f64) -> Self {
-        Self(ff * 1e-15)
-    }
-
     /// Creates a capacitance from attofarads.
     #[inline]
     pub fn from_af(af: f64) -> Self {
@@ -448,20 +424,6 @@ impl Capacitance {
         assert!(drive.value() > 0.0, "drive current must be positive");
         Time::new(self.value() * swing.value() / drive.value())
     }
-
-    /// Dynamic switching energy `C·V²` for a full-swing transition.
-    #[inline]
-    pub fn switching_energy(self, vdd: Voltage) -> Energy {
-        Energy::new(self.value() * vdd.value() * vdd.value())
-    }
-}
-
-impl Resistance {
-    /// The RC time constant with a load capacitance.
-    #[inline]
-    pub fn rc(self, c: Capacitance) -> Time {
-        Time::new(self.value() * c.value())
-    }
 }
 
 #[cfg(test)]
@@ -516,38 +478,25 @@ mod tests {
     #[test]
     fn charge_time_matches_c_dv_over_i() {
         // 20 fF × 100 mV = 2 fC; at 10 µA that takes 200 ps.
-        let t = Capacitance::from_ff(20.0)
-            .charge_time(Voltage::from_mv(100.0), Current::from_ua(10.0));
+        let t = Capacitance::from_af(20_000.0)
+            .charge_time(Voltage::from_mv(100.0), Current::from_na(10_000.0));
         assert!((t.ps() - 200.0).abs() < 1e-6);
     }
 
     #[test]
     #[should_panic(expected = "drive current must be positive")]
     fn charge_time_requires_positive_drive() {
-        let _ = Capacitance::from_ff(1.0).charge_time(Voltage::from_mv(1.0), Current::ZERO);
-    }
-
-    #[test]
-    fn switching_energy_cv2() {
-        let e = Capacitance::from_ff(10.0).switching_energy(Voltage::new(1.0));
-        assert!((e.pj() - 0.01).abs() < 1e-12);
+        let _ = Capacitance::from_af(1_000.0).charge_time(Voltage::from_mv(1.0), Current::ZERO);
     }
 
     #[test]
     fn power_energy_relations() {
-        let p = Current::from_ua(10.0) * Voltage::new(1.1);
+        let p = Current::from_na(10_000.0) * Voltage::new(1.1);
         assert!((p.value() - 11e-6).abs() < 1e-12);
         let e = p * Time::from_ns(1.0);
         assert!((e.pj() - 0.011).abs() < 1e-9);
         let avg = e.average_power(Time::from_ns(1.0));
         assert!((avg.value() - p.value()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn rc_constant() {
-        // 1 kΩ × 100 fF = 100 ps.
-        let tau = Resistance::new(1000.0).rc(Capacitance::from_ff(100.0));
-        assert!((tau.ps() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl Wire {
             DISTRIBUTED_RC_COEFF * self.resistance().value() * self.capacitance().value(),
         )
     }
-
-    /// Elmore delay including a lumped load at the far end
-    /// (`0.38·R·C_wire + R·C_load`).
-    pub fn delay_with_load(&self, load: Capacitance) -> Time {
-        self.delay() + self.resistance().rc(load)
-    }
 }
 
 /// The bitline of a sub-array with `rows` cells, whose pitch follows the
@@ -155,13 +149,6 @@ mod tests {
         assert!(c_total > c_wire);
         // Order of magnitude: tens of fF.
         assert!(c_total.ff() > 10.0 && c_total.ff() < 100.0, "c={} fF", c_total.ff());
-    }
-
-    #[test]
-    fn load_adds_delay() {
-        let w = Wire::new(TechNode::N32, Length::from_um(100.0));
-        let loaded = w.delay_with_load(Capacitance::from_ff(20.0));
-        assert!(loaded > w.delay());
     }
 
     #[test]

@@ -315,11 +315,6 @@ impl Profile {
             - self.frac_fp
             - self.frac_intmul
     }
-
-    /// Fraction of memory instructions.
-    pub fn frac_mem(&self) -> f64 {
-        self.frac_load + self.frac_store
-    }
 }
 
 /// Builder for custom workload profiles (beyond the eight SPEC models).
@@ -431,14 +426,6 @@ impl ProfileBuilder {
         self
     }
 
-    /// Sets the branch-site mix (loop fraction, random fraction, bias).
-    pub fn branch_mix(mut self, loop_frac: f64, random_frac: f64, bias: f64) -> Self {
-        self.profile.loop_branch_frac = loop_frac;
-        self.profile.random_branch_frac = random_frac;
-        self.profile.random_branch_bias = bias;
-        self
-    }
-
     /// Validates and produces the profile.
     ///
     /// # Errors
@@ -498,7 +485,8 @@ mod tests {
         for b in SpecBenchmark::ALL {
             let p = b.profile();
             assert!(p.frac_int_alu() > 0.0, "{b}: mix over 100%");
-            assert!(p.frac_mem() > 0.2 && p.frac_mem() < 0.5, "{b}");
+            let frac_mem = p.frac_load + p.frac_store;
+            assert!(frac_mem > 0.2 && frac_mem < 0.5, "{b}");
             assert!(p.near_reuse + p.mid_reuse < 1.0, "{b}");
             assert!(p.footprint_blocks > 1_000, "{b}");
             assert!(
@@ -552,12 +540,10 @@ mod tests {
             .near_reuse(0.5)
             .far_reuse(0.05)
             .footprint_blocks(1_000_000)
-            .branch_mix(0.2, 0.3, 0.6)
             .build()
             .unwrap();
         assert_eq!(p.near_reuse, 0.5);
         assert_eq!(p.footprint_blocks, 1_000_000);
-        assert_eq!(p.random_branch_frac, 0.3);
     }
 
     #[test]

@@ -493,31 +493,6 @@ impl<R: Read> TraceReader<R> {
             }
         }
     }
-
-    /// Skips forward to record `pos` (resume from a checkpoint cursor).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `pos` is behind the current position, beyond the end of
-    /// the file, or the skipped region is corrupt.
-    pub fn seek_to(&mut self, pos: u64) -> Result<(), TraceError> {
-        if pos < self.read_records {
-            return Err(TraceError::BadHeader("cannot seek a stream backwards"));
-        }
-        if pos > self.total {
-            return Err(TraceError::Truncated {
-                expected_records: pos,
-                read_records: self.total,
-            });
-        }
-        while self.read_records < pos {
-            match self.next_record()? {
-                Some(_) => {}
-                None => unreachable!("pos bounded by total_records"),
-            }
-        }
-        Ok(())
-    }
 }
 
 fn read_exact_or<R: Read>(src: &mut R, buf: &mut [u8], eof: TraceError) -> Result<(), TraceError> {
@@ -721,22 +696,5 @@ mod tests {
         let mut r = TraceReader::new(Cursor::new(bytes)).unwrap();
         assert!(r.next_record().is_err());
         assert!(r.next_record().unwrap().is_none(), "poisoned reader ends");
-    }
-
-    #[test]
-    fn seek_to_resumes_mid_stream() {
-        let instrs = varied_instrs(CHUNK_RECORDS as usize + 500);
-        let bytes = write_trace(&instrs);
-        let mut r = TraceReader::new(Cursor::new(bytes)).unwrap();
-        r.seek_to(CHUNK_RECORDS as u64 + 123).unwrap();
-        assert_eq!(r.position(), CHUNK_RECORDS as u64 + 123);
-        assert_eq!(
-            r.next_record().unwrap().unwrap(),
-            instrs[CHUNK_RECORDS as usize + 123]
-        );
-        assert!(matches!(
-            r.seek_to(0),
-            Err(TraceError::BadHeader("cannot seek a stream backwards"))
-        ));
     }
 }

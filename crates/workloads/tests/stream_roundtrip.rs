@@ -140,30 +140,6 @@ fn corrupt_chunks_and_truncations_never_panic() {
     }
 }
 
-#[test]
-fn reader_cursor_resumes_across_reopen() {
-    // The streaming analogue of the cancel-mid-replay test: a consumer
-    // records `position()`, reopens the file, seeks forward, and the
-    // stitched stream equals an uninterrupted read.
-    let bytes = recorded_bytes(SpecBenchmark::Mesa, 11, 5_000);
-    let full: Vec<_> = TraceReader::new(Cursor::new(bytes.clone()))
-        .expect("valid header")
-        .map(|r| r.expect("clean read"))
-        .collect();
-
-    let mut stitched = Vec::new();
-    let mut checkpoint = 0u64;
-    for stop in [1_500u64, 4_096, 5_000] {
-        let mut r = TraceReader::new(Cursor::new(bytes.clone())).expect("valid header");
-        r.seek_to(checkpoint).expect("resume at checkpoint");
-        while r.position() < stop {
-            stitched.push(r.next_record().expect("clean read").expect("in range"));
-        }
-        checkpoint = r.position(); // "cancel": drop the reader
-    }
-    assert_eq!(stitched, full);
-}
-
 /// Streams `bytes` to the end or to the first error, which it returns.
 /// Every failure must be a domain error (a byte slice never fails with
 /// real I/O), nothing may follow it, and no more records may come out

@@ -47,8 +47,9 @@
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! per-figure reproduction results; the binaries in `pv3t1d-bench`
-//! regenerate every table and figure of the paper.
+//! per-figure reproduction results; the stage functions in `pv3t1d-bench`,
+//! run by `pv3t1d run scenarios/paper_full.json`, regenerate every table
+//! and figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
