@@ -183,10 +183,12 @@ impl SuiteResult {
 /// Runs benchmark suites against cache configurations.
 ///
 /// The benchmark instruction streams depend only on the configuration (not
-/// on the cache under test), so the evaluator records each stream **once**
-/// on first use and replays the shared read-only recording for every
-/// subsequent suite — including concurrent suites in a
-/// [`crate::campaign`] run, where the lazily-initialized recordings are
+/// on the cache under test), and so do the branch predictor, ITLB and
+/// I-cache outcomes, which are fed in trace order. The evaluator therefore
+/// records each stream **once** on first use, as the front-end-resolved
+/// records the pipeline consumes, and replays the shared read-only
+/// recording for every subsequent suite — including concurrent suites in
+/// a [`crate::campaign`] run, where the lazily-initialized recordings are
 /// shared across worker threads.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
@@ -265,7 +267,6 @@ impl Evaluator {
                     &mut cache,
                     self.cfg.warmup,
                     self.cfg.instructions,
-                    recorded.icache_miss_rate(),
                 );
                 BenchRun {
                     bench,

@@ -9,6 +9,10 @@
 //! through a [`cachesim::DataCache`], whose refresh-induced port stealing
 //! back-pressures the pipeline — the paper's central performance coupling.
 //!
+//! The predictor, the ITLB and the I-cache depend on the trace alone, so a
+//! [`FrontEnd`] resolves them ahead of the pipeline into 16-byte
+//! [`Fetched`] records, which [`Pipeline::run`] consumes.
+//!
 //! # Quick start
 //!
 //! ```
@@ -28,10 +32,12 @@
 pub mod bpred;
 mod calendar;
 pub mod config;
+pub mod front;
 pub mod instr;
 pub mod sim;
 pub mod tlb;
 
 pub use config::MachineConfig;
+pub use front::{FetchSource, Fetched, FrontEnd};
 pub use instr::{BranchInfo, Instruction, OpClass, TraceSource};
 pub use sim::{simulate, Pipeline, SimResult};

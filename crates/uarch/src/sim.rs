@@ -2,9 +2,12 @@
 //!
 //! A trace-driven model of the Table 2 machine: 4-wide dispatch into an
 //! 80-entry ROB, separate INT/FP issue queues, load/store queues, limited
-//! functional units, a tournament branch predictor, and the retention-
-//! aware L1 data cache from [`cachesim`] (with explicit port contention —
-//! refresh work in the cache directly back-pressures the pipeline).
+//! functional units, a data TLB, and the retention-aware L1 data cache
+//! from [`cachesim`] (with explicit port contention — refresh work in the
+//! cache directly back-pressures the pipeline). The branch predictor, the
+//! ITLB and the I-cache sit in the [`FrontEnd`], which resolves them in
+//! trace order before dispatch; the pipeline reads their outcomes from
+//! each [`Fetched`] record and charges the machine's penalties.
 //!
 //! Modeling conventions (standard for trace-driven OoO studies; see
 //! DESIGN.md):
@@ -13,8 +16,9 @@
 //!   dispatch until the branch resolves, plus a redirect penalty;
 //! * stores access the cache at execute; memory disambiguation and
 //!   store-to-load forwarding are not modeled;
-//! * the I-cache is modeled as a per-workload miss rate injecting fetch
-//!   bubbles.
+//! * an I-cache or ITLB miss stalls fetch for the machine's penalty; for
+//!   traces without PCs the front end injects I-cache misses at a
+//!   per-workload rate instead.
 //!
 //! The cycle loop (commit, issue, dispatch) is built so most cycles cost
 //! nothing:
@@ -37,12 +41,12 @@
 //!   cycles to the one stall counter that stepping through them would
 //!   have charged, so every [`SimResult`] field is unchanged.
 
-use crate::bpred::TournamentPredictor;
 use crate::calendar::Calendar;
 use crate::config::MachineConfig;
+use crate::front::{FetchSource, Fetched, FrontEnd, COMMIT_RING};
 use crate::instr::{OpClass, TraceSource};
 use crate::tlb::Tlb;
-use cachesim::{AccessKind, DataCache, Geometry, TagCache};
+use cachesim::{AccessKind, DataCache};
 
 /// Aggregate results of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -210,11 +214,11 @@ impl Entry {
     };
 }
 
-/// The pipeline simulator. Owns the predictor; borrows the cache and trace.
+/// The pipeline simulator. Borrows the cache and the source of fetched
+/// instructions.
 #[derive(Debug)]
 pub struct Pipeline {
     cfg: MachineConfig,
-    bpred: TournamentPredictor,
     /// Reorder buffer: a power-of-two ring holding entry `seq` at slot
     /// `seq & rob_mask`; the live entries are `head_seq..next_seq`.
     rob: Vec<Entry>,
@@ -246,37 +250,20 @@ pub struct Pipeline {
     fetch_blocked_until: u64,
     /// Dispatch is stalled until this branch seq resolves (misprediction).
     pending_redirect: Option<u64>,
-    /// Committed-instruction countdown to the next injected I-cache miss.
-    icache_interval: u64,
-    icache_countdown: u64,
+    /// The last dispatched record asked for an injected I-cache miss
+    /// before the next one ([`Fetched::STALL_NEXT`]).
+    icache_stall_pending: bool,
     result: SimResult,
     cycle: u64,
     dtlb: Tlb,
-    /// Real instruction-side models, used when traces carry PCs.
-    icache: TagCache,
-    itlb: Tlb,
-    last_fetch_block: u64,
 }
 
-const COMMIT_RING: usize = 512;
-
 impl Pipeline {
-    /// Creates a pipeline with an I-cache miss rate (misses per
-    /// instruction; 0 disables injection).
-    pub fn new(cfg: MachineConfig, icache_miss_rate: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&icache_miss_rate),
-            "icache miss rate out of range"
-        );
-        let interval = if icache_miss_rate <= 0.0 {
-            u64::MAX
-        } else {
-            (1.0 / icache_miss_rate).round() as u64
-        };
+    /// Creates an empty pipeline.
+    pub fn new(cfg: MachineConfig) -> Self {
         let rob_slots = (cfg.rob_entries as usize).next_power_of_two();
         Self {
             cfg,
-            bpred: TournamentPredictor::new(),
             rob: vec![Entry::VACANT; rob_slots],
             rob_mask: rob_slots as u64 - 1,
             ready: Vec::with_capacity(cfg.rob_entries as usize),
@@ -293,30 +280,20 @@ impl Pipeline {
             committed_ring: vec![0; COMMIT_RING],
             fetch_blocked_until: 0,
             pending_redirect: None,
-            icache_interval: interval,
-            icache_countdown: interval,
+            icache_stall_pending: false,
             result: SimResult::default(),
             cycle: 0,
             dtlb: Tlb::paper_dtlb(),
-            // Table 2: 64 KB 4-way I-cache, 128-entry fully-assoc ITLB.
-            icache: TagCache::new(Geometry::new(64 * 1024, 64, 4)),
-            itlb: Tlb::new(128, 13),
-            last_fetch_block: u64::MAX,
         }
-    }
-
-    /// The branch predictor (for inspection).
-    pub fn predictor(&self) -> &TournamentPredictor {
-        &self.bpred
     }
 
     /// Runs until `instructions` more have committed, continuing from the
     /// pipeline's current state, and returns the results for *this
-    /// segment* only. Calling `run` repeatedly on the same pipeline and
-    /// cache supports warmup/measure splits.
-    pub fn run<T: TraceSource + ?Sized>(
+    /// segment* only. Calling `run` repeatedly on the same pipeline, cache
+    /// and source supports warmup/measure splits.
+    pub fn run<F: FetchSource + ?Sized>(
         &mut self,
-        trace: &mut T,
+        fetch: &mut F,
         cache: &mut DataCache,
         instructions: u64,
     ) -> SimResult {
@@ -341,7 +318,7 @@ impl Pipeline {
 
             committed += self.commit(cycle, instructions - committed);
             self.issue(cycle, cache);
-            self.dispatch(cycle, trace);
+            self.dispatch(cycle, fetch);
         }
 
         SimResult {
@@ -395,7 +372,7 @@ impl Pipeline {
             &mut self.result.dispatch_blocked_cycles
         } else if self.rob_len() >= self.cfg.rob_entries as u64 {
             &mut self.result.rob_full_stalls
-        } else if self.icache_countdown != 0
+        } else if !self.icache_stall_pending
             && self.int_iq_occ >= self.cfg.int_iq_entries
             && self.fp_iq_occ >= self.cfg.fp_iq_entries
         {
@@ -697,7 +674,7 @@ impl Pipeline {
         }
     }
 
-    fn dispatch<T: TraceSource + ?Sized>(&mut self, cycle: u64, trace: &mut T) {
+    fn dispatch<F: FetchSource + ?Sized>(&mut self, cycle: u64, fetch: &mut F) {
         if self.pending_redirect.is_some() || cycle < self.fetch_blocked_until {
             self.result.dispatch_blocked_cycles += 1;
             return;
@@ -718,8 +695,8 @@ impl Pipeline {
 
             // Injected I-cache miss before fetching the next instruction
             // (stochastic fallback, used only for PC-less traces).
-            if self.icache_countdown == 0 {
-                self.icache_countdown = self.icache_interval;
+            if self.icache_stall_pending {
+                self.icache_stall_pending = false;
                 self.fetch_blocked_until = cycle + self.cfg.icache_miss_penalty as u64;
                 self.result.icache_stall_cycles += self.cfg.icache_miss_penalty as u64;
                 break;
@@ -733,108 +710,92 @@ impl Pipeline {
                 break;
             }
 
-            let instr = trace.next_instr();
-            if instr.op == OpClass::Load && self.lq_occ >= self.cfg.load_queue {
+            let f = fetch.next_fetched();
+            if f.op == OpClass::Load && self.lq_occ >= self.cfg.load_queue {
                 // LQ full: model a stall by blocking further dispatch this
                 // cycle after placing this load next cycle — simplest is
                 // to block fetch one cycle.
                 self.fetch_blocked_until = cycle + 1;
                 self.result.lsq_full_stalls += 1;
             }
-            if instr.op == OpClass::Store && self.sq_occ >= self.cfg.store_queue {
+            if f.op == OpClass::Store && self.sq_occ >= self.cfg.store_queue {
                 self.fetch_blocked_until = cycle + 1;
                 self.result.lsq_full_stalls += 1;
             }
 
             let seq = self.next_seq;
             self.next_seq += 1;
-            // Real instruction-side model: on a fetch-block transition,
-            // probe the I-cache and ITLB; a miss stalls fetch.
-            if instr.pc != 0 {
-                let block = instr.pc / 64;
-                if block != self.last_fetch_block {
-                    self.last_fetch_block = block;
-                    let mut stall = 0u64;
-                    if !self.itlb.access(instr.pc) {
-                        stall += self.cfg.dtlb_miss_penalty as u64;
-                    }
-                    if matches!(self.icache.access(instr.pc & !63), cachesim::l2::L2Outcome::Miss)
-                    {
-                        stall += self.cfg.icache_miss_penalty as u64;
-                    }
-                    if stall > 0 {
-                        self.fetch_blocked_until = cycle + stall;
-                        self.result.icache_stall_cycles += stall;
-                    }
-                }
-            } else {
-                self.icache_countdown = self.icache_countdown.saturating_sub(1);
+            // An ITLB or I-cache miss on this fetch block stalls fetch.
+            let mut stall = 0u64;
+            if f.has(Fetched::ITLB_MISS) {
+                stall += self.cfg.dtlb_miss_penalty as u64;
             }
-
-            let dep = |d: Option<u32>| -> u64 {
-                match d {
-                    Some(dist) if dist as u64 <= seq && dist > 0 => seq - dist as u64,
-                    _ => u64::MAX,
-                }
-            };
-
-            let mut entry = Entry {
-                op: instr.op,
-                addr: instr.addr.unwrap_or(0),
-                dep1: dep(instr.src1),
-                dep2: dep(instr.src2),
-                completing_at: u64::MAX,
-                wait_head: u64::MAX,
-                wait_next: u64::MAX,
-            };
-
-            if let Some(b) = instr.branch {
+            if f.has(Fetched::ICACHE_MISS) {
+                stall += self.cfg.icache_miss_penalty as u64;
+            }
+            if stall > 0 {
+                self.fetch_blocked_until = cycle + stall;
+                self.result.icache_stall_cycles += stall;
+            }
+            if f.has(Fetched::STALL_NEXT) {
+                self.icache_stall_pending = true;
+            }
+            if f.has(Fetched::BRANCH) {
                 self.result.branches += 1;
-                let correct = self.bpred.predict_and_update(b.pc, b.taken);
-                if !correct {
+                if f.has(Fetched::MISPREDICTED) {
                     self.result.mispredictions += 1;
                     self.pending_redirect = Some(seq);
                 }
             }
 
-            if instr.op.is_fp() {
+            if f.op.is_fp() {
                 self.fp_iq_occ += 1;
             } else {
                 self.int_iq_occ += 1;
             }
-            match instr.op {
+            match f.op {
                 OpClass::Load => self.lq_occ += 1,
                 OpClass::Store => self.sq_occ += 1,
                 _ => {}
             }
-            // Clamp dependency distances beyond the commit ring: those
-            // producers are long since done.
-            if entry.dep1 != u64::MAX && seq - entry.dep1 > COMMIT_RING as u64 {
-                entry.dep1 = u64::MAX;
-            }
-            if entry.dep2 != u64::MAX && seq - entry.dep2 > COMMIT_RING as u64 {
-                entry.dep2 = u64::MAX;
-            }
+            // The front end already dropped producers beyond the commit
+            // ring (long since done); 0 means none.
+            let dep = |d: u16| match d {
+                0 => u64::MAX,
+                d => seq.checked_sub(d as u64).unwrap_or(u64::MAX),
+            };
             let idx = self.slot(seq);
-            self.rob[idx] = entry;
+            self.rob[idx] = Entry {
+                op: f.op,
+                addr: f.addr,
+                dep1: dep(f.dep1),
+                dep2: dep(f.dep2),
+                completing_at: u64::MAX,
+                wait_head: u64::MAX,
+                wait_next: u64::MAX,
+            };
             self.schedule_dispatched(seq, cycle);
         }
     }
 }
 
-/// Convenience: run a fresh Table 2 pipeline over a trace and cache.
+/// Convenience: run a fresh Table 2 pipeline and front end over a trace
+/// and cache. `icache_miss_rate` injects I-cache misses for instructions
+/// without a PC (see [`FrontEnd::new`]).
 pub fn simulate<T: TraceSource + ?Sized>(
     trace: &mut T,
     cache: &mut DataCache,
     instructions: u64,
     icache_miss_rate: f64,
 ) -> SimResult {
-    Pipeline::new(MachineConfig::TABLE2, icache_miss_rate).run(trace, cache, instructions)
+    let mut front = FrontEnd::new(trace, icache_miss_rate);
+    Pipeline::new(MachineConfig::TABLE2).run(&mut front, cache, instructions)
 }
 
 /// Runs `warmup` instructions to train caches and predictors, then
 /// measures `instructions` more. Returns the measured segment's pipeline
 /// results and the cache statistics accumulated during measurement only.
+/// One front end serves both segments.
 pub fn simulate_warmed<T: TraceSource + ?Sized>(
     trace: &mut T,
     cache: &mut DataCache,
@@ -842,32 +803,25 @@ pub fn simulate_warmed<T: TraceSource + ?Sized>(
     instructions: u64,
     icache_miss_rate: f64,
 ) -> (SimResult, cachesim::CacheStats) {
-    simulate_warmed_with(
-        MachineConfig::TABLE2,
-        trace,
-        cache,
-        warmup,
-        instructions,
-        icache_miss_rate,
-    )
+    let mut front = FrontEnd::new(trace, icache_miss_rate);
+    simulate_warmed_with(MachineConfig::TABLE2, &mut front, cache, warmup, instructions)
 }
 
-/// [`simulate_warmed`] with an explicit machine configuration (for
-/// microarchitectural ablations).
-pub fn simulate_warmed_with<T: TraceSource + ?Sized>(
+/// [`simulate_warmed`] over already-fetched instructions, with an explicit
+/// machine configuration (for microarchitectural ablations).
+pub fn simulate_warmed_with<F: FetchSource + ?Sized>(
     machine: MachineConfig,
-    trace: &mut T,
+    fetch: &mut F,
     cache: &mut DataCache,
     warmup: u64,
     instructions: u64,
-    icache_miss_rate: f64,
 ) -> (SimResult, cachesim::CacheStats) {
-    let mut p = Pipeline::new(machine, icache_miss_rate);
+    let mut p = Pipeline::new(machine);
     if warmup > 0 {
-        let _ = p.run(trace, cache, warmup);
+        let _ = p.run(fetch, cache, warmup);
     }
     let snapshot = *cache.stats();
-    let r = p.run(trace, cache, instructions);
+    let r = p.run(fetch, cache, instructions);
     (r, cache.stats().delta(&snapshot))
 }
 
@@ -981,12 +935,10 @@ mod tests {
     #[test]
     fn icache_misses_add_stalls() {
         let mut cache = DataCache::ideal();
-        let mut src = || Instruction::int_alu();
-        let r = Pipeline::new(MachineConfig::TABLE2, 0.01).run(&mut src, &mut cache, 20_000);
+        let r = simulate(&mut Instruction::int_alu, &mut cache, 20_000, 0.01);
         assert!(r.icache_stall_cycles > 0);
         let mut cache2 = DataCache::ideal();
-        let mut src2 = || Instruction::int_alu();
-        let r2 = Pipeline::new(MachineConfig::TABLE2, 0.0).run(&mut src2, &mut cache2, 20_000);
+        let r2 = simulate(&mut Instruction::int_alu, &mut cache2, 20_000, 0.0);
         assert!(r.ipc() < r2.ipc());
     }
 

@@ -1,10 +1,12 @@
-//! Data TLB model (Table 2: 128-entry, fully associative).
+//! TLB model (Table 2: 128-entry, fully associative), used for both the
+//! data and the instruction TLB.
 //!
-//! Loads and stores translate through the DTLB at issue; a miss adds a
-//! fixed page-walk penalty to the access latency (the 21264 handles these
-//! in PALcode, but the cost is modeled as overlappable latency here). The
-//! instruction TLB's rare misses are folded into the per-workload
-//! instruction-fetch stall rate, since traces carry no code addresses.
+//! Loads and stores translate through the DTLB in the pipeline at issue; a
+//! miss adds a fixed page-walk penalty to the access latency (the 21264
+//! handles these in PALcode, but the cost is modeled as overlappable
+//! latency here). Instruction fetch translates each new fetch block's PC
+//! through the ITLB in the [`crate::front::FrontEnd`]; a miss stalls fetch
+//! for the same page-walk penalty.
 
 /// A fully-associative, true-LRU translation lookaside buffer.
 #[derive(Debug, Clone)]

@@ -5,7 +5,7 @@
 use cachesim::{CacheConfig, DataCache, RetentionProfile, Scheme};
 use uarch::instr::{Instruction, OpClass};
 use uarch::sim::{simulate, Pipeline};
-use uarch::MachineConfig;
+use uarch::{FrontEnd, MachineConfig};
 
 fn ideal() -> DataCache {
     DataCache::ideal()
@@ -134,11 +134,19 @@ fn in_order_issue_is_strictly_slower_under_latency() {
     };
     let mut src = make_src();
     let mut cache = ideal();
-    let ooo = Pipeline::new(MachineConfig::TABLE2, 0.0).run(&mut src, &mut cache, 10_000);
+    let ooo = Pipeline::new(MachineConfig::TABLE2).run(
+        &mut FrontEnd::new(&mut src, 0.0),
+        &mut cache,
+        10_000,
+    );
 
     let mut src = make_src();
     let mut cache = ideal();
-    let ino = Pipeline::new(MachineConfig::table2_in_order(), 0.0).run(&mut src, &mut cache, 10_000);
+    let ino = Pipeline::new(MachineConfig::table2_in_order()).run(
+        &mut FrontEnd::new(&mut src, 0.0),
+        &mut cache,
+        10_000,
+    );
 
     assert!(
         ooo.ipc() > ino.ipc() * 1.5,
@@ -155,10 +163,18 @@ fn in_order_and_ooo_agree_on_serial_code() {
     let make_src = || move || Instruction::int_alu().with_src1(1);
     let mut src = make_src();
     let mut cache = ideal();
-    let ooo = Pipeline::new(MachineConfig::TABLE2, 0.0).run(&mut src, &mut cache, 5_000);
+    let ooo = Pipeline::new(MachineConfig::TABLE2).run(
+        &mut FrontEnd::new(&mut src, 0.0),
+        &mut cache,
+        5_000,
+    );
     let mut src = make_src();
     let mut cache = ideal();
-    let ino = Pipeline::new(MachineConfig::table2_in_order(), 0.0).run(&mut src, &mut cache, 5_000);
+    let ino = Pipeline::new(MachineConfig::table2_in_order()).run(
+        &mut FrontEnd::new(&mut src, 0.0),
+        &mut cache,
+        5_000,
+    );
     assert!((ooo.ipc() - ino.ipc()).abs() < 0.02, "{} vs {}", ooo.ipc(), ino.ipc());
 }
 
@@ -173,8 +189,8 @@ fn zero_width_redirect_never_hangs() {
         Instruction::branch(0x500, state.wrapping_mul(0x2545F4914F6CDD1D) >> 63 == 1)
     };
     let mut cache = ideal();
-    let mut p = Pipeline::new(MachineConfig::TABLE2, 0.0);
-    let r = p.run(&mut src, &mut cache, 5_000);
+    let mut p = Pipeline::new(MachineConfig::TABLE2);
+    let r = p.run(&mut FrontEnd::new(&mut src, 0.0), &mut cache, 5_000);
     assert_eq!(r.instructions, 5_000);
     assert!(r.mispredict_rate() > 0.3);
     assert!(r.ipc() > 0.1, "even a branch storm makes progress");

@@ -4,7 +4,7 @@ use cachesim::DataCache;
 use proptest::prelude::*;
 use uarch::instr::{Instruction, OpClass};
 use uarch::sim::{simulate, Pipeline};
-use uarch::MachineConfig;
+use uarch::{FrontEnd, MachineConfig};
 
 /// Random but well-formed instruction generator driven by a byte stream.
 #[derive(Clone)]
@@ -94,9 +94,10 @@ proptest! {
         let mut t = ByteTrace { bytes: bytes.clone(), pos: 0 };
         let mut src = move || t.next();
         let mut cache = DataCache::ideal();
-        let mut p = Pipeline::new(MachineConfig::TABLE2, 0.0);
-        let r1 = p.run(&mut src, &mut cache, split);
-        let r2 = p.run(&mut src, &mut cache, total - split);
+        let mut front = FrontEnd::new(&mut src, 0.0);
+        let mut p = Pipeline::new(MachineConfig::TABLE2);
+        let r1 = p.run(&mut front, &mut cache, split);
+        let r2 = p.run(&mut front, &mut cache, total - split);
         prop_assert_eq!(r1.instructions + r2.instructions, total);
 
         let mut t2 = ByteTrace { bytes, pos: 0 };

@@ -7,7 +7,7 @@
 //! DESIGN.md substitution of SPEC2000.
 
 use crate::trace::SyntheticTrace;
-use std::collections::HashMap;
+use std::collections::{HashSet, VecDeque};
 use uarch::instr::{Instruction, OpClass, TraceSource};
 
 /// Measured statistical profile of a finite trace sample.
@@ -54,12 +54,13 @@ impl TraceStats {
 
 /// An exact block-granularity LRU stack-distance profiler.
 ///
-/// O(d) per access where `d` is the observed distance; adequate for the
-/// analysis sample sizes used here.
+/// O(d) per access where `d` is the observed distance: a reuse finds its
+/// block `d` entries deep, removes it, and pushes it back on the front.
 #[derive(Debug, Clone, Default)]
 pub struct StackDistanceProfiler {
-    stack: Vec<u64>,
-    positions: HashMap<u64, ()>,
+    /// Every block seen, most recent first.
+    stack: VecDeque<u64>,
+    seen: HashSet<u64>,
     histogram: [u64; 6],
 }
 
@@ -72,14 +73,14 @@ impl StackDistanceProfiler {
     /// Records a reference to `block`, returning its stack distance
     /// (`None` for a cold first touch).
     pub fn record(&mut self, block: u64) -> Option<usize> {
-        if self.positions.insert(block, ()).is_some() {
+        if !self.seen.insert(block) {
             let pos = self
                 .stack
                 .iter()
                 .position(|&b| b == block)
-                .expect("position map and stack agree");
+                .expect("seen set and stack agree");
             self.stack.remove(pos);
-            self.stack.insert(0, block);
+            self.stack.push_front(block);
             let bucket = match pos {
                 0..=7 => 0,
                 8..=63 => 1,
@@ -90,7 +91,7 @@ impl StackDistanceProfiler {
             self.histogram[bucket] += 1;
             Some(pos)
         } else {
-            self.stack.insert(0, block);
+            self.stack.push_front(block);
             self.histogram[5] += 1;
             None
         }
@@ -103,7 +104,7 @@ impl StackDistanceProfiler {
 
     /// Distinct blocks seen.
     pub fn footprint(&self) -> u64 {
-        self.positions.len() as u64
+        self.seen.len() as u64
     }
 }
 
@@ -163,6 +164,48 @@ mod tests {
         let h = p.histogram();
         assert_eq!(h[0], 3); // three near reuses
         assert_eq!(h[5], 2); // two cold touches
+    }
+
+    #[test]
+    fn profiler_matches_a_naive_lru_stack_on_a_random_stream() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // The reference keeps the stack as a plain Vec, most recent first.
+        let mut naive: Vec<u64> = Vec::new();
+        let mut naive_hist = [0u64; 6];
+        let mut p = StackDistanceProfiler::new();
+        let mut rng = SmallRng::seed_from_u64(0x5d);
+        // A hot set, a mid-sized one, and a cyclic sweep: every bucket
+        // fills, the deepest from the sweep.
+        let mut sweep = 0u64;
+        for _ in 0..30_000 {
+            let r: f64 = rng.gen();
+            let block = if r < 0.6 {
+                rng.gen_range(0..64u64)
+            } else if r < 0.75 {
+                rng.gen_range(10_000..11_500u64)
+            } else {
+                sweep += 1;
+                100_000 + sweep % 5_000
+            };
+            let expected = naive.iter().position(|&b| b == block);
+            match expected {
+                Some(pos) => {
+                    naive.remove(pos);
+                    let bucket = [8, 64, 512, 4096]
+                        .iter()
+                        .position(|&hi| pos < hi)
+                        .unwrap_or(4);
+                    naive_hist[bucket] += 1;
+                }
+                None => naive_hist[5] += 1,
+            }
+            naive.insert(0, block);
+            assert_eq!(p.record(block), expected, "block {block}");
+        }
+        assert_eq!(p.histogram(), naive_hist);
+        assert!(naive_hist.iter().all(|&n| n > 0), "{naive_hist:?}");
+        assert_eq!(p.footprint(), naive.len() as u64);
     }
 
     #[test]

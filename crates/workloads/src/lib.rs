@@ -29,7 +29,7 @@ pub mod stream;
 pub mod trace;
 
 pub use analysis::{analyze, StackDistanceProfiler, TraceStats};
-pub use profile::{BuildProfileError, Profile, ProfileBuilder, SpecBenchmark};
+pub use profile::{Profile, SpecBenchmark};
 pub use replay::{RecordedTrace, ReplayTrace};
 pub use stream::{
     record_bench_to_path, record_synthetic, TraceError, TraceMeta, TraceReader, TraceWriter,

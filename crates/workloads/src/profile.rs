@@ -317,156 +317,6 @@ impl Profile {
     }
 }
 
-/// Builder for custom workload profiles (beyond the eight SPEC models).
-///
-/// Starts from an existing profile (default: gzip-like) and lets each
-/// statistical knob be overridden; [`ProfileBuilder::build`] validates the
-/// result.
-///
-/// # Examples
-///
-/// ```
-/// use workloads::profile::{ProfileBuilder, SpecBenchmark};
-///
-/// let streaming = ProfileBuilder::from(SpecBenchmark::Gzip.profile())
-///     .near_reuse(0.5)
-///     .far_reuse(0.02)
-///     .footprint_blocks(2_000_000)
-///     .build()
-///     .unwrap();
-/// assert!(streaming.frac_int_alu() > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ProfileBuilder {
-    profile: Profile,
-}
-
-/// Error from [`ProfileBuilder::build`]: which constraint failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuildProfileError(pub &'static str);
-
-impl std::fmt::Display for BuildProfileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid workload profile: {}", self.0)
-    }
-}
-
-impl std::error::Error for BuildProfileError {}
-
-impl From<Profile> for ProfileBuilder {
-    fn from(profile: Profile) -> Self {
-        Self { profile }
-    }
-}
-
-impl Default for ProfileBuilder {
-    fn default() -> Self {
-        Self::from(SpecBenchmark::Gzip.profile())
-    }
-}
-
-impl ProfileBuilder {
-    /// Starts from the gzip-like baseline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the load fraction.
-    pub fn frac_load(mut self, v: f64) -> Self {
-        self.profile.frac_load = v;
-        self
-    }
-
-    /// Sets the store fraction.
-    pub fn frac_store(mut self, v: f64) -> Self {
-        self.profile.frac_store = v;
-        self
-    }
-
-    /// Sets the branch fraction.
-    pub fn frac_branch(mut self, v: f64) -> Self {
-        self.profile.frac_branch = v;
-        self
-    }
-
-    /// Sets the floating-point fraction.
-    pub fn frac_fp(mut self, v: f64) -> Self {
-        self.profile.frac_fp = v;
-        self
-    }
-
-    /// Sets the near-reuse probability.
-    pub fn near_reuse(mut self, v: f64) -> Self {
-        self.profile.near_reuse = v;
-        self
-    }
-
-    /// Sets the mid-range reuse probability.
-    pub fn mid_reuse(mut self, v: f64) -> Self {
-        self.profile.mid_reuse = v;
-        self
-    }
-
-    /// Sets the far (L2-range) reuse probability.
-    pub fn far_reuse(mut self, v: f64) -> Self {
-        self.profile.far_reuse = v;
-        self
-    }
-
-    /// Sets the working footprint in 64 B blocks.
-    pub fn footprint_blocks(mut self, v: u32) -> Self {
-        self.profile.footprint_blocks = v;
-        self
-    }
-
-    /// Sets the dependency probability and mean distance.
-    pub fn dependencies(mut self, prob: f64, mean: f64) -> Self {
-        self.profile.dep_prob = prob;
-        self.profile.dep_mean = mean;
-        self
-    }
-
-    /// Validates and produces the profile.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error naming the violated constraint: fractions must be
-    /// non-negative, the instruction mix must leave room for ALU ops, the
-    /// reuse mix must sum below 1, and the footprint must be non-trivial.
-    pub fn build(self) -> Result<Profile, BuildProfileError> {
-        let p = self.profile;
-        let fracs = [
-            p.frac_load,
-            p.frac_store,
-            p.frac_branch,
-            p.frac_fp,
-            p.frac_intmul,
-        ];
-        if fracs.iter().any(|f| *f < 0.0 || *f > 1.0) {
-            return Err(BuildProfileError("instruction fractions must be in [0,1]"));
-        }
-        if p.frac_int_alu() <= 0.0 {
-            return Err(BuildProfileError("instruction mix exceeds 100%"));
-        }
-        if p.near_reuse < 0.0 || p.mid_reuse < 0.0 || p.far_reuse < 0.0 {
-            return Err(BuildProfileError("reuse probabilities must be non-negative"));
-        }
-        if p.near_reuse + p.mid_reuse + p.far_reuse >= 1.0 {
-            return Err(BuildProfileError("reuse mix must leave room for cold refs"));
-        }
-        if p.footprint_blocks < 16 {
-            return Err(BuildProfileError("footprint must cover at least 16 blocks"));
-        }
-        if !(0.0..1.0).contains(&p.dep_prob) || p.dep_mean < 1.5 {
-            return Err(BuildProfileError("dependency parameters out of range"));
-        }
-        if p.loop_branch_frac + p.random_branch_frac > 1.0 {
-            return Err(BuildProfileError("branch-site mix exceeds 100%"));
-        }
-        Ok(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,36 +364,6 @@ mod tests {
         let mesa = SpecBenchmark::Mesa.profile();
         assert!(mesa.near_reuse >= 0.94);
         assert!(mesa.footprint_blocks <= 40_000);
-    }
-
-    #[test]
-    fn builder_round_trips_valid_profiles() {
-        for b in SpecBenchmark::ALL {
-            let rebuilt = ProfileBuilder::from(b.profile()).build().unwrap();
-            assert_eq!(rebuilt, b.profile());
-        }
-    }
-
-    #[test]
-    fn builder_rejects_bad_mixes() {
-        assert!(ProfileBuilder::new().frac_load(0.9).frac_fp(0.3).build().is_err());
-        assert!(ProfileBuilder::new().near_reuse(0.95).mid_reuse(0.1).build().is_err());
-        assert!(ProfileBuilder::new().footprint_blocks(2).build().is_err());
-        assert!(ProfileBuilder::new().dependencies(1.5, 4.0).build().is_err());
-        let err = ProfileBuilder::new().frac_load(-0.1).build().unwrap_err();
-        assert!(err.to_string().contains("fractions"));
-    }
-
-    #[test]
-    fn builder_customization_sticks() {
-        let p = ProfileBuilder::new()
-            .near_reuse(0.5)
-            .far_reuse(0.05)
-            .footprint_blocks(1_000_000)
-            .build()
-            .unwrap();
-        assert_eq!(p.near_reuse, 0.5);
-        assert_eq!(p.footprint_blocks, 1_000_000);
     }
 
     #[test]

@@ -3,83 +3,61 @@
 //! A campaign evaluates the *same* benchmark stream under many cache
 //! configurations: the synthetic stream depends only on `(profile, seed)`,
 //! never on the cache, so regenerating it per scheme run is pure waste.
-//! [`RecordedTrace`] materializes a bounded instruction prefix once;
-//! [`ReplayTrace`] is a cheap cursor over that shared read-only buffer,
-//! yielding a stream bit-identical to a fresh [`SyntheticTrace`] with the
-//! same `(profile, seed)`.
+//! Neither are the branch predictor, the ITLB or the I-cache, which are
+//! fed in trace order (see [`uarch::front`]). [`RecordedTrace`] runs the
+//! generator and the front end once and keeps the 16-byte [`Fetched`]
+//! records the pipeline consumes; [`ReplayTrace`] is a cheap cursor over
+//! that shared read-only buffer, yielding exactly the records a fresh
+//! [`FrontEnd`] over a fresh [`SyntheticTrace`] with the same
+//! `(profile, seed)` would.
 
 use crate::profile::Profile;
 use crate::trace::SyntheticTrace;
-use uarch::instr::{Instruction, TraceSource};
+use uarch::front::{FetchSource, Fetched, FrontEnd};
 
-/// A materialized instruction prefix of one benchmark's synthetic stream.
+/// A fetched prefix of one benchmark's synthetic stream.
 ///
-/// Recording is the only part that pays the generator cost (RNG, LRU-stack
-/// surgery); every [`RecordedTrace::replay`] afterwards is an allocation-free
-/// slice walk, safe to share read-only across threads.
+/// Recording is the only part that pays the generator and front-end cost
+/// (RNG, LRU-stack surgery, predictor, ITLB and I-cache); every
+/// [`RecordedTrace::replay`] afterwards is an allocation-free slice walk,
+/// safe to share read-only across threads.
 #[derive(Debug, Clone)]
 pub struct RecordedTrace {
-    instrs: Vec<Instruction>,
-    icache_miss_rate: f64,
+    records: Vec<Fetched>,
 }
 
 impl RecordedTrace {
     /// Records the first `len` instructions of `SyntheticTrace::new(profile,
-    /// seed)`.
+    /// seed)` as fetched by a cold [`FrontEnd`] at the profile's I-cache
+    /// miss rate.
     ///
     /// Size `len` to the consumer: a warmed pipeline run fetches at most
     /// `warmup + instructions` committed instructions plus the in-flight
     /// tail bounded by the ROB (see [`ReplayTrace`]'s exhaustion panic).
     pub fn record(profile: Profile, seed: u64, len: u64) -> Self {
         let mut src = SyntheticTrace::new(profile, seed);
-        let icache_miss_rate = src.icache_miss_rate();
-        let instrs = (0..len).map(|_| src.next_instr()).collect();
-        Self {
-            instrs,
-            icache_miss_rate,
-        }
+        let mut front = FrontEnd::new(&mut src, profile.icache_miss_rate);
+        let records = (0..len).map(|_| front.next_fetched()).collect();
+        Self { records }
     }
 
     /// Number of recorded instructions.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.records.len()
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-
-    /// The profile's I-cache miss rate (pass to the pipeline, exactly as
-    /// with [`SyntheticTrace::icache_miss_rate`]).
-    pub fn icache_miss_rate(&self) -> f64 {
-        self.icache_miss_rate
+        self.records.is_empty()
     }
 
     /// A fresh cursor over the recorded stream, starting at instruction 0.
+    /// Feed it to a fresh pipeline: the records' dependency distances
+    /// count from the stream's start.
     pub fn replay(&self) -> ReplayTrace<'_> {
-        self.replay_from(0)
-    }
-
-    /// A cursor resuming at `pos` instructions consumed — the checkpoint
-    /// counterpart of [`ReplayTrace::consumed`]. A cancelled consumer
-    /// persists `consumed()`, and `replay_from(consumed)` continues the
-    /// stream exactly where it stopped, so trace replay composes with the
-    /// campaign checkpoint/resume machinery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` exceeds the recording's length (a stale or foreign
-    /// checkpoint — resuming there would silently skip instructions).
-    pub fn replay_from(&self, pos: usize) -> ReplayTrace<'_> {
-        assert!(
-            pos <= self.instrs.len(),
-            "resume position {pos} beyond recording length {}",
-            self.instrs.len()
-        );
         ReplayTrace {
-            instrs: &self.instrs,
-            pos,
+            records: &self.records,
+            pos: 0,
         }
     }
 }
@@ -88,40 +66,27 @@ impl RecordedTrace {
 ///
 /// # Panics
 ///
-/// [`TraceSource::next_instr`] panics if the recording is exhausted — a
+/// [`FetchSource::next_fetched`] panics if the recording is exhausted — a
 /// silent wrap or synthetic refill would desynchronize results from the
 /// un-recorded stream, so running off the end is a hard configuration error
 /// (record a longer prefix).
 #[derive(Debug, Clone)]
 pub struct ReplayTrace<'a> {
-    instrs: &'a [Instruction],
+    records: &'a [Fetched],
     pos: usize,
 }
 
-impl ReplayTrace<'_> {
-    /// Instructions consumed so far — persist this to resume the stream
-    /// later via [`RecordedTrace::replay_from`].
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
-    /// Instructions left before the cursor exhausts the recording.
-    pub fn remaining(&self) -> usize {
-        self.instrs.len() - self.pos
-    }
-}
-
-impl TraceSource for ReplayTrace<'_> {
-    fn next_instr(&mut self) -> Instruction {
-        let i = *self.instrs.get(self.pos).unwrap_or_else(|| {
+impl FetchSource for ReplayTrace<'_> {
+    fn next_fetched(&mut self) -> Fetched {
+        let f = *self.records.get(self.pos).unwrap_or_else(|| {
             panic!(
                 "ReplayTrace exhausted after {} instructions; record a longer \
                  prefix (warmup + instructions + in-flight slack)",
-                self.instrs.len()
+                self.records.len()
             )
         });
         self.pos += 1;
-        i
+        f
     }
 }
 
@@ -131,16 +96,16 @@ mod tests {
     use crate::profile::SpecBenchmark;
 
     #[test]
-    fn replay_is_bit_identical_to_fresh_generation() {
+    fn replay_is_bit_identical_to_a_fresh_front_end() {
         let profile = SpecBenchmark::Gcc.profile();
         let recorded = RecordedTrace::record(profile, 1234, 5_000);
         let mut fresh = SyntheticTrace::new(profile, 1234);
+        let mut front = FrontEnd::new(&mut fresh, profile.icache_miss_rate);
         let mut replay = recorded.replay();
         for i in 0..5_000 {
-            assert_eq!(replay.next_instr(), fresh.next_instr(), "instr {i}");
+            assert_eq!(replay.next_fetched(), front.next_fetched(), "instr {i}");
         }
-        assert_eq!(replay.consumed(), 5_000);
-        assert_eq!(recorded.icache_miss_rate(), fresh.icache_miss_rate());
+        assert_eq!(recorded.len(), 5_000);
     }
 
     #[test]
@@ -148,44 +113,9 @@ mod tests {
         let recorded = RecordedTrace::record(SpecBenchmark::Mcf.profile(), 9, 100);
         let mut a = recorded.replay();
         let mut b = recorded.replay();
-        let first = a.next_instr();
-        let _ = a.next_instr();
-        assert_eq!(b.next_instr(), first, "cursors must not share position");
-    }
-
-    #[test]
-    fn cancel_mid_replay_resumes_bit_identically() {
-        // A consumer cancelled mid-stream persists `consumed()` (the way
-        // a campaign unit checkpoint would) and resumes from it; the
-        // stitched stream must equal an uninterrupted replay.
-        let recorded = RecordedTrace::record(SpecBenchmark::Twolf.profile(), 77, 2_000);
-        let full: Vec<Instruction> = {
-            let mut r = recorded.replay();
-            (0..2_000).map(|_| r.next_instr()).collect()
-        };
-        let mut cursor = recorded.replay();
-        let mut stitched = Vec::new();
-        // Cancel at three arbitrary points, dropping the cursor each time.
-        for stop in [313usize, 1_024, 1_999] {
-            while cursor.consumed() < stop {
-                stitched.push(cursor.next_instr());
-            }
-            let checkpoint = cursor.consumed();
-            cursor = recorded.replay_from(checkpoint);
-            assert_eq!(cursor.consumed(), checkpoint);
-            assert_eq!(cursor.remaining(), 2_000 - checkpoint);
-        }
-        while cursor.remaining() > 0 {
-            stitched.push(cursor.next_instr());
-        }
-        assert_eq!(stitched, full);
-    }
-
-    #[test]
-    #[should_panic(expected = "resume position 11 beyond recording length 10")]
-    fn resume_past_end_panics() {
-        let recorded = RecordedTrace::record(SpecBenchmark::Gzip.profile(), 1, 10);
-        let _ = recorded.replay_from(11);
+        let first = a.next_fetched();
+        let _ = a.next_fetched();
+        assert_eq!(b.next_fetched(), first, "cursors must not share position");
     }
 
     #[test]
@@ -194,7 +124,7 @@ mod tests {
         let recorded = RecordedTrace::record(SpecBenchmark::Gzip.profile(), 1, 10);
         let mut r = recorded.replay();
         for _ in 0..11 {
-            let _ = r.next_instr();
+            let _ = r.next_fetched();
         }
     }
 }

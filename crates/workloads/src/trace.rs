@@ -21,6 +21,7 @@
 use crate::profile::Profile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use uarch::instr::{Instruction, OpClass, TraceSource};
 
 const LOOP_SITES: usize = 16;
@@ -46,7 +47,9 @@ pub struct SyntheticTrace {
     profile: Profile,
     rng: SmallRng,
     /// Exact LRU stack of block ids for near/mid reuse, most recent first.
-    stack: Vec<u32>,
+    /// A reuse removes one entry (O(depth)); the touched block returns at
+    /// the front and an overflow leaves at the back, both O(1).
+    stack: VecDeque<u32>,
     stack_cap: usize,
     /// Ring of blocks that left the near stack (L2-resident working set).
     far_ring: Vec<u32>,
@@ -64,6 +67,10 @@ pub struct SyntheticTrace {
     /// Probability that a taken branch jumps to a far code block (drives
     /// the organic I-cache miss rate; derived from the profile).
     far_jump_prob: f64,
+    /// `ln(1 − p)` of the geometric near-reuse depth and dependency
+    /// distance draws (see [`SyntheticTrace::sample_geometric`]).
+    ln_near: f64,
+    ln_dep: f64,
 }
 
 impl SyntheticTrace {
@@ -108,7 +115,7 @@ impl SyntheticTrace {
         // way the paper's SimPoint windows do: the near stack and the far
         // ring hold an established working set rather than starting cold.
         let warm = stack_cap.min(profile.footprint_blocks as usize);
-        let stack: Vec<u32> = (0..warm as u32).collect();
+        let stack: VecDeque<u32> = (0..warm as u32).collect();
         let ring_fill = FAR_RING.min(profile.footprint_blocks as usize);
         let far_ring: Vec<u32> = (0..ring_fill as u32)
             .map(|i| (warm as u32).wrapping_add(i) % profile.footprint_blocks)
@@ -133,6 +140,8 @@ impl SyntheticTrace {
             pattern_pos: 0,
             cur_pc: CODE_BASE,
             far_jump_prob,
+            ln_near: Self::geometric_log(profile.near_mean),
+            ln_dep: Self::geometric_log(profile.dep_mean - 1.0),
         }
     }
 
@@ -152,15 +161,22 @@ impl SyntheticTrace {
         &self.profile
     }
 
-    /// The profile's I-cache miss rate (pass to the pipeline).
+    /// The profile's I-cache miss rate (pass to [`uarch::FrontEnd::new`]).
     pub fn icache_miss_rate(&self) -> f64 {
         self.profile.icache_miss_rate
     }
 
-    fn sample_geometric(&mut self, mean: f64) -> u32 {
+    /// `ln(1 − p)` for a geometric draw with the given mean, where
+    /// `p = 1 / (mean + 1)`.
+    fn geometric_log(mean: f64) -> f64 {
         let p = 1.0 / (mean + 1.0);
+        (1.0 - p).ln()
+    }
+
+    /// A geometric draw whose `ln(1 − p)` is `ln_q`.
+    fn sample_geometric(&mut self, ln_q: f64) -> u32 {
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        (u.ln() / (1.0 - p).ln()) as u32
+        (u.ln() / ln_q) as u32
     }
 
     fn push_far(&mut self, block: u32) {
@@ -180,13 +196,13 @@ impl SyntheticTrace {
         let far_hi = mid_hi + p.far_reuse;
 
         let block = if r < near_hi && !self.stack.is_empty() {
-            let d = self.sample_geometric(p.near_mean) as usize;
+            let d = self.sample_geometric(self.ln_near) as usize;
             let d = d.min(self.stack.len() - 1);
-            self.stack.remove(d)
+            self.stack.remove(d).expect("depth within the stack")
         } else if r < mid_hi && !self.stack.is_empty() {
             let range = (p.mid_range as usize).min(self.stack.len());
             let d = self.rng.gen_range(0..range);
-            self.stack.remove(d)
+            self.stack.remove(d).expect("depth within the stack")
         } else if r < far_hi && !self.far_ring.is_empty() {
             // Far reuse: an older block still within L2 reach. No stack
             // surgery needed — it re-enters the near stack below.
@@ -198,9 +214,9 @@ impl SyntheticTrace {
             self.next_cold_block = (self.next_cold_block + 1) % p.footprint_blocks;
             b
         };
-        self.stack.insert(0, block);
+        self.stack.push_front(block);
         if self.stack.len() > self.stack_cap {
-            if let Some(evicted) = self.stack.pop() {
+            if let Some(evicted) = self.stack.pop_back() {
                 self.push_far(evicted);
             }
         }
@@ -214,7 +230,7 @@ impl SyntheticTrace {
 
     fn dep(&mut self) -> Option<u32> {
         if self.rng.gen::<f64>() < self.profile.dep_prob {
-            let d = 1 + self.sample_geometric(self.profile.dep_mean - 1.0);
+            let d = 1 + self.sample_geometric(self.ln_dep);
             Some(d.min(64))
         } else {
             None
