@@ -148,14 +148,7 @@ pub fn regfile(scale: &RunScale) -> StageOutput {
     for bench in SpecBenchmark::ALL {
         let mut trace = SyntheticTrace::new(bench.profile(), 23);
         let mut cache = DataCache::ideal();
-        let icache = trace.icache_miss_rate();
-        let (r, _) = simulate_warmed(
-            &mut trace,
-            &mut cache,
-            scale.warmup,
-            scale.instructions,
-            icache,
-        );
+        let (r, _) = simulate_warmed(&mut trace, &mut cache, scale.warmup, scale.instructions);
         for (h, v) in hist.iter_mut().zip(r.value_age_hist.iter()) {
             *h += v;
         }

@@ -39,14 +39,8 @@ pub fn fig01(scale: &RunScale) -> StageOutput {
     for bench in SpecBenchmark::ALL {
         let mut trace = SyntheticTrace::new(bench.profile(), 1);
         let mut cache = DataCache::ideal();
-        let icache = trace.icache_miss_rate();
-        let (_, stats) = simulate_warmed(
-            &mut trace,
-            &mut cache,
-            scale.warmup,
-            scale.instructions * 2,
-            icache,
-        );
+        let (_, stats) =
+            simulate_warmed(&mut trace, &mut cache, scale.warmup, scale.instructions * 2);
         let cdf = stats.hit_age_cdf();
         let at = |cycles: u64| -> f64 {
             cdf.iter()
@@ -126,14 +120,7 @@ pub fn workload_report(scale: &RunScale) -> StageOutput {
 
         let mut trace = SyntheticTrace::new(bench.profile(), 11);
         let mut cache = DataCache::ideal();
-        let icache = trace.icache_miss_rate();
-        let (r, cs) = simulate_warmed(
-            &mut trace,
-            &mut cache,
-            scale.warmup,
-            scale.instructions,
-            icache,
-        );
+        let (r, cs) = simulate_warmed(&mut trace, &mut cache, scale.warmup, scale.instructions);
         let _ = writeln!(
             out.text,
             "{:<8} {:>5.1}% {:>5.1}% {:>5.1}% {:>8} {:>6.1}% {:>6.2}% {:>7.3} {:>7.2}% {:>7.2}% {:>8.2} {:>8.3} {:>7.2}",

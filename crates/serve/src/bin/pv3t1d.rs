@@ -664,7 +664,6 @@ fn cmd_trace(cli: &Cli) -> Result<ExitCode, String> {
             println!("file:             {}", file.display());
             println!("name:             {}", r.meta().name);
             println!("seed:             {}", r.meta().seed);
-            println!("icache miss rate: {:.6}", r.icache_miss_rate());
             println!("records:          {}", r.total_records());
             println!("bytes:            {bytes}");
             Ok(ExitCode::SUCCESS)

@@ -1,6 +1,7 @@
 //! Subprocess tests of the `pv3t1d` CLI surface that predates the
-//! daemon: run/plan/gc/ls round trips, failure exit codes, and usage
-//! errors. The daemon endpoints are covered in `serve_e2e.rs`.
+//! daemon: run/plan/gc/ls round trips, trace record/info and validate,
+//! failure exit codes, and usage errors. The daemon endpoints are covered
+//! in `serve_e2e.rs`.
 
 use obs::Json;
 use std::path::PathBuf;
@@ -196,4 +197,51 @@ fn cli_usage_errors_exit_two() {
     }
     let help = pv3t1d().arg("help").output().unwrap();
     assert!(help.status.success());
+}
+
+#[test]
+fn cli_trace_info_and_validate_reject_damaged_files_cleanly() {
+    let dir = temp_results("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("gcc.pvtrace");
+    let trace_arg = trace.to_str().unwrap();
+    let out = pv3t1d()
+        .args(["trace", "record", "gcc", trace_arg, "--seed", "7", "--len", "20000"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    let out = pv3t1d().args(["trace", "info", trace_arg]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let info = String::from_utf8(out.stdout).unwrap();
+    for line in ["name:             gcc", "seed:             7", "records:          20000"] {
+        assert!(info.lines().any(|l| l == line), "missing {line:?} in\n{info}");
+    }
+    assert!(!info.contains("rate"), "{info}");
+
+    let out = pv3t1d().args(["validate", trace_arg]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // Half the file, and the whole file with one byte flipped inside
+    // chunk 0's payload (chunk 0 starts a few dozen bytes in).
+    let bytes = std::fs::read(&trace).unwrap();
+    let truncated = dir.join("truncated.pvtrace");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    let mut damaged = bytes.clone();
+    damaged[200] ^= 0x40;
+    let flipped = dir.join("flipped.pvtrace");
+    std::fs::write(&flipped, &damaged).unwrap();
+    for (path, reason) in [
+        (&truncated, "truncated trace: header promises 20000 records"),
+        (&flipped, "corrupt chunk 0: checksum mismatch"),
+    ] {
+        let out = pv3t1d().args(["validate", path.to_str().unwrap()]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error:") && l.contains(reason)),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,8 +21,8 @@ pub struct MachineConfig {
     pub fp_units: u32,
     /// Fetch-redirect penalty after a resolved misprediction (cycles).
     pub redirect_penalty: u32,
-    /// Instruction-cache miss penalty (cycles); misses are injected by the
-    /// workload's icache miss rate.
+    /// Instruction-cache miss penalty (cycles), charged when a fetch
+    /// block misses the front end's 64 KB L1I.
     pub icache_miss_penalty: u32,
     /// Pipeline recovery cost when a load hits an expired/dead cache line
     /// (the scheduler speculated a hit; dependents replay and the pipeline

@@ -34,27 +34,21 @@ pub struct Fetched {
     pub dep2: u16,
     /// Functional class.
     pub op: OpClass,
-    /// Outcome bits: [`Fetched::BRANCH`], [`Fetched::MISPREDICTED`],
-    /// [`Fetched::ITLB_MISS`], [`Fetched::ICACHE_MISS`] and
-    /// [`Fetched::STALL_NEXT`].
+    /// Outcome bits: [`Fetched::MISPREDICTED`], [`Fetched::ITLB_MISS`]
+    /// and [`Fetched::ICACHE_MISS`].
     pub flags: u8,
 }
 
 const _: () = assert!(std::mem::size_of::<Fetched>() <= 16);
 
 impl Fetched {
-    /// The instruction is a branch.
-    pub const BRANCH: u8 = 1;
     /// The predictor got the branch wrong: dispatch waits for it to
     /// resolve.
-    pub const MISPREDICTED: u8 = 1 << 1;
+    pub const MISPREDICTED: u8 = 1;
     /// Fetching it crossed into a page the ITLB missed.
-    pub const ITLB_MISS: u8 = 1 << 2;
+    pub const ITLB_MISS: u8 = 1 << 1;
     /// Fetching it crossed into a block the L1I missed.
-    pub const ICACHE_MISS: u8 = 1 << 3;
-    /// An injected I-cache miss stalls fetch before the next instruction
-    /// (the fallback for instructions without a PC).
-    pub const STALL_NEXT: u8 = 1 << 4;
+    pub const ICACHE_MISS: u8 = 1 << 2;
 
     /// Whether every bit of `flag` is set.
     #[inline]
@@ -82,40 +76,20 @@ pub struct FrontEnd<'a, T: ?Sized> {
     icache: TagCache,
     itlb: Tlb,
     last_fetch_block: u64,
-    /// Instructions without a PC between injected I-cache misses.
-    icache_interval: u64,
-    icache_countdown: u64,
     /// Instructions fetched so far (the next one's sequence number).
     fetched: u64,
 }
 
 impl<'a, T: TraceSource + ?Sized> FrontEnd<'a, T> {
     /// A cold front end over `trace`. Instructions that carry a PC go
-    /// through the real ITLB and L1I; those without one draw injected
-    /// I-cache misses at `icache_miss_rate` misses per instruction (0
-    /// disables injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `icache_miss_rate` is outside `[0, 1)`.
-    pub fn new(trace: &'a mut T, icache_miss_rate: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&icache_miss_rate),
-            "icache miss rate out of range"
-        );
-        let interval = if icache_miss_rate <= 0.0 {
-            u64::MAX
-        } else {
-            (1.0 / icache_miss_rate).round() as u64
-        };
+    /// through the ITLB and the L1I; those without one (PC 0) skip both.
+    pub fn new(trace: &'a mut T) -> Self {
         Self {
             trace,
             bpred: TournamentPredictor::new(),
             icache: TagCache::new(Geometry::new(64 * 1024, 64, 4)),
             itlb: Tlb::new(128, 13),
             last_fetch_block: u64::MAX,
-            icache_interval: interval,
-            icache_countdown: interval,
             fetched: 0,
         }
     }
@@ -139,18 +113,9 @@ impl<T: TraceSource + ?Sized> FetchSource for FrontEnd<'_, T> {
                     flags |= Fetched::ICACHE_MISS;
                 }
             }
-        } else {
-            self.icache_countdown = self.icache_countdown.saturating_sub(1);
-            if self.icache_countdown == 0 {
-                self.icache_countdown = self.icache_interval;
-                flags |= Fetched::STALL_NEXT;
-            }
         }
-        if let Some(b) = instr.branch {
-            flags |= Fetched::BRANCH;
-            if !self.bpred.predict_and_update(b.pc, b.taken) {
-                flags |= Fetched::MISPREDICTED;
-            }
+        if instr.op == OpClass::Branch && !self.bpred.predict_and_update(instr.pc, instr.taken) {
+            flags |= Fetched::MISPREDICTED;
         }
         let horizon = seq.min(COMMIT_RING as u64);
         let dep = |d: Option<u32>| match d {
@@ -179,7 +144,7 @@ mod tests {
             i += 1;
             Instruction::int_alu().with_src1(3).with_src2(i.min(600))
         };
-        let mut front = FrontEnd::new(&mut src, 0.0);
+        let mut front = FrontEnd::new(&mut src);
         let deps: Vec<(u16, u16)> = (0..600)
             .map(|_| front.next_fetched())
             .map(|f| (f.dep1, f.dep2))
@@ -195,20 +160,9 @@ mod tests {
             j += 1;
             Instruction::int_alu().with_src1(j.min(512))
         };
-        let mut front = FrontEnd::new(&mut near, 0.0);
+        let mut front = FrontEnd::new(&mut near);
         let last = (0..600).map(|_| front.next_fetched()).last().unwrap();
         assert_eq!(last.dep1, 512);
-    }
-
-    #[test]
-    fn injected_misses_fall_every_interval_instructions_without_a_pc() {
-        let mut src = Instruction::int_alu;
-        let mut front = FrontEnd::new(&mut src, 0.25);
-        let stalls: Vec<bool> = (0..12)
-            .map(|_| front.next_fetched().has(Fetched::STALL_NEXT))
-            .collect();
-        let every_fourth: Vec<bool> = (1..=12).map(|n| n % 4 == 0).collect();
-        assert_eq!(stalls, every_fourth);
     }
 
     #[test]
@@ -218,7 +172,7 @@ mod tests {
             pc += 4;
             Instruction::int_alu().at_pc(pc)
         };
-        let mut front = FrontEnd::new(&mut src, 0.0);
+        let mut front = FrontEnd::new(&mut src);
         let misses = (0..64)
             .filter(|_| front.next_fetched().has(Fetched::ICACHE_MISS))
             .count();
@@ -229,10 +183,10 @@ mod tests {
     #[test]
     fn branch_outcomes_train_the_predictor() {
         let mut src = || Instruction::branch(0x400, true);
-        let mut front = FrontEnd::new(&mut src, 0.0);
+        let mut front = FrontEnd::new(&mut src);
         let mispredicted = (0..200)
             .map(|_| front.next_fetched())
-            .inspect(|f| assert!(f.has(Fetched::BRANCH)))
+            .inspect(|f| assert_eq!(f.op, OpClass::Branch))
             .filter(|f| f.has(Fetched::MISPREDICTED))
             .count();
         assert!(mispredicted < 20, "{mispredicted}");

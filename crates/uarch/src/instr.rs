@@ -45,22 +45,14 @@ impl OpClass {
     }
 }
 
-/// Branch metadata carried by [`OpClass::Branch`] instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchInfo {
-    /// The static branch's program counter (identifies the predictor entry).
-    pub pc: u64,
-    /// The actual outcome.
-    pub taken: bool,
-}
-
 /// One dynamic instruction of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instruction {
     /// Functional class.
     pub op: OpClass,
-    /// Program counter (0 = unknown: the pipeline then falls back to the
-    /// stochastic I-cache model instead of the real one).
+    /// Program counter. It feeds the ITLB and the L1I, and for a branch it
+    /// names the predictor entry. 0 = unknown: the fetch then skips the
+    /// ITLB and the L1I.
     pub pc: u64,
     /// Distance (in dynamic instructions) back to the first operand's
     /// producer, if any.
@@ -69,9 +61,11 @@ pub struct Instruction {
     pub src2: Option<u32>,
     /// Byte address for loads/stores.
     pub addr: Option<u64>,
-    /// Branch metadata for branches.
-    pub branch: Option<BranchInfo>,
+    /// A branch's actual outcome (false for other ops).
+    pub taken: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<Instruction>() <= 48);
 
 impl Instruction {
     /// An independent single-cycle integer op.
@@ -82,7 +76,7 @@ impl Instruction {
             src1: None,
             src2: None,
             addr: None,
-            branch: None,
+            taken: false,
         }
     }
 
@@ -94,7 +88,7 @@ impl Instruction {
             src1: dist,
             src2: None,
             addr: Some(addr),
-            branch: None,
+            taken: false,
         }
     }
 
@@ -106,7 +100,7 @@ impl Instruction {
             src1: dist,
             src2: None,
             addr: Some(addr),
-            branch: None,
+            taken: false,
         }
     }
 
@@ -118,7 +112,7 @@ impl Instruction {
             src1: None,
             src2: None,
             addr: None,
-            branch: Some(BranchInfo { pc, taken }),
+            taken,
         }
     }
 
@@ -134,7 +128,7 @@ impl Instruction {
         self
     }
 
-    /// Sets the program counter (enables the real I-cache/ITLB model).
+    /// Sets the program counter (enables the ITLB and L1I models).
     pub fn at_pc(mut self, pc: u64) -> Self {
         self.pc = pc;
         self
@@ -177,7 +171,7 @@ mod tests {
         assert_eq!(i.src1, Some(3));
         assert_eq!(i.src2, Some(5));
         let b = Instruction::branch(0x1000, true);
-        assert!(b.branch.unwrap().taken);
+        assert!(b.taken);
     }
 
     #[test]

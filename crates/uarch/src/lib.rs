@@ -22,7 +22,7 @@
 //!
 //! let mut cache = DataCache::ideal();
 //! let mut trace = || Instruction::int_alu();
-//! let result = simulate(&mut trace, &mut cache, 10_000, 0.0);
+//! let result = simulate(&mut trace, &mut cache, 10_000);
 //! assert!(result.ipc() > 3.0);
 //! ```
 
@@ -39,5 +39,5 @@ pub mod tlb;
 
 pub use config::MachineConfig;
 pub use front::{FetchSource, Fetched, FrontEnd};
-pub use instr::{BranchInfo, Instruction, OpClass, TraceSource};
+pub use instr::{Instruction, OpClass, TraceSource};
 pub use sim::{simulate, Pipeline, SimResult};

@@ -16,9 +16,8 @@
 //!   dispatch until the branch resolves, plus a redirect penalty;
 //! * stores access the cache at execute; memory disambiguation and
 //!   store-to-load forwarding are not modeled;
-//! * an I-cache or ITLB miss stalls fetch for the machine's penalty; for
-//!   traces without PCs the front end injects I-cache misses at a
-//!   per-workload rate instead.
+//! * an I-cache or ITLB miss stalls fetch for the machine's penalty;
+//!   instructions without a PC skip both.
 //!
 //! The cycle loop (commit, issue, dispatch) is built so most cycles cost
 //! nothing:
@@ -250,9 +249,6 @@ pub struct Pipeline {
     fetch_blocked_until: u64,
     /// Dispatch is stalled until this branch seq resolves (misprediction).
     pending_redirect: Option<u64>,
-    /// The last dispatched record asked for an injected I-cache miss
-    /// before the next one ([`Fetched::STALL_NEXT`]).
-    icache_stall_pending: bool,
     result: SimResult,
     cycle: u64,
     dtlb: Tlb,
@@ -280,7 +276,6 @@ impl Pipeline {
             committed_ring: vec![0; COMMIT_RING],
             fetch_blocked_until: 0,
             pending_redirect: None,
-            icache_stall_pending: false,
             result: SimResult::default(),
             cycle: 0,
             dtlb: Tlb::paper_dtlb(),
@@ -372,8 +367,7 @@ impl Pipeline {
             &mut self.result.dispatch_blocked_cycles
         } else if self.rob_len() >= self.cfg.rob_entries as u64 {
             &mut self.result.rob_full_stalls
-        } else if !self.icache_stall_pending
-            && self.int_iq_occ >= self.cfg.int_iq_entries
+        } else if self.int_iq_occ >= self.cfg.int_iq_entries
             && self.fp_iq_occ >= self.cfg.fp_iq_entries
         {
             &mut self.result.iq_full_stalls
@@ -693,15 +687,6 @@ impl Pipeline {
                 break;
             }
 
-            // Injected I-cache miss before fetching the next instruction
-            // (stochastic fallback, used only for PC-less traces).
-            if self.icache_stall_pending {
-                self.icache_stall_pending = false;
-                self.fetch_blocked_until = cycle + self.cfg.icache_miss_penalty as u64;
-                self.result.icache_stall_cycles += self.cfg.icache_miss_penalty as u64;
-                break;
-            }
-
             // Peek capacity for the worst case before consuming the trace.
             if self.int_iq_occ >= self.cfg.int_iq_entries
                 && self.fp_iq_occ >= self.cfg.fp_iq_entries
@@ -737,10 +722,7 @@ impl Pipeline {
                 self.fetch_blocked_until = cycle + stall;
                 self.result.icache_stall_cycles += stall;
             }
-            if f.has(Fetched::STALL_NEXT) {
-                self.icache_stall_pending = true;
-            }
-            if f.has(Fetched::BRANCH) {
+            if f.op == OpClass::Branch {
                 self.result.branches += 1;
                 if f.has(Fetched::MISPREDICTED) {
                     self.result.mispredictions += 1;
@@ -780,15 +762,13 @@ impl Pipeline {
 }
 
 /// Convenience: run a fresh Table 2 pipeline and front end over a trace
-/// and cache. `icache_miss_rate` injects I-cache misses for instructions
-/// without a PC (see [`FrontEnd::new`]).
+/// and cache.
 pub fn simulate<T: TraceSource + ?Sized>(
     trace: &mut T,
     cache: &mut DataCache,
     instructions: u64,
-    icache_miss_rate: f64,
 ) -> SimResult {
-    let mut front = FrontEnd::new(trace, icache_miss_rate);
+    let mut front = FrontEnd::new(trace);
     Pipeline::new(MachineConfig::TABLE2).run(&mut front, cache, instructions)
 }
 
@@ -801,9 +781,8 @@ pub fn simulate_warmed<T: TraceSource + ?Sized>(
     cache: &mut DataCache,
     warmup: u64,
     instructions: u64,
-    icache_miss_rate: f64,
 ) -> (SimResult, cachesim::CacheStats) {
-    let mut front = FrontEnd::new(trace, icache_miss_rate);
+    let mut front = FrontEnd::new(trace);
     simulate_warmed_with(MachineConfig::TABLE2, &mut front, cache, warmup, instructions)
 }
 
@@ -838,7 +817,7 @@ mod tests {
             i += 1;
             instr
         };
-        let r = simulate(&mut src, &mut cache, n, 0.0);
+        let r = simulate(&mut src, &mut cache, n);
         (r, cache)
     }
 
@@ -872,7 +851,7 @@ mod tests {
                 src1: Some(1),
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             },
             5_000,
         );
@@ -889,7 +868,7 @@ mod tests {
                 src1: None,
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             },
             20_000,
         );
@@ -932,14 +911,51 @@ mod tests {
         assert!(biased.ipc() > random.ipc() * 1.5);
     }
 
+    /// Counts the I-side misses of the records the pipeline fetches.
+    struct MissTally<F> {
+        fetch: F,
+        icache: u64,
+        itlb: u64,
+    }
+
+    impl<F: FetchSource> FetchSource for MissTally<F> {
+        fn next_fetched(&mut self) -> Fetched {
+            let f = self.fetch.next_fetched();
+            self.icache += f.has(Fetched::ICACHE_MISS) as u64;
+            self.itlb += f.has(Fetched::ITLB_MISS) as u64;
+            f
+        }
+    }
+
     #[test]
     fn icache_misses_add_stalls() {
-        let mut cache = DataCache::ideal();
-        let r = simulate(&mut Instruction::int_alu, &mut cache, 20_000, 0.01);
-        assert!(r.icache_stall_cycles > 0);
-        let mut cache2 = DataCache::ideal();
-        let r2 = simulate(&mut Instruction::int_alu, &mut cache2, 20_000, 0.0);
-        assert!(r.ipc() < r2.ipc());
+        // Sixteen instructions per 64 B fetch block; every block is new,
+        // and every fourth one opens a new 8 KB page.
+        let mut i = 0u64;
+        let mut streaming = || {
+            let block = i / 16;
+            let pc = 0x10_000 + block * 64 + (block / 4) * 8192 + (i % 16) * 4;
+            i += 1;
+            Instruction::int_alu().at_pc(pc)
+        };
+        let mut tally = MissTally {
+            fetch: FrontEnd::new(&mut streaming),
+            icache: 0,
+            itlb: 0,
+        };
+        let r =
+            Pipeline::new(MachineConfig::TABLE2).run(&mut tally, &mut DataCache::ideal(), 20_000);
+        assert!(tally.icache > 1_000 && tally.itlb > 250, "{} {}", tally.icache, tally.itlb);
+        assert_eq!(r.icache_stall_cycles, 12 * tally.icache + 20 * tally.itlb);
+
+        let mut j = 0u64;
+        let mut one_block = || {
+            j += 1;
+            Instruction::int_alu().at_pc(0x10_000 + (j % 16) * 4)
+        };
+        let warm = simulate(&mut one_block, &mut DataCache::ideal(), 20_000);
+        assert_eq!(warm.icache_stall_cycles, 12 + 20, "one cold block, one cold page");
+        assert!(r.ipc() < warm.ipc(), "{} vs {}", r.ipc(), warm.ipc());
     }
 
     #[test]
@@ -1005,7 +1021,7 @@ mod tests {
                 src1: Some(1),
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             },
             20_000,
         );

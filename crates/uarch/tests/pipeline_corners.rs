@@ -25,7 +25,7 @@ fn rob_limits_inflight_window() {
         }
     };
     let mut cache = ideal();
-    let r = simulate(&mut src, &mut cache, 20_000, 0.0);
+    let r = simulate(&mut src, &mut cache, 20_000);
     // Memory latency ~215 cycles per 200 instructions bounds IPC: with an
     // 80-entry ROB the machine cannot hide a 215-cycle miss behind 200
     // instructions of work (80 < 215×4), so IPC sits clearly below width.
@@ -41,7 +41,7 @@ fn store_queue_saturation_throttles_but_progresses() {
         Instruction::store((i % 64) * 64, None)
     };
     let mut cache = ideal();
-    let r = simulate(&mut src, &mut cache, 10_000, 0.0);
+    let r = simulate(&mut src, &mut cache, 10_000);
     assert!(r.ipc() > 0.85 && r.ipc() <= 1.05, "ipc {}", r.ipc());
 }
 
@@ -53,7 +53,7 @@ fn load_ports_cap_pure_load_throughput() {
         Instruction::load((i % 64) * 64, None)
     };
     let mut cache = ideal();
-    let r = simulate(&mut src, &mut cache, 10_000, 0.0);
+    let r = simulate(&mut src, &mut cache, 10_000);
     assert!(r.ipc() > 1.7 && r.ipc() <= 2.05, "2 read ports: ipc {}", r.ipc());
 }
 
@@ -71,14 +71,14 @@ fn fp_queue_pressure_does_not_deadlock_int_work() {
                 src1: Some(2),
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             }
         } else {
             Instruction::int_alu()
         }
     };
     let mut cache = ideal();
-    let r = simulate(&mut src, &mut cache, 20_000, 0.0);
+    let r = simulate(&mut src, &mut cache, 20_000);
     // Chain of FP(4 cycles) every 2 instructions → IPC ≈ 0.5; must not
     // collapse below that.
     assert!(r.ipc() > 0.4, "ipc {}", r.ipc());
@@ -89,7 +89,7 @@ fn dependency_distance_beyond_rob_is_free() {
     // Distances larger than the commit ring must be treated as ready.
     let mut src = move || Instruction::int_alu().with_src1(64);
     let mut cache = ideal();
-    let r = simulate(&mut src, &mut cache, 10_000, 0.0);
+    let r = simulate(&mut src, &mut cache, 10_000);
     // Distance-64 deps barely serialize a 4-wide, 80-entry machine.
     assert!(r.ipc() > 3.0, "ipc {}", r.ipc());
 }
@@ -111,7 +111,7 @@ fn cache_port_conflicts_backpressure_issue() {
             Instruction::int_alu()
         }
     };
-    let r = simulate(&mut src, &mut cache, 30_000, 0.0);
+    let r = simulate(&mut src, &mut cache, 30_000);
     assert_eq!(r.instructions, 30_000, "must complete under refresh pressure");
     assert!(cache.stats().refreshes > 0);
 }
@@ -135,7 +135,7 @@ fn in_order_issue_is_strictly_slower_under_latency() {
     let mut src = make_src();
     let mut cache = ideal();
     let ooo = Pipeline::new(MachineConfig::TABLE2).run(
-        &mut FrontEnd::new(&mut src, 0.0),
+        &mut FrontEnd::new(&mut src),
         &mut cache,
         10_000,
     );
@@ -143,7 +143,7 @@ fn in_order_issue_is_strictly_slower_under_latency() {
     let mut src = make_src();
     let mut cache = ideal();
     let ino = Pipeline::new(MachineConfig::table2_in_order()).run(
-        &mut FrontEnd::new(&mut src, 0.0),
+        &mut FrontEnd::new(&mut src),
         &mut cache,
         10_000,
     );
@@ -164,14 +164,14 @@ fn in_order_and_ooo_agree_on_serial_code() {
     let mut src = make_src();
     let mut cache = ideal();
     let ooo = Pipeline::new(MachineConfig::TABLE2).run(
-        &mut FrontEnd::new(&mut src, 0.0),
+        &mut FrontEnd::new(&mut src),
         &mut cache,
         5_000,
     );
     let mut src = make_src();
     let mut cache = ideal();
     let ino = Pipeline::new(MachineConfig::table2_in_order()).run(
-        &mut FrontEnd::new(&mut src, 0.0),
+        &mut FrontEnd::new(&mut src),
         &mut cache,
         5_000,
     );
@@ -190,7 +190,7 @@ fn zero_width_redirect_never_hangs() {
     };
     let mut cache = ideal();
     let mut p = Pipeline::new(MachineConfig::TABLE2);
-    let r = p.run(&mut FrontEnd::new(&mut src, 0.0), &mut cache, 5_000);
+    let r = p.run(&mut FrontEnd::new(&mut src), &mut cache, 5_000);
     assert_eq!(r.instructions, 5_000);
     assert!(r.mispredict_rate() > 0.3);
     assert!(r.ipc() > 0.1, "even a branch storm makes progress");
@@ -217,14 +217,14 @@ fn issue_queue_full_stalls_are_counted_exactly() {
                 src1: Some(since_load),
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             }
         } else {
             Instruction::int_alu().with_src1(since_load)
         }
     };
     let mut cache = ideal();
-    let r = simulate(&mut src, &mut cache, 20_000, 0.0);
+    let r = simulate(&mut src, &mut cache, 20_000);
     assert!(r.iq_full_stalls > 0, "{r:?}");
     const PINNED: &str = "SimResult { instructions: 20000, cycles: 120006, branches: 0, \
         mispredictions: 0, icache_stall_cycles: 0, loads: 500, stores: 0, port_retries: 0, \

@@ -45,7 +45,7 @@ impl ByteTrace {
                 src1: dep,
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             },
             _ => {
                 let mut i = Instruction::int_alu();
@@ -66,7 +66,7 @@ proptest! {
         let mut t = ByteTrace { bytes, pos: 0 };
         let mut src = move || t.next();
         let mut cache = DataCache::ideal();
-        let r = simulate(&mut src, &mut cache, 3_000, 0.0);
+        let r = simulate(&mut src, &mut cache, 3_000);
         prop_assert!(r.ipc() > 0.0);
         prop_assert!(r.ipc() <= MachineConfig::TABLE2.width as f64 + 1e-9);
         prop_assert_eq!(r.instructions, 3_000);
@@ -78,7 +78,7 @@ proptest! {
             let mut t = ByteTrace { bytes, pos: 0 };
             let mut src = move || t.next();
             let mut cache = DataCache::ideal();
-            simulate(&mut src, &mut cache, 2_000, 0.0)
+            simulate(&mut src, &mut cache, 2_000)
         };
         let a = run(bytes.clone());
         let b = run(bytes);
@@ -94,7 +94,7 @@ proptest! {
         let mut t = ByteTrace { bytes: bytes.clone(), pos: 0 };
         let mut src = move || t.next();
         let mut cache = DataCache::ideal();
-        let mut front = FrontEnd::new(&mut src, 0.0);
+        let mut front = FrontEnd::new(&mut src);
         let mut p = Pipeline::new(MachineConfig::TABLE2);
         let r1 = p.run(&mut front, &mut cache, split);
         let r2 = p.run(&mut front, &mut cache, total - split);
@@ -103,7 +103,7 @@ proptest! {
         let mut t2 = ByteTrace { bytes, pos: 0 };
         let mut src2 = move || t2.next();
         let mut cache2 = DataCache::ideal();
-        let whole = simulate(&mut src2, &mut cache2, total, 0.0);
+        let whole = simulate(&mut src2, &mut cache2, total);
         // Nearly the same total cycles regardless of segmentation: the
         // exact-count commit throttle at the segment boundary may defer a
         // cycle's worth of commits.
@@ -119,7 +119,7 @@ proptest! {
         let mut t = ByteTrace { bytes, pos: 0 };
         let mut src = move || t.next();
         let mut cache = DataCache::ideal();
-        let r = simulate(&mut src, &mut cache, 3_000, 0.0);
+        let r = simulate(&mut src, &mut cache, 3_000);
         prop_assert!(r.mispredictions <= r.branches);
         prop_assert!(r.mispredict_rate() <= 1.0);
     }
@@ -129,7 +129,7 @@ proptest! {
         let mut t = ByteTrace { bytes, pos: 0 };
         let mut src = move || t.next();
         let mut cache = DataCache::ideal();
-        let r = simulate(&mut src, &mut cache, 3_000, 0.0);
+        let r = simulate(&mut src, &mut cache, 3_000);
         let accesses = cache.stats().accesses();
         // Every committed mem op accessed the cache; at most a ROB's worth
         // of in-flight ops may exceed the committed count.

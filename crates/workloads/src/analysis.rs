@@ -122,7 +122,7 @@ pub fn analyze(trace: &mut SyntheticTrace, n: u64) -> TraceStats {
             OpClass::Store => stores += 1,
             OpClass::Branch => {
                 branches += 1;
-                if i.branch.expect("branch carries info").taken {
+                if i.taken {
                     taken += 1;
                 }
             }

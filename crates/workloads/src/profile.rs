@@ -123,7 +123,9 @@ pub struct Profile {
     pub random_branch_bias: f64,
     /// Mean loop trip count of the loop branches.
     pub loop_trip: u32,
-    /// Instruction-cache misses per instruction.
+    /// Target instruction-cache misses per instruction. It sets the
+    /// generator's far-jump probability; the misses themselves come from
+    /// the front end's L1I on the far jumps' new code blocks.
     pub icache_miss_rate: f64,
 }
 

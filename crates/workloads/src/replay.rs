@@ -28,15 +28,14 @@ pub struct RecordedTrace {
 
 impl RecordedTrace {
     /// Records the first `len` instructions of `SyntheticTrace::new(profile,
-    /// seed)` as fetched by a cold [`FrontEnd`] at the profile's I-cache
-    /// miss rate.
+    /// seed)` as fetched by a cold [`FrontEnd`].
     ///
     /// Size `len` to the consumer: a warmed pipeline run fetches at most
     /// `warmup + instructions` committed instructions plus the in-flight
     /// tail bounded by the ROB (see [`ReplayTrace`]'s exhaustion panic).
     pub fn record(profile: Profile, seed: u64, len: u64) -> Self {
         let mut src = SyntheticTrace::new(profile, seed);
-        let mut front = FrontEnd::new(&mut src, profile.icache_miss_rate);
+        let mut front = FrontEnd::new(&mut src);
         let records = (0..len).map(|_| front.next_fetched()).collect();
         Self { records }
     }
@@ -100,7 +99,7 @@ mod tests {
         let profile = SpecBenchmark::Gcc.profile();
         let recorded = RecordedTrace::record(profile, 1234, 5_000);
         let mut fresh = SyntheticTrace::new(profile, 1234);
-        let mut front = FrontEnd::new(&mut fresh, profile.icache_miss_rate);
+        let mut front = FrontEnd::new(&mut fresh);
         let mut replay = recorded.replay();
         for i in 0..5_000 {
             assert_eq!(replay.next_fetched(), front.next_fetched(), "instr {i}");

@@ -9,15 +9,16 @@
 //! verifying every chunk checksum and failing with a clean
 //! [`TraceError`] — never a panic — on corrupt or truncated input.
 //!
-//! The record encoding is lossless for [`Instruction`]: capturing a
-//! synthetic profile with [`record_synthetic`] and replaying the file
-//! yields a stream bit-identical to driving the generator directly, so
-//! trace files compose with every consumer of [`TraceSource`]
-//! (`uarch::simulate`, the validation harness, the bench probes).
+//! The record encoding is lossless for every [`Instruction`] the writer
+//! accepts (it refuses a taken non-branch): capturing a synthetic profile
+//! with [`record_synthetic`] and replaying the file yields a stream
+//! bit-identical to driving the generator directly, so trace files
+//! compose with every consumer of [`TraceSource`] (`uarch::simulate`, the
+//! validation harness, the bench probes).
 //!
 //! The container is deliberately self-contained: it carries the
-//! `(benchmark, seed)` provenance and the profile's I-cache miss rate, so
-//! a trace file is the *complete* input of a simulation — external tools
+//! `(benchmark, seed)` provenance, and each record carries its PC, so a
+//! trace file is the *complete* input of a simulation — external tools
 //! can produce the same format to drive arbitrary workloads.
 
 use crate::profile::{Profile, SpecBenchmark};
@@ -25,19 +26,19 @@ use crate::trace::SyntheticTrace;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use uarch::instr::{BranchInfo, Instruction, OpClass, TraceSource};
+use uarch::instr::{Instruction, OpClass, TraceSource};
 
 /// File magic, first 8 bytes of every trace file.
 pub const TRACE_MAGIC: [u8; 8] = *b"PV3T1DTR";
 /// Container format version.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 /// Size of one encoded instruction record.
-pub const RECORD_BYTES: usize = 34;
-/// Records per chunk (~136 KB of payload): the constant-memory unit.
+pub const RECORD_BYTES: usize = 26;
+/// Records per chunk (~104 KB of payload): the constant-memory unit.
 pub const CHUNK_RECORDS: u32 = 4096;
 
 /// Byte offset of the `total_records` header field patched by `finish`.
-const TOTAL_RECORDS_OFFSET: u64 = 32;
+const TOTAL_RECORDS_OFFSET: u64 = 24;
 /// `total_records` value of a file whose writer never finished.
 const UNFINISHED: u64 = u64::MAX;
 /// Chunk header: record count (u32) + payload length (u32) + FNV-1a
@@ -87,7 +88,8 @@ pub enum TraceError {
         /// Records actually read.
         read_records: u64,
     },
-    /// A record decoded to an impossible instruction.
+    /// A record holds an impossible instruction (on read), or would (on
+    /// write).
     BadRecord {
         /// Zero-based record ordinal.
         record: u64,
@@ -148,10 +150,13 @@ pub struct TraceMeta {
     pub name: String,
     /// Generator seed (0 if not applicable).
     pub seed: u64,
-    /// The workload's I-cache miss rate, fed to the pipeline model
-    /// exactly as [`SyntheticTrace::icache_miss_rate`] would be.
-    pub icache_miss_rate: f64,
 }
+
+/// Record flag bits; the others are reserved and rejected.
+const HAS_SRC1: u8 = 1;
+const HAS_SRC2: u8 = 1 << 1;
+const HAS_ADDR: u8 = 1 << 2;
+const TAKEN: u8 = 1 << 4;
 
 fn encode_record(i: &Instruction, out: &mut Vec<u8>) {
     let op = match i.op {
@@ -162,29 +167,17 @@ fn encode_record(i: &Instruction, out: &mut Vec<u8>) {
         OpClass::Store => 4,
         OpClass::Branch => 5,
     };
-    let mut flags = 0u8;
-    if i.src1.is_some() {
-        flags |= 1;
-    }
-    if i.src2.is_some() {
-        flags |= 1 << 1;
-    }
-    if i.addr.is_some() {
-        flags |= 1 << 2;
-    }
-    if let Some(b) = i.branch {
-        flags |= 1 << 3;
-        if b.taken {
-            flags |= 1 << 4;
-        }
-    }
+    let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+    let flags = flag(i.src1.is_some(), HAS_SRC1)
+        | flag(i.src2.is_some(), HAS_SRC2)
+        | flag(i.addr.is_some(), HAS_ADDR)
+        | flag(i.taken, TAKEN);
     out.push(op);
     out.push(flags);
     out.extend_from_slice(&i.src1.unwrap_or(0).to_le_bytes());
     out.extend_from_slice(&i.src2.unwrap_or(0).to_le_bytes());
     out.extend_from_slice(&i.pc.to_le_bytes());
     out.extend_from_slice(&i.addr.unwrap_or(0).to_le_bytes());
-    out.extend_from_slice(&i.branch.map(|b| b.pc).unwrap_or(0).to_le_bytes());
 }
 
 fn decode_record(rec: &[u8], record: u64) -> Result<Instruction, TraceError> {
@@ -204,16 +197,16 @@ fn decode_record(rec: &[u8], record: u64) -> Result<Instruction, TraceError> {
         }
     };
     let flags = rec[1];
-    if flags & !0x1f != 0 {
+    if flags & !(HAS_SRC1 | HAS_SRC2 | HAS_ADDR | TAKEN) != 0 {
         return Err(TraceError::BadRecord {
             record,
             reason: "reserved flag bits set",
         });
     }
-    if flags & (1 << 4) != 0 && flags & (1 << 3) == 0 {
+    if flags & TAKEN != 0 && op != OpClass::Branch {
         return Err(TraceError::BadRecord {
             record,
-            reason: "taken bit without branch metadata",
+            reason: "taken bit on a non-branch op",
         });
     }
     let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("4 bytes"));
@@ -221,13 +214,10 @@ fn decode_record(rec: &[u8], record: u64) -> Result<Instruction, TraceError> {
     Ok(Instruction {
         op,
         pc: u64_at(10),
-        src1: (flags & 1 != 0).then(|| u32_at(2)),
-        src2: (flags & (1 << 1) != 0).then(|| u32_at(6)),
-        addr: (flags & (1 << 2) != 0).then(|| u64_at(18)),
-        branch: (flags & (1 << 3) != 0).then(|| BranchInfo {
-            pc: u64_at(26),
-            taken: flags & (1 << 4) != 0,
-        }),
+        src1: (flags & HAS_SRC1 != 0).then(|| u32_at(2)),
+        src2: (flags & HAS_SRC2 != 0).then(|| u32_at(6)),
+        addr: (flags & HAS_ADDR != 0).then(|| u64_at(18)),
+        taken: flags & TAKEN != 0,
     })
 }
 
@@ -262,7 +252,6 @@ impl<W: Write + Seek> TraceWriter<W> {
         sink.write_all(&TRACE_MAGIC)?;
         sink.write_all(&TRACE_VERSION.to_le_bytes())?;
         sink.write_all(&(RECORD_BYTES as u32).to_le_bytes())?;
-        sink.write_all(&meta.icache_miss_rate.to_bits().to_le_bytes())?;
         sink.write_all(&meta.seed.to_le_bytes())?;
         sink.write_all(&UNFINISHED.to_le_bytes())?;
         sink.write_all(&(meta.name.len() as u16).to_le_bytes())?;
@@ -277,8 +266,16 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     /// Appends one instruction, flushing a chunk every [`CHUNK_RECORDS`].
+    /// A taken non-branch is refused as [`TraceError::BadRecord`], since
+    /// the reader would reject it.
     pub fn push(&mut self, instr: &Instruction) -> Result<(), TraceError> {
         assert!(!self.finished, "push after finish");
+        if instr.taken && instr.op != OpClass::Branch {
+            return Err(TraceError::BadRecord {
+                record: self.total,
+                reason: "taken bit on a non-branch op",
+            });
+        }
         encode_record(instr, &mut self.chunk);
         self.chunk_records += 1;
         self.total += 1;
@@ -354,7 +351,7 @@ impl<R: Read> TraceReader<R> {
         if magic != TRACE_MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let mut fixed = [0u8; 34];
+        let mut fixed = [0u8; 26];
         read_exact_or(&mut src, &mut fixed, TraceError::BadHeader("file too short"))?;
         let u32_at = |o: usize| u32::from_le_bytes(fixed[o..o + 4].try_into().expect("4 bytes"));
         let u64_at = |o: usize| u64::from_le_bytes(fixed[o..o + 8].try_into().expect("8 bytes"));
@@ -365,27 +362,19 @@ impl<R: Read> TraceReader<R> {
         if u32_at(4) as usize != RECORD_BYTES {
             return Err(TraceError::BadHeader("unexpected record size"));
         }
-        let icache_miss_rate = f64::from_bits(u64_at(8));
-        if !icache_miss_rate.is_finite() || icache_miss_rate < 0.0 {
-            return Err(TraceError::BadHeader("non-finite i-cache miss rate"));
-        }
-        let seed = u64_at(16);
-        let total = u64_at(24);
+        let seed = u64_at(8);
+        let total = u64_at(16);
         if total == UNFINISHED {
             return Err(TraceError::Unfinished);
         }
-        let name_len = u16::from_le_bytes(fixed[32..34].try_into().expect("2 bytes")) as usize;
+        let name_len = u16::from_le_bytes(fixed[24..26].try_into().expect("2 bytes")) as usize;
         let mut name = vec![0u8; name_len];
         read_exact_or(&mut src, &mut name, TraceError::BadHeader("file too short"))?;
         let name =
             String::from_utf8(name).map_err(|_| TraceError::BadHeader("name is not UTF-8"))?;
         Ok(Self {
             src,
-            meta: TraceMeta {
-                name,
-                seed,
-                icache_miss_rate,
-            },
+            meta: TraceMeta { name, seed },
             total,
             read_records: 0,
             chunk: Vec::new(),
@@ -403,17 +392,6 @@ impl<R: Read> TraceReader<R> {
     /// Total records the file holds.
     pub fn total_records(&self) -> u64 {
         self.total
-    }
-
-    /// Records consumed so far — the resumable cursor position (a
-    /// checkpoint can store this and skip back to it on a fresh reader).
-    pub fn position(&self) -> u64 {
-        self.read_records
-    }
-
-    /// Shorthand for the header's I-cache miss rate.
-    pub fn icache_miss_rate(&self) -> f64 {
-        self.meta.icache_miss_rate
     }
 
     fn load_chunk(&mut self) -> Result<(), TraceError> {
@@ -545,7 +523,6 @@ pub fn record_synthetic<W: Write + Seek>(
     let meta = TraceMeta {
         name: name.to_string(),
         seed,
-        icache_miss_rate: src.icache_miss_rate(),
     };
     let mut w = TraceWriter::new(sink, &meta)?;
     for _ in 0..len {
@@ -583,7 +560,6 @@ mod tests {
         TraceMeta {
             name: "gcc".into(),
             seed: 42,
-            icache_miss_rate: 0.0123,
         }
     }
 
@@ -610,7 +586,7 @@ mod tests {
                     src1: Some(1),
                     src2: Some(2),
                     addr: None,
-                    branch: None,
+                    taken: false,
                 },
             })
             .collect()
@@ -625,7 +601,15 @@ mod tests {
         assert_eq!(r.total_records(), instrs.len() as u64);
         let read: Vec<Instruction> = r.by_ref().map(|i| i.unwrap()).collect();
         assert_eq!(read, instrs);
-        assert_eq!(r.position(), instrs.len() as u64);
+    }
+
+    #[test]
+    fn a_taken_non_branch_is_refused_at_write() {
+        let mut w = TraceWriter::new(Cursor::new(Vec::new()), &sample_meta()).unwrap();
+        let mut alu = Instruction::int_alu();
+        alu.taken = true;
+        assert!(matches!(w.push(&alu), Err(TraceError::BadRecord { record: 0, .. })));
+        assert_eq!(w.records(), 0);
     }
 
     #[test]

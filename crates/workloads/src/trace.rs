@@ -161,11 +161,6 @@ impl SyntheticTrace {
         &self.profile
     }
 
-    /// The profile's I-cache miss rate (pass to [`uarch::FrontEnd::new`]).
-    pub fn icache_miss_rate(&self) -> f64 {
-        self.profile.icache_miss_rate
-    }
-
     /// `ln(1 − p)` for a geometric draw with the given mean, where
     /// `p = 1 / (mean + 1)`.
     fn geometric_log(mean: f64) -> f64 {
@@ -317,7 +312,7 @@ impl TraceSource for SyntheticTrace {
                 src1: None,
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             };
             if let Some(d) = self.dep() {
                 i = i.with_src1(d);
@@ -336,7 +331,7 @@ impl TraceSource for SyntheticTrace {
                 src1: None,
                 src2: None,
                 addr: None,
-                branch: None,
+                taken: false,
             };
             if let Some(d) = self.dep() {
                 i = i.with_src1(d);
@@ -453,7 +448,8 @@ mod tests {
         let instrs = sample(SpecBenchmark::Crafty, 50_000, 7);
         let pcs: std::collections::HashSet<u64> = instrs
             .iter()
-            .filter_map(|i| i.branch.map(|b| b.pc))
+            .filter(|i| i.op == OpClass::Branch)
+            .map(|i| i.pc)
             .collect();
         assert!(pcs.len() <= LOOP_SITES + RANDOM_SITES + BIASED_SITES);
         assert!(pcs.len() > 5);
@@ -465,7 +461,11 @@ mod tests {
         // (segments), not white noise: the same PC must frequently recur
         // within a window of 8 branches.
         let instrs = sample(SpecBenchmark::Gcc, 50_000, 11);
-        let pcs: Vec<u64> = instrs.iter().filter_map(|i| i.branch.map(|b| b.pc)).collect();
+        let pcs: Vec<u64> = instrs
+            .iter()
+            .filter(|i| i.op == OpClass::Branch)
+            .map(|i| i.pc)
+            .collect();
         let mut recur = 0usize;
         for w in pcs.windows(9) {
             if w[..8].contains(&w[8]) {

@@ -22,8 +22,7 @@ struct Measured {
 fn measure(bench: SpecBenchmark, seed: u64) -> Measured {
     let mut trace = SyntheticTrace::new(bench.profile(), seed);
     let mut cache = DataCache::ideal();
-    let icache = trace.icache_miss_rate();
-    let (r, stats) = simulate_warmed(&mut trace, &mut cache, 60_000, 120_000, icache);
+    let (r, stats) = simulate_warmed(&mut trace, &mut cache, 60_000, 120_000);
     let cdf = stats.hit_age_cdf();
     Measured {
         ipc: r.ipc(),

@@ -2,13 +2,10 @@
 //! pipeline fed by a live generator through a [`FrontEnd`] and one fed by
 //! a [`RecordedTrace`] replay must produce identical results, for every
 //! benchmark, on both Table 2 machines, over an ideal cache and a
-//! short-retention 3T1D cache. A PC-less source, which exercises the
-//! injected I-cache misses, is pinned to the counters the pipeline produced
-//! before the front end moved out of it.
+//! short-retention 3T1D cache.
 
-use cachesim::{CacheConfig, CacheStats, DataCache, RetentionProfile, Scheme};
-use uarch::instr::TraceSource;
-use uarch::sim::{simulate_warmed_with, SimResult};
+use cachesim::{CacheConfig, DataCache, RetentionProfile, Scheme};
+use uarch::sim::simulate_warmed_with;
 use uarch::{FrontEnd, MachineConfig};
 use workloads::{RecordedTrace, SpecBenchmark, SyntheticTrace};
 
@@ -33,7 +30,7 @@ fn live_front_end_and_recorded_replay_agree() {
             let ideal: fn() -> DataCache = DataCache::ideal;
             for (name, make) in [("ideal", ideal), ("3T1D", short_retention)] {
                 let mut live = SyntheticTrace::new(profile, SEED);
-                let mut front = FrontEnd::new(&mut live, profile.icache_miss_rate);
+                let mut front = FrontEnd::new(&mut live);
                 let mut live_cache = make();
                 let (live_sim, live_stats) =
                     simulate_warmed_with(machine, &mut front, &mut live_cache, WARMUP, MEASURE);
@@ -53,43 +50,4 @@ fn live_front_end_and_recorded_replay_agree() {
             }
         }
     }
-}
-
-/// Runs gcc with every PC stripped, so the real I-cache and ITLB see
-/// nothing and the front end injects a miss every 100 instructions.
-fn pc_less_run(machine: MachineConfig) -> (SimResult, CacheStats) {
-    let mut gcc = SyntheticTrace::new(SpecBenchmark::Gcc.profile(), 5);
-    let mut src = move || {
-        let mut i = gcc.next_instr();
-        i.pc = 0;
-        i
-    };
-    let mut front = FrontEnd::new(&mut src, 0.01);
-    simulate_warmed_with(machine, &mut front, &mut short_retention(), 3_000, 9_000)
-}
-
-#[test]
-fn pc_less_source_keeps_its_injected_icache_misses() {
-    // Captured from the pipeline that owned the predictor, the I-side
-    // models and the injected-miss countdown itself.
-    const PINNED_OOO: &str = "SimResult { instructions: 9000, cycles: 21240, branches: 1399, \
-        mispredictions: 266, icache_stall_cycles: 1080, loads: 2182, stores: 997, \
-        port_retries: 220, replay_flushes: 14, dtlb_misses: 30, \
-        dispatch_blocked_cycles: 4378, rob_full_stalls: 14535, iq_full_stalls: 0, \
-        lsq_full_stalls: 1, value_age_hist: [0, 5209, 615, 487, 434, 116, 16, 0, 464, 13, \
-        0, 0, 0, 0, 0, 0] }";
-    const PINNED_IN_ORDER: &str = "SimResult { instructions: 9000, cycles: 38915, \
-        branches: 1397, mispredictions: 265, icache_stall_cycles: 1080, loads: 2182, \
-        stores: 997, port_retries: 181, replay_flushes: 36, dtlb_misses: 30, \
-        dispatch_blocked_cycles: 27009, rob_full_stalls: 9565, iq_full_stalls: 0, \
-        lsq_full_stalls: 0, value_age_hist: [0, 4353, 977, 881, 473, 184, 25, 7, 433, 18, \
-        3, 0, 0, 0, 0, 0] }";
-    let (ooo, ooo_stats) = pc_less_run(MachineConfig::TABLE2);
-    assert_eq!(format!("{ooo:?}"), PINNED_OOO);
-    assert_eq!(ooo_stats.expiry_misses, 14);
-    let (in_order, in_order_stats) = pc_less_run(MachineConfig::table2_in_order());
-    assert_eq!(format!("{in_order:?}"), PINNED_IN_ORDER);
-    assert_eq!(in_order_stats.expiry_misses, 36);
-    // 90 injected misses at the Table 2 penalty of 12 cycles.
-    assert_eq!(ooo.icache_stall_cycles, 90 * 12);
 }

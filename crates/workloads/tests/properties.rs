@@ -41,15 +41,12 @@ proptest! {
                     prop_assert_eq!(addr % 8, 0, "word aligned");
                     prop_assert!(addr / 64 < p.footprint_blocks as u64 + 1,
                         "address inside the declared footprint");
-                    prop_assert!(i.branch.is_none());
+                    prop_assert!(!i.taken);
                 }
-                OpClass::Branch => {
-                    prop_assert!(i.branch.is_some());
-                    prop_assert!(i.addr.is_none());
-                }
+                OpClass::Branch => prop_assert!(i.addr.is_none()),
                 _ => {
                     prop_assert!(i.addr.is_none());
-                    prop_assert!(i.branch.is_none());
+                    prop_assert!(!i.taken);
                 }
             }
             if let Some(d) = i.src1 {

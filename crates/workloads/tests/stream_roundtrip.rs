@@ -40,7 +40,6 @@ fn all_profiles_roundtrip_bit_identical_to_direct_generation() {
         assert_eq!(reader.total_records(), LEN);
 
         let mut fresh = SyntheticTrace::new(bench.profile(), SEED);
-        assert_eq!(reader.icache_miss_rate(), fresh.icache_miss_rate(), "{bench}");
         for i in 0..LEN {
             let from_file = reader.next_record().expect("clean read").expect("in range");
             assert_eq!(from_file, fresh.next_instr(), "{bench} instr {i}");
@@ -57,8 +56,7 @@ fn file_replay_matches_recorded_trace_replay() {
     for bench in [SpecBenchmark::Gcc, SpecBenchmark::Mcf] {
         let bytes = recorded_bytes(bench, 7, 3_000);
         let mut reader = TraceReader::new(Cursor::new(bytes)).expect("valid header");
-        let rate = reader.icache_miss_rate();
-        let mut from_file = FrontEnd::new(&mut reader, rate);
+        let mut from_file = FrontEnd::new(&mut reader);
         let recorded = RecordedTrace::record(bench.profile(), 7, 3_000);
         let mut replay = recorded.replay();
         for i in 0..3_000 {
@@ -84,11 +82,9 @@ fn pipeline_simulation_over_file_is_bit_identical() {
         let mut cache_live = DataCache::new(cfg, retention);
 
         let sim_instrs = 4_000; // leaves in-flight slack inside LEN
-        let file_rate = reader.icache_miss_rate();
-        let from_file = simulate(&mut reader, &mut cache_file, sim_instrs, file_rate);
+        let from_file = simulate(&mut reader, &mut cache_file, sim_instrs);
         let mut live = SyntheticTrace::new(bench.profile(), SEED);
-        let rate = live.icache_miss_rate();
-        let from_live = simulate(&mut live, &mut cache_live, sim_instrs, rate);
+        let from_live = simulate(&mut live, &mut cache_live, sim_instrs);
 
         assert_eq!(from_file, from_live, "{bench} SimResult");
         assert_eq!(cache_file.stats(), cache_live.stats(), "{bench} CacheStats");
@@ -141,6 +137,39 @@ fn corrupt_chunks_and_truncations_never_panic() {
             }
         }
     }
+
+    // A version-1 header: its layout is no longer read.
+    let mut v1 = bytes.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        TraceReader::new(Cursor::new(v1)),
+        Err(TraceError::BadVersion(1))
+    ));
+
+    // Well-framed records with bad flags: a taken bit on a non-branch op
+    // (op class 5 is the branch), and bit 3, which version 1 used for
+    // branch metadata and which is now reserved.
+    let payload = header_len("applu") + 16;
+    let chunk = payload..payload + CHUNK_RECORDS as usize * RECORD_BYTES;
+    let victim = bytes[chunk.clone()]
+        .chunks(RECORD_BYTES)
+        .position(|rec| rec[0] != 5)
+        .expect("chunk 0 holds a non-branch");
+    for bit in [1 << 4, 1 << 3] {
+        let mut damaged = bytes.clone();
+        damaged[payload + victim * RECORD_BYTES + 1] |= bit;
+        let checksum = fnv1a64(&damaged[chunk.clone()]);
+        damaged[payload - 8..payload].copy_from_slice(&checksum.to_le_bytes());
+        let reader = TraceReader::new(Cursor::new(damaged)).expect("header intact");
+        let err = reader
+            .filter_map(|r| r.err())
+            .next()
+            .expect("a bad flag must surface an error");
+        assert!(
+            matches!(err, TraceError::BadRecord { record, .. } if record == victim as u64),
+            "bit {bit}: {err}"
+        );
+    }
 }
 
 /// Streams `bytes` to the end or to the first error, which it returns.
@@ -171,27 +200,28 @@ fn drain_reader(bytes: &[u8]) -> Result<Option<TraceError>, TestCaseError> {
     Ok(failure)
 }
 
+/// The length of a file header naming `name`: where chunk 0 starts.
+fn header_len(name: &str) -> usize {
+    let meta = TraceMeta {
+        name: name.into(),
+        seed: 0,
+    };
+    let w = TraceWriter::new(Cursor::new(Vec::new()), &meta).expect("in-memory");
+    w.finish().expect("in-memory").0.into_inner().len()
+}
+
 /// A finished file's header promising `total` records, with no chunks.
 fn header_promising(total: u64) -> Vec<u8> {
-    let meta = TraceMeta {
-        name: "fuzz".into(),
-        seed: 0,
-        icache_miss_rate: 0.0,
-    };
-    let header_len = {
-        let w = TraceWriter::new(Cursor::new(Vec::new()), &meta).expect("in-memory");
-        w.finish().expect("in-memory").0.into_inner().len()
-    };
     let mut bytes = record_synthetic(
         SpecBenchmark::Gcc.profile(),
-        &meta.name,
+        "fuzz",
         0,
         total,
         Cursor::new(Vec::new()),
     )
     .expect("in-memory")
     .into_inner();
-    bytes.truncate(header_len);
+    bytes.truncate(header_len("fuzz"));
     bytes
 }
 

@@ -43,8 +43,7 @@ fn main() {
     println!("== Step 3 (Fig. 1): on-chip data is transient ==");
     let mut trace = SyntheticTrace::new(SpecBenchmark::Gzip.profile(), 5);
     let mut cache = DataCache::ideal();
-    let icache = trace.icache_miss_rate();
-    let (_, stats) = simulate_warmed(&mut trace, &mut cache, warm, instr, icache);
+    let (_, stats) = simulate_warmed(&mut trace, &mut cache, warm, instr);
     let cdf = stats.hit_age_cdf();
     println!(
         "  gzip: {:.0}% of cache references land within 6K cycles of the line's load",

@@ -28,8 +28,7 @@ fn main() {
     let cfg = CacheConfig::paper(Scheme::rsp_fifo());
     let mut cache = DataCache::new(cfg, chip.retention_profile().clone());
     let mut trace = SyntheticTrace::new(SpecBenchmark::Gzip.profile(), 42);
-    let icache = trace.icache_miss_rate();
-    let (result, stats) = simulate_warmed(&mut trace, &mut cache, 50_000, 200_000, icache);
+    let (result, stats) = simulate_warmed(&mut trace, &mut cache, 50_000, 200_000);
 
     println!(
         "gzip on RSP-FIFO 3T1D: IPC {:.3} ({:.2} BIPS at {:.1} GHz)",
@@ -55,7 +54,7 @@ fn main() {
     //    6T cache.
     let mut ideal = DataCache::ideal();
     let mut trace = SyntheticTrace::new(SpecBenchmark::Gzip.profile(), 42);
-    let (base, _) = simulate_warmed(&mut trace, &mut ideal, 50_000, 200_000, icache);
+    let (base, _) = simulate_warmed(&mut trace, &mut ideal, 50_000, 200_000);
     println!(
         "  vs ideal 6T: {:.1}% of baseline performance",
         100.0 * result.ipc() / base.ipc()

@@ -100,7 +100,7 @@ fn write_through_mode_survives_retention_chips() {
     cfg.counter = chip.counter_spec();
     let mut cache = DataCache::new(cfg, chip.retention_profile().clone());
     let mut trace = SyntheticTrace::new(SpecBenchmark::Gcc.profile(), 21);
-    let (r, stats) = simulate_warmed(&mut trace, &mut cache, 20_000, 40_000, 0.0);
+    let (r, stats) = simulate_warmed(&mut trace, &mut cache, 20_000, 40_000);
     assert_eq!(r.instructions, 40_000);
     assert!(stats.writebacks >= stats.stores, "every store reaches the L2");
     assert_eq!(stats.expiry_writebacks, 0);

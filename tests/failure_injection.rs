@@ -5,8 +5,7 @@ use pv3t1d::prelude::*;
 
 fn run_gzip(cache: &mut DataCache, n: u64) -> (uarch::sim::SimResult, cachesim::CacheStats) {
     let mut trace = SyntheticTrace::new(SpecBenchmark::Gzip.profile(), 3);
-    let icache = trace.icache_miss_rate();
-    simulate_warmed(&mut trace, cache, n / 2, n, icache)
+    simulate_warmed(&mut trace, cache, n / 2, n)
 }
 
 #[test]
