@@ -58,22 +58,23 @@ pub struct CasListing {
     pub bytes: u64,
 }
 
-/// What [`ArtifactStore::gc_keep`] (or [`ArtifactStore::gc_bounded`])
-/// did.
+/// What [`ArtifactStore::gc_bounded`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Entries retained because their key was in the keep set.
+    /// Entries left in the store: pinned by the keep set, newer than the
+    /// cutoff, or within the size budget.
     pub kept: usize,
     /// Entries removed (unreferenced, corrupt, or LRU-evicted).
     pub removed: usize,
     /// Bytes freed by the removals.
     pub bytes_freed: u64,
-    /// Unreferenced entries spared because they were written after the
-    /// gc's cutoff instant (a concurrent `run` may own them).
+    /// Of `kept`, the unreferenced entries spared because they were
+    /// written after the gc's cutoff instant (a concurrent `run` may own
+    /// them).
     pub skipped_fresh: usize,
-    /// Of `removed`, how many were healthy entries evicted oldest-first
-    /// by [`ArtifactStore::gc_bounded`]'s size budget (0 for plain
-    /// keep-set gcs).
+    /// Of `removed`, how many were healthy entries: evicted oldest-first
+    /// by the janitor's size budget, or every unreferenced one under the
+    /// zero budget of `pv3t1d gc`.
     pub lru_evicted: usize,
 }
 
@@ -203,72 +204,26 @@ impl ArtifactStore {
         }
     }
 
-    /// Removes every entry whose key is not in `keep` (corrupt entries
-    /// included — they can never be hits). When `dry_run` is set nothing
-    /// is deleted; the report describes what *would* happen.
-    ///
-    /// Checkpoint sub-entries (`<key>.u<index>`, see [`unit_key`]) are
-    /// reachable whenever their base stage key is kept, so an interrupted
-    /// campaign's partial progress survives a gc of its scenario.
-    pub fn gc_keep(&self, keep: &BTreeSet<String>, dry_run: bool) -> io::Result<GcReport> {
-        self.gc_keep_with_cutoff(keep, dry_run, None)
-    }
-
-    /// [`ArtifactStore::gc_keep`] with a freshness cutoff: unreferenced
-    /// entries whose mtime is strictly after `cutoff` are *skipped*, not
-    /// removed. The caller captures the cutoff **before** computing the
-    /// keep set, which closes the scan-to-unlink race against a
-    /// concurrent `run` — an entry that appeared after the keep set was
-    /// planned cannot be in it, but is not garbage either.
-    pub fn gc_keep_with_cutoff(
-        &self,
-        keep: &BTreeSet<String>,
-        dry_run: bool,
-        cutoff: Option<SystemTime>,
-    ) -> io::Result<GcReport> {
-        let mut report = GcReport::default();
-        for row in self.ls() {
-            let reachable = row.kind.is_some()
-                && (keep.contains(&row.key)
-                    || checkpoint_base(&row.key).is_some_and(|base| keep.contains(base)));
-            if reachable {
-                report.kept += 1;
-                continue;
-            }
-            if let Some(cutoff) = cutoff {
-                let fresh = std::fs::metadata(self.path_for(&row.key))
-                    .and_then(|m| m.modified())
-                    .map(|mtime| mtime > cutoff)
-                    .unwrap_or(false);
-                if fresh {
-                    report.skipped_fresh += 1;
-                    continue;
-                }
-            }
-            report.removed += 1;
-            report.bytes_freed += row.bytes;
-            if !dry_run {
-                self.remove(&row.key)?;
-            }
-        }
-        Ok(report)
-    }
-
-    /// Size/LRU-bounded gc — the continuous-janitor policy. Unlike
-    /// [`ArtifactStore::gc_keep`], *nothing is garbage by default*: a
-    /// multi-tenant daemon cannot enumerate every scenario its clients
-    /// may resubmit, so healthy entries are kept while the store fits in
-    /// `max_bytes` and evicted **oldest-mtime-first** once it does not.
+    /// Size/LRU-bounded gc — the one collector. The continuous janitor
+    /// passes a byte budget: a multi-tenant daemon cannot enumerate every
+    /// scenario its clients may resubmit, so healthy entries are kept
+    /// while the store fits in `max_bytes` and evicted
+    /// **oldest-mtime-first** once it does not. `pv3t1d gc` passes a
+    /// zero budget, which removes every entry its scenarios' keep set
+    /// does not reach. When `dry_run` is set nothing is deleted; the
+    /// report describes what *would* happen.
     ///
     /// Invariants:
     /// * corrupt entries are always removed (they can never be hits);
     /// * entries in `keep` are never evicted, whatever the budget;
-    /// * entries modified after `cutoff` are never evicted (the PR 5
+    /// * entries modified after `cutoff` are never evicted (the
     ///   `skipped_fresh` race guard: a concurrent run may own them) —
-    ///   pass the janitor's scan-start instant minus its freshness
-    ///   window;
+    ///   pass the scan-start instant, captured **before** the keep set
+    ///   is planned (the janitor subtracts its freshness window);
     /// * checkpoint sub-entries (`<key>.u<i>`) ride with their base key:
-    ///   kept while the base is kept, and counted against the budget.
+    ///   kept while the base is kept (so an interrupted campaign's
+    ///   partial progress survives a gc of its scenario), and counted
+    ///   against the budget.
     pub fn gc_bounded(
         &self,
         keep: &BTreeSet<String>,
@@ -549,7 +504,7 @@ mod tests {
         cp_b.store_unit(0, &payload(20.0));
 
         let keep: BTreeSet<String> = ["stage_a".to_string()].into();
-        let report = store.gc_keep(&keep, false).unwrap();
+        let report = store.gc_bounded(&keep, 0, false, None).unwrap();
         // stage_a and its unit survive; stage_b's orphan unit goes.
         assert_eq!((report.kept, report.removed), (2, 1));
         assert!(store.get("stage_a.u0").is_some());
@@ -569,16 +524,14 @@ mod tests {
         store.put("fresh", "unit", &payload(2.0)).unwrap();
 
         let keep = BTreeSet::new();
-        let report = store
-            .gc_keep_with_cutoff(&keep, false, Some(cutoff))
-            .unwrap();
+        let report = store.gc_bounded(&keep, 0, false, Some(cutoff)).unwrap();
         assert_eq!((report.removed, report.skipped_fresh), (1, 1));
         assert!(store.get("old").is_none());
         assert!(store.get("fresh").is_some(), "fresh entry was collected");
 
-        // Without a cutoff (the old behavior) the fresh entry is fair
-        // game once it really is unreferenced garbage.
-        let report = store.gc_keep(&keep, false).unwrap();
+        // Without a cutoff the fresh entry is fair game once it really
+        // is unreferenced garbage.
+        let report = store.gc_bounded(&keep, 0, false, None).unwrap();
         assert_eq!(report.removed, 1);
         assert!(store.get("fresh").is_none());
         let _ = std::fs::remove_dir_all(store.root());
@@ -662,11 +615,11 @@ mod tests {
         assert_eq!(ls.iter().filter(|r| r.kind.is_none()).count(), 1);
 
         let keep: BTreeSet<String> = ["keep".to_string(), "rot".to_string()].into();
-        let dry = store.gc_keep(&keep, true).unwrap();
+        let dry = store.gc_bounded(&keep, 0, true, None).unwrap();
         assert_eq!((dry.kept, dry.removed), (1, 2));
         assert!(store.get("drop").is_some(), "dry run must not delete");
 
-        let wet = store.gc_keep(&keep, false).unwrap();
+        let wet = store.gc_bounded(&keep, 0, false, None).unwrap();
         assert_eq!((wet.kept, wet.removed), (1, 2));
         assert!(wet.bytes_freed > 0);
         assert!(store.get("keep").is_some());

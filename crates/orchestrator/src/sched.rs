@@ -17,8 +17,13 @@
 //!   dependents are marked `Skipped` — siblings keep running;
 //! * an overdue stage is marked `TimedOut` and abandoned: its thread
 //!   keeps running detached, but its eventual result is dropped (the
-//!   stage index goes into a cancelled set) and is **not** written to
-//!   the cache.
+//!   stage is no longer running, and a stage never launches twice) and
+//!   is **not** written to the cache.
+//!
+//! Each stage launches at most once. Every stage kind is a pure
+//! function of its inputs, so a stage that failed would fail the same
+//! way again; a rerun is the retry, hitting the cache for every stage
+//! that succeeded and resuming campaigns from their unit checkpoints.
 //!
 //! # Caching and determinism
 //!
@@ -253,12 +258,8 @@ pub struct StageResult {
     pub artifact: Option<String>,
     /// How the stage ended.
     pub status: StageStatus,
-    /// Stage wall clock, summed over every attempt (0 for cache hits
-    /// and skips).
+    /// Stage wall clock (0 for cache hits and skips).
     pub seconds: f64,
-    /// Times the stage was launched (0 for cache hits and skips; > 1
-    /// means the retry budget was used).
-    pub attempts: u32,
 }
 
 /// The complete record of one scheduler invocation.
@@ -349,7 +350,6 @@ impl RunSummary {
             };
             e.insert("source", Json::Str(source.to_string()));
             e.insert("seconds", Json::Num(s.seconds));
-            e.insert("attempts", Json::Num(f64::from(s.attempts)));
             per_stage.insert(&s.id, e);
         }
         let mut execution = Json::object();
@@ -461,19 +461,29 @@ pub fn plan_scenario(sc: &Scenario, opts: &RunOptions) -> Result<Vec<PlanEntry>,
     Ok(plan)
 }
 
-/// Internal: what a worker thread reports back — stage index, launch
-/// generation (so reports from abandoned attempts are recognizably
-/// stale), result, attempt wall clock, and whether the result was
-/// coalesced from a concurrent leader's computation.
-type StageReport = (usize, u64, Result<Json, StageError>, f64, bool);
+/// Internal: what a worker thread reports back — stage index, result,
+/// wall clock, and whether the result was coalesced from a concurrent
+/// leader's computation. A report whose stage is no longer running is
+/// from an abandoned (timed-out or cancelled) launch.
+type StageReport = (usize, Result<Json, StageError>, f64, bool);
 
-/// Internal: one in-flight stage attempt.
+/// Internal: one in-flight stage.
 struct Running {
-    /// Monotonic launch id; a report whose generation does not match the
-    /// stage's current one is from a timed-out/retried attempt.
-    generation: u64,
     launched: Instant,
     deadline: Option<Instant>,
+    /// The stage's unit checkpoint (with the cache enabled).
+    checkpoint: Option<Arc<StageCheckpoint>>,
+}
+
+impl Running {
+    /// Adds this launch's checkpoint traffic to the run's `(resumed,
+    /// stored)` unit totals.
+    fn count_units(&self, totals: &mut (u64, u64)) {
+        if let Some(cp) = &self.checkpoint {
+            totals.0 += cp.resumed();
+            totals.1 += cp.stored();
+        }
+    }
 }
 
 /// How long the scheduler is willing to block while a cancel token could
@@ -489,14 +499,12 @@ const CANCEL_GRACE: Duration = Duration::from_secs(2);
 /// stage that *can* produce a payload does, and the summary records the
 /// rest. Returns `Err` only for spec-level problems (invalid scenario).
 ///
-/// Failed or timed-out attempts of stages that declare `retries` are
-/// re-launched after their `backoff_ms`, up to the budget; only the
-/// final failure cascades `Skipped` to dependents. Retries are purely an
-/// execution policy — they never enter cache keys or the run
-/// fingerprint. When [`RunOptions::cancel`] fires, the scheduler stops
-/// launching, drains in-flight stages for `CANCEL_GRACE` (2 s), marks
-/// everything unfinished `Cancelled`, and still returns a complete
-/// summary (so a partial manifest can be written).
+/// Each stage launches at most once; a failure or timeout cascades
+/// `Skipped` to its dependents. When [`RunOptions::cancel`] fires, the
+/// scheduler stops launching, drains in-flight stages for
+/// `CANCEL_GRACE` (2 s), marks everything unfinished `Cancelled`, and
+/// still returns a complete summary (so a partial manifest can be
+/// written).
 pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, SpecError> {
     let order = sc.validate()?;
     let scale = opts.scale_override.unwrap_or(sc.scale);
@@ -546,11 +554,11 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
     let mut digests: Vec<Option<String>> = vec![None; n];
     let mut payloads: Vec<Option<Json>> = vec![None; n];
     let mut seconds: Vec<f64> = vec![0.0; n];
-    let mut attempts: Vec<u32> = vec![0; n];
     let mut metrics = MetricsRegistry::new();
     let (mut hits, mut misses, mut executed) = (0u64, 0u64, 0u64);
-    let mut retries_total = 0u64;
     let mut coalesced_total = 0u64;
+    // Checkpoint units (resumed, stored), counted as each launch ends.
+    let mut ckpt_units = (0u64, 0u64);
 
     // Streaming progress events (no-ops when no bus is attached).
     let publish = |event: &mut Json, kind: &str| {
@@ -575,13 +583,6 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
     // as dependencies resolve.
     let mut ready: VecDeque<usize> = order.iter().copied().filter(|&i| remaining[i] == 0).collect();
     let mut running: HashMap<usize, Running> = HashMap::new();
-    // Failed/timed-out attempts waiting out their backoff: (due, stage).
-    let mut pending_retry: Vec<(Instant, usize)> = Vec::new();
-    // One checkpoint per launched stage (shared across its attempts: a
-    // timed-out attempt's detached thread keeps streaming units the
-    // retry then resumes).
-    let mut checkpoints: HashMap<usize, Arc<StageCheckpoint>> = HashMap::new();
-    let mut next_generation = 0u64;
     let mut finished = 0usize;
     // Latched once the cancel token is observed set.
     let mut cancelling = false;
@@ -685,16 +686,6 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
 
         if cancelling {
             // Nothing new launches; queued work is terminally cancelled.
-            let queued_retries: Vec<usize> =
-                pending_retry.drain(..).map(|(_, i)| i).collect();
-            for i in queued_retries {
-                if status[i].is_none() {
-                    finish_stage!(
-                        i,
-                        StageStatus::Cancelled("run interrupted before retry".into())
-                    );
-                }
-            }
             while let Some(i) = ready.pop_front() {
                 if status[i].is_none() {
                     finish_stage!(
@@ -713,12 +704,13 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
             }
             if grace_deadline.is_some_and(|d| Instant::now() >= d) {
                 // Grace elapsed: abandon whatever is still in flight (its
-                // units are checkpointed; late reports are stale by
-                // generation).
+                // units are checkpointed; late reports find it no longer
+                // running).
                 let in_flight: Vec<usize> = running.keys().copied().collect();
                 for i in in_flight {
                     let r = running.remove(&i).expect("in-flight stage was running");
-                    seconds[i] += r.launched.elapsed().as_secs_f64();
+                    r.count_units(&mut ckpt_units);
+                    seconds[i] = r.launched.elapsed().as_secs_f64();
                     finish_stage!(
                         i,
                         StageStatus::Cancelled("run interrupted (grace elapsed)".into())
@@ -727,18 +719,6 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                 continue;
             }
         } else {
-            // Promote retries whose backoff has elapsed.
-            let now = Instant::now();
-            let mut j = 0;
-            while j < pending_retry.len() {
-                if pending_retry[j].0 <= now {
-                    let (_, i) = pending_retry.swap_remove(j);
-                    ready.push_back(i);
-                } else {
-                    j += 1;
-                }
-            }
-
             // Launch ready stages up to the concurrency cap.
             while running.len() < jobs {
                 let Some(i) = ready.pop_front() else { break };
@@ -756,7 +736,7 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                 let key = stage_key(&s.kind, &s.params, scale, &dep_digests);
                 keys[i] = Some(key.clone());
 
-                if opts.use_cache && attempts[i] == 0 {
+                if opts.use_cache {
                     if let Some(entry) = store.get(&key) {
                         digests[i] = Some(entry.payload_hash);
                         payloads[i] = Some(entry.payload);
@@ -769,22 +749,10 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                     obs::trace::instant_with("orchestrator", || format!("cas.miss:{}", s.id));
                 }
 
-                let checkpoint = if opts.use_cache {
-                    Some(
-                        checkpoints
-                            .entry(i)
-                            .or_insert_with(|| {
-                                Arc::new(StageCheckpoint::new(store.clone(), &key, &s.kind))
-                            })
-                            .clone(),
-                    )
-                } else {
-                    None
-                };
+                let checkpoint = opts
+                    .use_cache
+                    .then(|| Arc::new(StageCheckpoint::new(store.clone(), &key, &s.kind)));
                 let cancel = opts.cancel.clone().unwrap_or_default();
-                attempts[i] += 1;
-                next_generation += 1;
-                let generation = next_generation;
                 let deadline = s
                     .timeout_seconds
                     .or(sc.default_timeout_seconds)
@@ -792,16 +760,15 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                 running.insert(
                     i,
                     Running {
-                        generation,
                         launched: Instant::now(),
                         deadline,
+                        checkpoint: checkpoint.clone(),
                     },
                 );
                 if opts.events.is_some() {
                     let mut ev = Json::object();
                     ev.insert("id", Json::Str(s.id.clone()));
                     ev.insert("kind", Json::Str(s.kind.clone()));
-                    ev.insert("attempt", Json::Num(f64::from(attempts[i])));
                     publish(&mut ev, "stage.launched");
                 }
                 let tx = tx.clone();
@@ -846,28 +813,13 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                             format!("flight.coalesced:{stage_id}")
                         });
                     }
-                    let _ = tx.send((i, generation, result, t0.elapsed().as_secs_f64(), coalesced));
+                    let _ = tx.send((i, result, t0.elapsed().as_secs_f64(), coalesced));
                 });
             }
         }
 
         if running.is_empty() {
             if cancelling {
-                continue;
-            }
-            if !pending_retry.is_empty() {
-                // Idle until the earliest backoff elapses (capped so a
-                // cancel token is still noticed promptly).
-                let due = pending_retry
-                    .iter()
-                    .map(|&(t, _)| t)
-                    .min()
-                    .expect("pending_retry is non-empty");
-                let mut wait = due.saturating_duration_since(Instant::now());
-                if opts.cancel.is_some() {
-                    wait = wait.min(CANCEL_POLL);
-                }
-                std::thread::sleep(wait.max(Duration::from_millis(1)));
                 continue;
             }
             if ready.is_empty() && finished < n {
@@ -880,8 +832,8 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
             continue;
         }
 
-        // Block until a report arrives, the earliest deadline passes,
-        // the earliest retry comes due, or the next cancel poll.
+        // Block until a report arrives, the earliest deadline passes, or
+        // the next cancel poll.
         let now = Instant::now();
         let mut wait = running
             .values()
@@ -889,21 +841,18 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
             .map(|d| d.saturating_duration_since(now))
             .min()
             .unwrap_or(Duration::from_secs(3600));
-        if let Some(due) = pending_retry.iter().map(|&(t, _)| t).min() {
-            wait = wait.min(due.saturating_duration_since(now));
-        }
         if opts.cancel.is_some() || cancelling {
             wait = wait.min(CANCEL_POLL);
         }
         match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-            Ok((i, generation, result, secs, coalesced)) => {
-                if running.get(&i).map(|r| r.generation) != Some(generation) {
-                    // Late report from an abandoned attempt: discard,
+            Ok((i, result, secs, coalesced)) => {
+                let Some(r) = running.remove(&i) else {
+                    // Late report from an abandoned launch: discard,
                     // never cache.
                     continue;
-                }
-                running.remove(&i);
-                seconds[i] += secs;
+                };
+                r.count_units(&mut ckpt_units);
+                seconds[i] = secs;
                 if coalesced {
                     coalesced_total += 1;
                 }
@@ -921,7 +870,7 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                         payloads[i] = Some(payload);
                         // The full artifact is on disk; this stage's unit
                         // checkpoints are redundant now.
-                        if let Some(cp) = checkpoints.get(&i) {
+                        if let Some(cp) = &r.checkpoint {
                             let _ = cp.clear();
                         }
                         finish_stage!(i, StageStatus::Ran);
@@ -936,23 +885,8 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                     {
                         // A stage erroring while the run winds down is
                         // (almost always) the cancellation itself
-                        // surfacing; either way, retrying is pointless.
+                        // surfacing.
                         finish_stage!(i, StageStatus::Cancelled(e.message));
-                    }
-                    Err(e) if attempts[i] <= sc.stages[i].retries => {
-                        retries_total += 1;
-                        let backoff = sc.stages[i].backoff_ms;
-                        pending_retry
-                            .push((Instant::now() + Duration::from_secs_f64(backoff / 1000.0), i));
-                        obs::trace::instant_with("orchestrator", || {
-                            format!("stage.retry:{}", sc.stages[i].id)
-                        });
-                        if opts.verbose {
-                            println!(
-                                "{:>8}  {:<24} attempt {} failed ({e}); retry in {backoff:.0}ms",
-                                "retry", sc.stages[i].id, attempts[i]
-                            );
-                        }
                     }
                     Err(e) => finish_stage!(i, StageStatus::Failed(e)),
                 }
@@ -966,28 +900,13 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                     .collect();
                 for i in expired {
                     let r = running.remove(&i).expect("expired stage was running");
-                    seconds[i] += r.launched.elapsed().as_secs_f64();
+                    r.count_units(&mut ckpt_units);
+                    seconds[i] = r.launched.elapsed().as_secs_f64();
                     let limit = sc.stages[i]
                         .timeout_seconds
                         .or(sc.default_timeout_seconds)
                         .unwrap_or(0.0);
-                    if !cancelling && attempts[i] <= sc.stages[i].retries {
-                        retries_total += 1;
-                        let backoff = sc.stages[i].backoff_ms;
-                        pending_retry
-                            .push((Instant::now() + Duration::from_secs_f64(backoff / 1000.0), i));
-                        obs::trace::instant_with("orchestrator", || {
-                            format!("stage.retry:{}", sc.stages[i].id)
-                        });
-                        if opts.verbose {
-                            println!(
-                                "{:>8}  {:<24} attempt {} hit its {limit}s budget; retry in {backoff:.0}ms",
-                                "retry", sc.stages[i].id, attempts[i]
-                            );
-                        }
-                    } else {
-                        finish_stage!(i, StageStatus::TimedOut(limit));
-                    }
+                    finish_stage!(i, StageStatus::TimedOut(limit));
                 }
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -1018,15 +937,9 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
         "orchestrator.stages.cancelled",
         terminal(|s| matches!(s, StageStatus::Cancelled(_))),
     );
-    metrics.set_counter("orchestrator.stages.retried", retries_total);
     metrics.set_counter("orchestrator.flight.coalesced", coalesced_total);
-    let (mut ckpt_resumed, mut ckpt_stored) = (0u64, 0u64);
-    for cp in checkpoints.values() {
-        ckpt_resumed += cp.resumed();
-        ckpt_stored += cp.stored();
-    }
-    metrics.set_counter("orchestrator.checkpoint.resumed_units", ckpt_resumed);
-    metrics.set_counter("orchestrator.checkpoint.stored_units", ckpt_stored);
+    metrics.set_counter("orchestrator.checkpoint.resumed_units", ckpt_units.0);
+    metrics.set_counter("orchestrator.checkpoint.stored_units", ckpt_units.1);
     metrics.set_gauge("orchestrator.run.wall_seconds", started.elapsed().as_secs_f64());
 
     let stages = order
@@ -1038,7 +951,6 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
             artifact: digests[i].clone(),
             status: status[i].clone().expect("all stages terminal"),
             seconds: seconds[i],
-            attempts: attempts[i],
         })
         .collect();
 
@@ -1152,29 +1064,6 @@ mod tests {
         assert!(errors.get("doomed").is_some());
         assert!(errors.get("sibling").is_none());
         assert_eq!(manifest.get("ok").unwrap().as_bool(), Some(false));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn transient_failure_is_retried_to_success() {
-        let dir = temp_results("retry_ok");
-        std::fs::create_dir_all(&dir).unwrap();
-        let marker = dir.join("flaky.marker");
-        let mut sc = Scenario::new("retry_ok", RunScale::QUICK);
-        sc.stages.push(
-            StageSpec::new("wobbly", "flaky")
-                .with_param("marker", Json::Str(marker.display().to_string()))
-                .with_retries(2, 10.0),
-        );
-        sc.stages.push(StageSpec::new("after", "sleep").with_deps(&["wobbly"]));
-
-        let summary = run_scenario(&sc, &opts(&dir)).unwrap();
-        assert!(summary.ok(), "{summary:?}");
-        assert_eq!(*status_of(&summary, "wobbly"), StageStatus::Ran);
-        let wobbly = summary.stages.iter().find(|s| s.id == "wobbly").unwrap();
-        assert_eq!(wobbly.attempts, 2, "one failure + one successful retry");
-        assert_eq!(summary.metrics.counter("orchestrator.stages.retried"), Some(1));
-        assert_eq!(summary.metrics.counter("orchestrator.stages.failed"), Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -63,22 +63,17 @@ use vlsi::tech::{OperatingPoint, SIM_TEMPERATURE_C};
 use vlsi::units::{Frequency, Voltage};
 
 /// Current scenario schema version. Schema 2 added per-stage `retries`
-/// and `backoff_ms`; schema 3 added the `technologies` ×
-/// `operating_points` grid and per-stage `sweep`. Older documents still
-/// parse (the new members default to an empty grid and no sweep), so
-/// the version gates *documents that use the new members*, not old
-/// documents.
+/// and `backoff_ms`, which the parser now ignores like any other
+/// unknown member: every stage is a pure function of its inputs, so a
+/// stage launches once and a rerun is its retry. Schema 3 added the
+/// `technologies` × `operating_points` grid and per-stage `sweep`.
+/// Older documents still parse (the new members default to an empty
+/// grid and no sweep), so the version gates *documents that use the new
+/// members*, not old documents.
 pub const SCENARIO_SCHEMA: u64 = 3;
 
 /// Oldest scenario schema still accepted by [`Scenario::parse`].
 pub const SCENARIO_SCHEMA_MIN: u64 = 1;
-
-/// Default re-launch delay when a stage declares `retries` without
-/// `backoff_ms`.
-pub const DEFAULT_BACKOFF_MS: f64 = 100.0;
-
-/// Cap on per-stage `retries` — a fat-finger guard, not a tuning knob.
-pub const MAX_RETRIES: u64 = 100;
 
 /// Why a scenario could not be loaded or is not runnable.
 #[derive(Debug)]
@@ -117,13 +112,6 @@ pub struct StageSpec {
     pub deps: Vec<String>,
     /// Wall-clock budget for this stage, overriding the scenario default.
     pub timeout_seconds: Option<f64>,
-    /// How many times a failed or timed-out attempt is re-launched
-    /// before the failure is final (0 = fail on the first attempt, the
-    /// schema-1 behavior). Retries are an *execution* policy: they are
-    /// deliberately excluded from the stage cache key.
-    pub retries: u32,
-    /// Delay before each re-launch, in milliseconds.
-    pub backoff_ms: f64,
     /// Whether this stage fans out across the scenario's
     /// `(technology × operating point)` grid. Always `false` after
     /// [`Scenario::expand_grid`] — the expansion consumes the flag.
@@ -140,8 +128,6 @@ impl StageSpec {
             params: Json::object(),
             deps: Vec::new(),
             timeout_seconds: None,
-            retries: 0,
-            backoff_ms: DEFAULT_BACKOFF_MS,
             sweep: false,
         }
     }
@@ -161,13 +147,6 @@ impl StageSpec {
     /// Sets the per-stage timeout (builder style).
     pub fn with_timeout(mut self, seconds: f64) -> Self {
         self.timeout_seconds = Some(seconds);
-        self
-    }
-
-    /// Sets the retry budget and backoff (builder style).
-    pub fn with_retries(mut self, retries: u32, backoff_ms: f64) -> Self {
-        self.retries = retries;
-        self.backoff_ms = backoff_ms;
         self
     }
 
@@ -299,20 +278,6 @@ impl Scenario {
             }
             if !matches!(s.params, Json::Obj(_)) {
                 return Err(invalid(format!("stage {:?} params must be an object", s.id)));
-            }
-            // Builder-constructed scenarios bypass parse_stage, so the
-            // retry knobs are re-checked here.
-            if u64::from(s.retries) > MAX_RETRIES {
-                return Err(invalid(format!(
-                    "stage {:?} retries must be <= {MAX_RETRIES}",
-                    s.id
-                )));
-            }
-            if !s.backoff_ms.is_finite() || s.backoff_ms < 0.0 {
-                return Err(invalid(format!(
-                    "stage {:?} backoff_ms must be a finite number >= 0",
-                    s.id
-                )));
             }
             if s.sweep {
                 return Err(invalid(format!(
@@ -649,28 +614,6 @@ fn parse_stage(v: &Json, index: usize) -> Result<StageSpec, SpecError> {
         None | Some(Json::Null) => None,
         Some(t) => Some(parse_timeout(t, &format!("stage {id:?} timeout_seconds"))?),
     };
-    let retries = match v.get("retries") {
-        None | Some(Json::Null) => 0,
-        Some(r) => match r.as_u64() {
-            Some(n) if n <= MAX_RETRIES => n as u32,
-            _ => {
-                return Err(invalid(format!(
-                    "stage {id:?} retries must be an integer in 0..={MAX_RETRIES}"
-                )))
-            }
-        },
-    };
-    let backoff_ms = match v.get("backoff_ms") {
-        None | Some(Json::Null) => DEFAULT_BACKOFF_MS,
-        Some(b) => match b.as_f64() {
-            Some(ms) if ms.is_finite() && ms >= 0.0 => ms,
-            _ => {
-                return Err(invalid(format!(
-                    "stage {id:?} backoff_ms must be a finite number >= 0"
-                )))
-            }
-        },
-    };
     let sweep = match v.get("sweep") {
         None | Some(Json::Null) => false,
         Some(s) => s
@@ -683,8 +626,6 @@ fn parse_stage(v: &Json, index: usize) -> Result<StageSpec, SpecError> {
         params,
         deps,
         timeout_seconds,
-        retries,
-        backoff_ms,
         sweep,
     })
 }
@@ -772,41 +713,19 @@ mod tests {
     }
 
     #[test]
-    fn schema_2_retry_knobs_parse_and_schema_1_defaults() {
+    fn schema_2_documents_parse_and_their_retry_members_are_ignored() {
+        // `retries` and `backoff_ms` were schema-2 members; a document
+        // that still carries them parses like any other, even with
+        // values the old parser rejected.
         let sc = Scenario::parse(
             r#"{"schema": 2, "name": "t", "scale": "quick", "stages": [
                 {"id": "a", "kind": "sleep", "retries": 3, "backoff_ms": 25},
-                {"id": "b", "kind": "sleep", "retries": 2},
+                {"id": "b", "kind": "sleep", "retries": 1.5, "backoff_ms": -5},
                 {"id": "c", "kind": "sleep"}
             ]}"#,
         )
         .unwrap();
-        assert_eq!(sc.stages[0].retries, 3);
-        assert_eq!(sc.stages[0].backoff_ms, 25.0);
-        assert_eq!(sc.stages[1].retries, 2);
-        assert_eq!(sc.stages[1].backoff_ms, DEFAULT_BACKOFF_MS);
-        assert_eq!(sc.stages[2].retries, 0);
-        sc.validate().unwrap();
-
-        // Schema-1 documents still parse, with the schema-1 behavior.
-        let old = Scenario::parse(&minimal(r#"{"id": "a", "kind": "sleep"}"#)).unwrap();
-        assert_eq!(old.stages[0].retries, 0);
-        assert_eq!(old.stages[0].backoff_ms, DEFAULT_BACKOFF_MS);
-    }
-
-    #[test]
-    fn bad_retry_knobs_are_rejected() {
-        let huge = minimal(r#"{"id": "a", "kind": "sleep", "retries": 1000000000}"#);
-        assert!(Scenario::parse(&huge).unwrap_err().to_string().contains("retries"));
-        let frac = minimal(r#"{"id": "a", "kind": "sleep", "retries": 1.5}"#);
-        assert!(Scenario::parse(&frac).is_err());
-        let neg = minimal(r#"{"id": "a", "kind": "sleep", "backoff_ms": -5}"#);
-        assert!(Scenario::parse(&neg).unwrap_err().to_string().contains("backoff_ms"));
-
-        // validate() re-checks builder-constructed scenarios.
-        let mut sc = Scenario::new("t", RunScale::QUICK);
-        sc.stages.push(StageSpec::new("a", "sleep").with_retries(1, f64::NAN));
-        assert!(sc.validate().unwrap_err().to_string().contains("backoff_ms"));
+        assert_eq!(sc.validate().unwrap().len(), 3);
     }
 
     fn dvfs_doc(points: &str) -> String {

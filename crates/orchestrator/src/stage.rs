@@ -38,11 +38,10 @@
 //!   stage of the timeout tests, the daemon smoke scenario and the
 //!   serving load test.
 //!
-//! Test builds of this crate add two failure-injection kinds, `fail`
-//! (panics or errors on purpose) and `flaky` (fails once, then
-//! succeeds), for the scheduler's own unit tests. They are not in
-//! [`known_kinds`] of any other build, so no scenario or `POST /runs`
-//! body can name them.
+//! Test builds of this crate add one failure-injection kind, `fail`
+//! (panics or errors on purpose), for the scheduler's own unit tests.
+//! It is not in [`known_kinds`] of any other build, so no scenario or
+//! `POST /runs` body can name it.
 
 use crate::cas::StageCheckpoint;
 use bench_harness::RunScale;
@@ -77,9 +76,9 @@ const BUILTIN_KINDS: [(&str, StageFn); 7] = [
     ("sleep", sleep),
 ];
 
-/// The failure-injection kinds: registered in test builds only.
+/// The failure-injection kind: registered in test builds only.
 #[cfg(test)]
-const TEST_KINDS: [(&str, StageFn); 2] = [("fail", fail), ("flaky", flaky)];
+const TEST_KINDS: [(&str, StageFn); 1] = [("fail", fail)];
 #[cfg(not(test))]
 const TEST_KINDS: [(&str, StageFn); 0] = [];
 
@@ -140,7 +139,7 @@ pub struct StageCtx<'a> {
     /// Per-unit checkpoint keyed on this stage's cache fingerprint, when
     /// the scheduler is running with the cache enabled. Stages with a
     /// campaign shape stream completed units into it and replay them on
-    /// the next attempt; other stages ignore it.
+    /// the next run; other stages ignore it.
     pub checkpoint: Option<Arc<StageCheckpoint>>,
     /// Cooperative cancellation: long stages should poll this between
     /// units and bail out with an `Err` once set. Never set in tests and
@@ -654,7 +653,7 @@ fn dvfs_frontier(ctx: &StageCtx<'_>) -> Result<Json, String> {
 
 /// `sleep`: sleeps `seconds` (default 0.05) — the controllable slow
 /// stage. The payload records only the *requested* duration, keeping it
-/// deterministic; a `seconds` outside `[0, 3600]` fails every attempt.
+/// deterministic; a `seconds` outside `[0, 3600]` fails every run.
 fn sleep(ctx: &StageCtx<'_>) -> Result<Json, String> {
     let seconds = ctx.f64_param("seconds", 0.05)?;
     if !(0.0..=3600.0).contains(&seconds) {
@@ -677,29 +676,6 @@ fn fail(ctx: &StageCtx<'_>) -> Result<Json, String> {
         "panic" => panic!("{message}"),
         "error" => Err(message),
         other => Err(format!("unknown fail mode {other:?}")),
-    }
-}
-
-/// `flaky` (test builds only): deterministic *transient* failure
-/// injection for the scheduler's retry tests. The required `marker` param names a file:
-/// when it does not exist the stage creates it and fails (the first
-/// attempt); when it exists the stage succeeds (any retry). The success
-/// payload is constant, so the purity contract holds for the payload
-/// that actually lands in the cache.
-#[cfg(test)]
-fn flaky(ctx: &StageCtx<'_>) -> Result<Json, String> {
-    let marker = ctx.str_param("marker", "")?;
-    if marker.is_empty() {
-        return Err("flaky needs a \"marker\" file path param".into());
-    }
-    if std::path::Path::new(&marker).exists() {
-        let mut p = Json::object();
-        p.insert("kind", Json::Str("flaky".into()));
-        Ok(p)
-    } else {
-        std::fs::write(&marker, b"first attempt\n")
-            .map_err(|e| format!("flaky cannot write marker {marker:?}: {e}"))?;
-        Err("injected transient failure (marker created; a retry succeeds)".into())
     }
 }
 
@@ -1006,27 +982,6 @@ mod tests {
         // No grid cells at all → stage error.
         let none = BTreeMap::new();
         assert!(execute("dvfs_frontier", &ctx(&params, &none)).is_err());
-    }
-
-    #[test]
-    fn flaky_fails_once_then_succeeds() {
-        let marker = std::env::temp_dir().join(format!(
-            "pv3t1d_flaky_marker_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&marker);
-        let mut params = Json::object();
-        params.insert("marker", Json::Str(marker.display().to_string()));
-        let inputs = BTreeMap::new();
-        let first = execute("flaky", &ctx(&params, &inputs));
-        assert!(first.unwrap_err().contains("transient"));
-        let second = execute("flaky", &ctx(&params, &inputs)).unwrap();
-        assert_eq!(second.get("kind").and_then(Json::as_str), Some("flaky"));
-        let _ = std::fs::remove_file(&marker);
-
-        // Missing marker param is a configuration error.
-        let bare = Json::object();
-        assert!(execute("flaky", &ctx(&bare, &inputs)).is_err());
     }
 
     #[test]

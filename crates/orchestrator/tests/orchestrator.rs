@@ -7,12 +7,13 @@
 //!   fingerprint bit-for-bit;
 //! * **failure isolation**: a failing stage neither aborts siblings nor
 //!   poisons the run manifest — dependents are skipped, the rest
-//!   completes (the panicking and transient cases, which need test-only
-//!   stage kinds, are unit tests in `sched.rs`);
+//!   completes (the panicking case, which needs the test-only `fail`
+//!   kind, is a unit test in `sched.rs`);
 //! * **no failure injection in production**: the test-only stage kinds
 //!   are unknown to this build;
 //! * **timeouts**: a stage exceeding its wall-clock budget is marked
-//!   timed out and abandoned while siblings finish;
+//!   timed out and abandoned while siblings finish, and its late result
+//!   is never cached;
 //! * **corruption**: a damaged CAS entry is a miss (recomputed), never
 //!   a crash.
 
@@ -110,10 +111,28 @@ fn slow_stage_times_out_while_siblings_complete() {
     assert!(matches!(status_of(&summary, "after_slow"), StageStatus::Skipped(_)));
     assert_eq!(*status_of(&summary, "sibling"), StageStatus::Ran);
     assert!(!summary.ok());
-
-    // The abandoned stage's late result must not have been cached: a
-    // rerun re-attempts it (and times out again) rather than hitting.
     assert_eq!(summary.metrics.counter("orchestrator.stages.timeout"), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Here the abandoned stage reports back while its sibling still
+    // runs: the scheduler must drop that late result (the stage is no
+    // longer running), never cache it, so a rerun launches the stage
+    // again and it times out again rather than hitting.
+    let dir = temp_results("timeout_late");
+    let mut sc = Scenario::new("timeout_late", bench_harness::RunScale::QUICK);
+    sc.stages.push(
+        StageSpec::new("slow", "sleep")
+            .with_param("seconds", Json::Num(0.6))
+            .with_timeout(0.2),
+    );
+    sc.stages
+        .push(StageSpec::new("sibling", "sleep").with_param("seconds", Json::Num(1.5)));
+    let first = run_scenario(&sc, &opts(&dir)).unwrap();
+    assert!(matches!(status_of(&first, "slow"), StageStatus::TimedOut(_)), "{first:?}");
+    assert_eq!(first.executed, 1, "only the sibling produced a payload");
+    let second = run_scenario(&sc, &opts(&dir)).unwrap();
+    assert!(matches!(status_of(&second, "slow"), StageStatus::TimedOut(_)), "{second:?}");
+    assert_eq!(*status_of(&second, "sibling"), StageStatus::Cached);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -179,14 +198,12 @@ fn failure_injection_kinds_are_unknown_outside_test_builds() {
 }
 
 #[test]
-fn exhausted_retries_fail_and_cascade() {
-    let dir = temp_results("retry_exhausted");
-    let mut sc = Scenario::new("retry_exhausted", bench_harness::RunScale::QUICK);
-    // An out-of-range param fails every attempt with a stage error.
+fn failed_stage_cascades_skips() {
+    let dir = temp_results("failed_cascade");
+    let mut sc = Scenario::new("failed_cascade", bench_harness::RunScale::QUICK);
+    // An out-of-range param fails the stage with a stage error.
     sc.stages.push(
-        StageSpec::new("hopeless", "sleep")
-            .with_param("seconds", Json::Num(-1.0))
-            .with_retries(2, 5.0),
+        StageSpec::new("hopeless", "sleep").with_param("seconds", Json::Num(-1.0)),
     );
     sc.stages
         .push(StageSpec::new("downstream", "sleep").with_deps(&["hopeless"]));
@@ -197,9 +214,7 @@ fn exhausted_retries_fail_and_cascade() {
         matches!(status_of(&summary, "hopeless"), StageStatus::Failed(e) if e.message.contains("out of range"))
     );
     assert!(matches!(status_of(&summary, "downstream"), StageStatus::Skipped(_)));
-    let hopeless = summary.stages.iter().find(|s| s.id == "hopeless").unwrap();
-    assert_eq!(hopeless.attempts, 3, "initial attempt + two retries");
-    assert_eq!(summary.metrics.counter("orchestrator.stages.retried"), Some(2));
+    assert_eq!(summary.metrics.counter("orchestrator.stages.failed"), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

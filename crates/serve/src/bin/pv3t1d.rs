@@ -756,8 +756,9 @@ fn cmd_gc(cli: &Cli) -> Result<ExitCode, String> {
             }
         }
     }
+    // A zero byte budget: every entry the keep set does not reach goes.
     let report = store
-        .gc_keep_with_cutoff(&keep, cli.dry_run, Some(cutoff))
+        .gc_bounded(&keep, 0, cli.dry_run, Some(cutoff))
         .map_err(|e| format!("gc: {e}"))?;
     if cli.json {
         let mut doc = report.to_json();
@@ -765,12 +766,12 @@ fn cmd_gc(cli: &Cli) -> Result<ExitCode, String> {
         println!("{}", doc.render_pretty());
     } else {
         println!(
-            "gc{}: kept {}, removed {}, spared {} newer than the scan, freed {} bytes",
+            "gc{}: kept {}, removed {}, freed {} bytes ({} kept newer than the scan)",
             if cli.dry_run { " (dry run)" } else { "" },
             report.kept,
             report.removed,
-            report.skipped_fresh,
-            report.bytes_freed
+            report.bytes_freed,
+            report.skipped_fresh
         );
     }
     Ok(ExitCode::SUCCESS)
