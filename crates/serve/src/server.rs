@@ -589,6 +589,7 @@ pub(crate) fn registry_snapshot(shared: &Shared) -> MetricsRegistry {
         shared.active_connections.load(Ordering::Acquire) as f64,
     );
     reg.set_gauge("serve.uptime_seconds", shared.started.elapsed().as_secs_f64());
+    telemetry::set_process_memory(&mut reg);
     reg
 }
 

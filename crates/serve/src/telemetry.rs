@@ -146,9 +146,52 @@ pub fn parse_window_ms(query: &str) -> Result<Option<u64>, String> {
     Ok(None)
 }
 
+/// The `/proc/self/status` fields exported as gauges, in bytes: the
+/// process's resident set and its peak.
+const PROCESS_MEMORY: [(&str, &str); 2] = [
+    ("VmRSS:", "serve.process.resident_bytes"),
+    ("VmHWM:", "serve.process.peak_resident_bytes"),
+];
+
+/// Sets the process-memory gauges from `/proc/self/status`. A gauge whose
+/// field cannot be read (no procfs, or a kernel without the field) is
+/// left out rather than reported as 0.
+pub(crate) fn set_process_memory(reg: &mut MetricsRegistry) {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    for (field, gauge) in PROCESS_MEMORY {
+        if let Some(kb) = status_kb(&status, field) {
+            reg.set_gauge(gauge, kb as f64 * 1024.0);
+        }
+    }
+}
+
+/// The value of a `kB` line of a `/proc/<pid>/status` document.
+fn status_kb(status: &str, field: &str) -> Option<u64> {
+    status.lines().find_map(|line| {
+        line.strip_prefix(field)?
+            .trim()
+            .strip_suffix("kB")?
+            .trim()
+            .parse()
+            .ok()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn status_kb_reads_only_well_formed_kb_lines() {
+        let status = "Name:\tpv3t1d\nVmHWM:\t  10480 kB\nVmRSS:\t   8620 kB\nThreads:\t4\nVmBad:\tlots kB\n";
+        assert_eq!(status_kb(status, "VmHWM:"), Some(10_480));
+        assert_eq!(status_kb(status, "VmRSS:"), Some(8_620));
+        assert_eq!(status_kb(status, "Threads:"), None);
+        assert_eq!(status_kb(status, "VmBad:"), None);
+        assert_eq!(status_kb(status, "VmSwap:"), None);
+    }
 
     #[test]
     fn request_ids_are_unique_and_ordered() {

@@ -457,9 +457,9 @@ fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The failure-injection stage kinds exist only in the orchestrator's
-/// own test build. A `POST /runs` naming one is a 400 that names the
-/// kind, and a `flaky` stage's `marker` path is never written.
+/// `fail` exists only in the orchestrator's own test build and `flaky`
+/// in no build, so the daemon knows neither. A `POST /runs` naming one
+/// is a 400 that names the kind, and no `marker` file is written.
 #[test]
 fn failure_injection_kinds_are_rejected_without_writing_files() {
     let dir = temp_results("injection");

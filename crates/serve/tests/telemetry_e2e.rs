@@ -103,6 +103,14 @@ fn metrics_exposition_history_and_healthz_cover_the_job_lifecycle() {
         .expect("job wall-time histogram exists");
     assert!(h.count() >= 1, "job histogram must have observed the run");
     assert_eq!(after.gauges().get("serve.workers.total"), Some(&2.0));
+    if cfg!(target_os = "linux") {
+        for gauge in ["serve.process.resident_bytes", "serve.process.peak_resident_bytes"] {
+            let bytes = after.gauges().get(gauge).copied();
+            assert!(bytes.is_some_and(|b| b > 0.0), "{gauge}: {bytes:?}");
+            let exported = obs::prom::sanitize_name(gauge);
+            assert!(after_text.contains(&exported), "{exported} missing:\n{after_text}");
+        }
+    }
 
     // History: the 100 ms sampler has had ample time; every NDJSON
     // line is a timestamped registry snapshot.

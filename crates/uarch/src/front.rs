@@ -18,8 +18,9 @@ use cachesim::l2::L2Outcome;
 use cachesim::{Geometry, TagCache};
 
 /// Producers more than this many instructions back are long since
-/// committed: the pipeline keeps completion times for this many.
-pub(crate) const COMMIT_RING: usize = 512;
+/// committed: the pipeline keeps completion times for this many, so a
+/// [`Fetched`] dependency distance never exceeds it.
+pub const COMMIT_RING: usize = 512;
 
 /// One fetched instruction with its front-end outcomes resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

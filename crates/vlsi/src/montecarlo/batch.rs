@@ -6,11 +6,12 @@
 //! restructures that work into contiguous `Vec<f64>` *planes* indexed
 //! `line * cells_per_line + bit`:
 //!
-//! * the correlated ΔL/L plane is a **gather**: the quad-tree collapses to
-//!   its finest-level [`leaf_totals`] once per chip, and a per-layout leaf
-//!   LUT (built once per process, shared across all chips of a layout) maps
-//!   every cell straight to its leaf — no per-cell descent, no per-cell
-//!   trigonometry of coordinates;
+//! * the correlated ΔL/L is a **gather**: the quad-tree collapses to its
+//!   finest-level [`leaf_totals`] once per chip, and per-layout leaf runs
+//!   (built once per process, shared across all chips of a layout) split
+//!   each line into runs of consecutive cells that share a leaf — four
+//!   per line on the paper layout — so a line kernel reads a leaf's ΔL/L
+//!   once per run, with no per-cell descent and no per-cell coordinates;
 //! * the random-dopant Vth deviations are read line-at-a-time from a
 //!   `PairStream`: the polar method's accepted `(u, s)` pairs, drawn in
 //!   fixed blocks; and
@@ -76,34 +77,75 @@ impl DeviationPlanes {
     }
 }
 
-/// Per-layout gather LUT: for each `(line, bit)` cell, the finest-level
-/// quad-tree leaf its die position falls in. Building it costs one full
-/// `cell_position` sweep, so it is cached process-wide per
-/// `(layout, levels)` — every chip of the same geometry shares it.
-fn leaf_lut(layout: &ArrayLayout, levels: usize) -> Arc<Vec<u32>> {
-    type LutCache = Mutex<HashMap<(ArrayLayout, usize), Arc<Vec<u32>>>>;
-    static CACHE: OnceLock<LutCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (*layout, levels);
-    if let Some(lut) = cache.lock().unwrap().get(&key) {
-        return Arc::clone(lut);
-    }
-    let lines = layout.lines();
-    let cells = layout.cells_per_line();
-    let mut lut = Vec::with_capacity(lines as usize * cells as usize);
-    for line in 0..lines {
-        for bit in 0..cells {
-            let (x, y) = layout.cell_position(line, bit);
-            lut.push(QuadTreeField::leaf_index_at(levels, x, y) as u32);
+/// Per-layout gather runs: each line's cells split into runs of
+/// consecutive bits that fall in one finest-level quad-tree leaf. At the
+/// chips' [`QUADTREE_LEVELS`] a line of the paper layout has four runs,
+/// two in each sub-array of its pair, where a per-cell table would hold
+/// 536 leaf indices. Building them costs one full `cell_position` sweep,
+/// so they are cached process-wide per `(layout, levels)` — every chip of
+/// the same geometry shares them.
+///
+/// [`QUADTREE_LEVELS`]: super::QUADTREE_LEVELS
+struct LeafRuns {
+    /// `(end_bit, leaf)` of every line's runs, line after line: a run
+    /// covers the bits from the previous run's end (0 at a line's first
+    /// run) up to `end_bit`, exclusive.
+    runs: Vec<(u32, u32)>,
+    /// `runs[starts[line]..starts[line + 1]]` are `line`'s runs.
+    starts: Vec<usize>,
+}
+
+impl LeafRuns {
+    fn get(layout: &ArrayLayout, levels: usize) -> Arc<Self> {
+        type RunsCache = Mutex<HashMap<(ArrayLayout, usize), Arc<LeafRuns>>>;
+        static CACHE: OnceLock<RunsCache> = OnceLock::new();
+        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+        let key = (*layout, levels);
+        let lock = || cache.lock().expect("no thread panics holding the leaf-runs cache");
+        if let Some(runs) = lock().get(&key) {
+            return Arc::clone(runs);
         }
+        let runs = Arc::new(Self::new(layout, levels));
+        lock()
+            .entry(key)
+            .or_insert_with(|| Arc::clone(&runs))
+            .clone()
     }
-    let lut = Arc::new(lut);
-    cache
-        .lock()
-        .unwrap()
-        .entry(key)
-        .or_insert_with(|| Arc::clone(&lut))
-        .clone()
+
+    fn new(layout: &ArrayLayout, levels: usize) -> Self {
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut starts = vec![0];
+        for line in 0..layout.lines() {
+            let first = runs.len();
+            for bit in 0..layout.cells_per_line() {
+                let (x, y) = layout.cell_position(line, bit);
+                let leaf = QuadTreeField::leaf_index_at(levels, x, y) as u32;
+                match runs[first..].last_mut() {
+                    Some((end, last)) if *last == leaf => *end = bit + 1,
+                    _ => runs.push((bit + 1, leaf)),
+                }
+            }
+            starts.push(runs.len());
+        }
+        Self { runs, starts }
+    }
+
+    /// `line`'s runs.
+    fn line(&self, line: usize) -> &[(u32, u32)] {
+        &self.runs[self.starts[line]..self.starts[line + 1]]
+    }
+
+    /// The leaf of every cell, in `line * cells_per_line + bit` order.
+    fn cell_leaves(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.starts.len() - 1).flat_map(move |line| {
+            let mut start = 0;
+            self.line(line).iter().flat_map(move |&(end, leaf)| {
+                let len = (end - start) as usize;
+                start = end;
+                std::iter::repeat_n(leaf as usize, len)
+            })
+        })
+    }
 }
 
 /// The chip's full ΔL/L plane, gathered from the quad-tree leaf totals.
@@ -111,9 +153,11 @@ fn leaf_lut(layout: &ArrayLayout, levels: usize) -> Arc<Vec<u32>> {
 /// `dl_plane(chip)[line * cells_per_line + bit]` is bit-identical to
 /// `chip.dl_at(x, y)` at that cell's position.
 fn dl_plane(chip: &Chip) -> Vec<f64> {
-    let lut = leaf_lut(&chip.layout, chip.field.levels());
+    let runs = LeafRuns::get(&chip.layout, chip.field.levels());
     let leaf_dl = leaf_dl(chip);
-    lut.iter().map(|&leaf| leaf_dl[leaf as usize]).collect()
+    let mut plane = Vec::with_capacity(chip.layout.total_cells() as usize);
+    plane.extend(runs.cell_leaves().map(|leaf| leaf_dl[leaf]));
+    plane
 }
 
 /// Batch equivalent of the scalar per-line retention sampling: returns the
@@ -151,39 +195,43 @@ struct ScreenCounts {
 fn screened_line_retentions(chip: &Chip) -> (Vec<Time>, ScreenCounts) {
     let solver = RetentionSolver::new(chip.node);
     let sigma_vth = chip.params.sigma_vth(chip.node).volts();
-    let lut = leaf_lut(&chip.layout, chip.field.levels());
+    let runs = LeafRuns::get(&chip.layout, chip.field.levels());
     let leaf_dl = leaf_dl(chip);
     let screen = RetentionScreen::new(&solver, &leaf_dl, sigma_vth);
     let scale = PolarScaleBounds::get();
-    let cells = chip.layout.cells_per_line() as usize;
     let mut counts = ScreenCounts::default();
     let out = fold_lines(chip, |line, pairs| {
-        let leaves = &lut[line * cells..(line + 1) * cells];
         let mut min_ret = Time::from_us(f64::INFINITY);
-        for (bit, (&leaf, cell)) in leaves.iter().zip(pairs.chunks_exact(2)).enumerate() {
-            let ((u1, s1), (u2, s2)) = (cell[0], cell[1]);
-            let leaf = leaf as usize;
-            let dl = leaf_dl[leaf];
-            if let (Some(g1), Some(g2)) = (scale.bounds(s1), scale.bounds(s2)) {
-                let (z1_lo, z1_hi) = normal_range(u1, g1);
-                let floor_hi = solver.ln_floor(dl, sigma_vth * normal_range(u2, g2).1);
-                let (lo, hi) = (sigma_vth * z1_lo, sigma_vth * z1_hi);
-                if screen.clears(leaf, lo, hi, floor_hi, min_ret) {
+        let mut start = 0;
+        for &(end, leaf) in runs.line(line) {
+            let end = end as usize;
+            let cells = (start..end).zip(pairs[2 * start..2 * end].chunks_exact(2));
+            start = end;
+            let dl = leaf_dl[leaf as usize];
+            let leaf_screen = screen.leaf(leaf as usize);
+            for (bit, cell) in cells {
+                let ((u1, s1), (u2, s2)) = (cell[0], cell[1]);
+                if let (Some(g1), Some(g2)) = (scale.bounds(s1), scale.bounds(s2)) {
+                    let (z1_lo, z1_hi) = normal_range(u1, g1);
+                    let floor_hi = solver.ln_floor(dl, sigma_vth * normal_range(u2, g2).1);
+                    let (lo, hi) = (sigma_vth * z1_lo, sigma_vth * z1_hi);
+                    if leaf_screen.clears(lo, hi, floor_hi, min_ret) {
+                        continue;
+                    }
+                }
+                counts.exact_normals += 2;
+                let dvth1 = sigma_vth * polar_normal(u1, s1);
+                let dvth2 = sigma_vth * polar_normal(u2, s2);
+                if leaf_screen.clears(dvth1, dvth1, solver.ln_floor(dl, dvth2), min_ret) {
                     continue;
                 }
-            }
-            counts.exact_normals += 2;
-            let dvth1 = sigma_vth * polar_normal(u1, s1);
-            let dvth2 = sigma_vth * polar_normal(u2, s2);
-            if screen.clears(leaf, dvth1, dvth1, solver.ln_floor(dl, dvth2), min_ret) {
-                continue;
-            }
-            counts.exact_solves += 1;
-            let r = solver.retention(dl, dvth1, dvth2);
-            if r < min_ret {
-                min_ret = r;
-                if min_ret == Time::ZERO {
-                    return (min_ret, Some(bit));
+                counts.exact_solves += 1;
+                let r = solver.retention(dl, dvth1, dvth2);
+                if r < min_ret {
+                    min_ret = r;
+                    if min_ret == Time::ZERO {
+                        return (min_ret, Some(bit));
+                    }
                 }
             }
         }
@@ -444,22 +492,41 @@ impl RetentionScreen {
         }
     }
 
-    /// Whether every cell in `leaf` with a T1 deviation in
+    /// The screen of the cells in `leaf`.
+    #[inline]
+    fn leaf(&self, leaf: usize) -> LeafScreen<'_> {
+        LeafScreen {
+            bounds: &self.bounds[leaf * SCREEN_BINS..(leaf + 1) * SCREEN_BINS],
+            lo: self.lo,
+            bins_per_volt: self.bins_per_volt,
+        }
+    }
+}
+
+/// One leaf's row of a [`RetentionScreen`].
+struct LeafScreen<'a> {
+    /// `(τ_lo, ln V₀_lo)` by ΔVth₁ bin.
+    bounds: &'a [(f64, f64)],
+    lo: f64,
+    bins_per_volt: f64,
+}
+
+impl LeafScreen<'_> {
+    /// Whether every cell of the leaf with a T1 deviation in
     /// `[dvth1_lo, dvth1_hi]` and a read-path floor of at most `ln_floor`
     /// certainly has a retention of at least `min_ret`. τ's bound comes
     /// from the bin of the range's low end, `ln V₀`'s from the bin of its
     /// high end. A range leaving the screened span, or a bound that falls
     /// short (NaN included), is not cleared.
     #[inline]
-    fn clears(&self, leaf: usize, dvth1_lo: f64, dvth1_hi: f64, ln_floor: f64, min_ret: Time) -> bool {
+    fn clears(&self, dvth1_lo: f64, dvth1_hi: f64, ln_floor: f64, min_ret: Time) -> bool {
         let t_lo = (dvth1_lo - self.lo) * self.bins_per_volt;
         let t_hi = (dvth1_hi - self.lo) * self.bins_per_volt;
         if !(t_lo >= 0.0 && t_hi < SCREEN_BINS as f64) {
             return false;
         }
-        let row = &self.bounds[leaf * SCREEN_BINS..(leaf + 1) * SCREEN_BINS];
-        let (tau_lo, _) = row[t_lo as usize];
-        let (_, ln_v0_lo) = row[t_hi as usize];
+        let (tau_lo, _) = self.bounds[t_lo as usize];
+        let (_, ln_v0_lo) = self.bounds[t_hi as usize];
         tau_lo * (ln_v0_lo - ln_floor) * SCREEN_SLACK >= min_ret.value()
     }
 }
@@ -746,10 +813,34 @@ mod tests {
     }
 
     #[test]
-    fn leaf_lut_is_shared_across_chips() {
+    fn leaf_runs_expand_to_every_cells_leaf() {
+        let layout = ArrayLayout::PAPER_L1D;
+        for levels in [1, 3, 8] {
+            let runs = LeafRuns::new(&layout, levels);
+            let want: Vec<usize> = (0..layout.lines())
+                .flat_map(|line| (0..layout.cells_per_line()).map(move |bit| (line, bit)))
+                .map(|(line, bit)| {
+                    let (x, y) = layout.cell_position(line, bit);
+                    QuadTreeField::leaf_index_at(levels, x, y)
+                })
+                .collect();
+            assert_eq!(runs.cell_leaves().collect::<Vec<_>>(), want, "levels {levels}");
+            if levels == crate::montecarlo::QUADTREE_LEVELS {
+                assert!((0..layout.lines() as usize).all(|line| runs.line(line).len() == 4));
+            }
+            for line in 0..layout.lines() as usize {
+                let line_runs = runs.line(line);
+                assert_eq!(line_runs.last().unwrap().0, layout.cells_per_line(), "line {line}");
+                assert!(line_runs.windows(2).all(|w| w[0].1 != w[1].1), "line {line}: split run");
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_runs_are_shared_across_chips() {
         let f = ChipFactory::new(TechNode::N32, VariationCorner::Typical.params(), 3);
-        let a = leaf_lut(f.layout(), 3);
-        let b = leaf_lut(f.layout(), 3);
-        assert!(Arc::ptr_eq(&a, &b), "same layout must share one LUT");
+        let a = LeafRuns::get(f.layout(), 3);
+        let b = LeafRuns::get(f.layout(), 3);
+        assert!(Arc::ptr_eq(&a, &b), "same layout must share one set of runs");
     }
 }
