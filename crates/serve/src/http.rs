@@ -144,28 +144,30 @@ pub fn write_response<W: Write>(stream: &mut W, status: u16, body: &str) -> io::
 }
 
 /// [`write_response`] with an explicit `Content-Type` — the `/metrics`
-/// exposition is `text/plain` and `/metrics/history` is NDJSON.
+/// exposition is `text/plain` and `/metrics/history` is NDJSON. The
+/// head and body are rendered into one buffer and sent with one
+/// `write_all`, so the socket sees one `write` rather than one per
+/// formatted piece.
 pub fn write_response_typed<W: Write>(
     stream: &mut W,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        stream,
+    let wire = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         reason(status),
         body.len(),
-    )?;
+    );
+    stream.write_all(wire.as_bytes())?;
     stream.flush()
 }
 
 /// Writes a streaming-response head: NDJSON content, no
 /// `Content-Length` — the body ends when the server closes the socket.
 pub fn write_stream_head<W: Write>(stream: &mut W) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
+    stream.write_all(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
     )?;
     stream.flush()
 }
@@ -219,6 +221,27 @@ pub fn read_response<R: BufRead>(stream: &mut R) -> io::Result<Response> {
         }
     }
     Ok(Response { status, body })
+}
+
+/// A writer that records every `write` call it receives.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -347,6 +370,33 @@ mod tests {
                 Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             }
         }
+    }
+
+    #[test]
+    fn each_response_is_one_write_with_unchanged_framing() {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 202, "{\"job\":1}").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\nContent-Length: 9\r\nConnection: close\r\n\r\n{\"job\":1}"
+        );
+
+        let mut w = CountingWriter::default();
+        write_response_typed(&mut w, 200, "text/plain; version=0.0.4", "").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        );
+
+        let mut w = CountingWriter::default();
+        write_stream_head(&mut w).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! The table is the single source of truth shared by the HTTP
 //! connection threads (submit/query/cancel) and the worker pool
 //! (claim/finish); everything lives behind one mutex, with a condvar
-//! waking idle workers.
+//! waking idle workers. A job whose every stage is a cache hit enters
+//! as `running` ([`JobTable::submit_running`]) and its submitting
+//! connection runs it; it never waits in the queue.
 //!
 //! ## Retention
 //!
@@ -36,7 +38,8 @@ pub(crate) fn manifest_path(jobs_dir: &Path, id: u64) -> PathBuf {
 pub enum JobState {
     /// Accepted, waiting for a worker.
     Queued,
-    /// A worker is executing the scenario.
+    /// A worker is executing the scenario, or the submitting connection
+    /// is resolving it from the cache.
     Running,
     /// The run finished with every stage ok.
     Done,
@@ -109,7 +112,21 @@ struct Job {
     request_id: String,
 }
 
-/// The work a claimed job hands to a worker.
+impl Job {
+    /// What running job `id` needs.
+    fn claim(&self, id: u64) -> Claim {
+        Claim {
+            id,
+            scenario: self.scenario.clone(),
+            cancel: self.cancel.clone(),
+            events: self.events.clone(),
+            request_id: self.request_id.clone(),
+        }
+    }
+}
+
+/// The work a claimed job hands to whoever runs it: a worker, or the
+/// submitting connection for a job resolved from the cache.
 #[derive(Debug)]
 pub struct Claim {
     /// Job id.
@@ -173,18 +190,48 @@ impl JobTable {
     /// request's correlation id. Returns the new job id.
     pub fn submit(&self, scenario: Scenario, request_id: String) -> u64 {
         let mut inner = self.inner.lock().expect("job table poisoned");
+        let id = self.admit(&mut inner, scenario, request_id, JobState::Queued);
+        inner.queue.push_back(id);
+        self.cv.notify_one();
+        id
+    }
+
+    /// Accepts a scenario straight into `Running`, bypassing the queue,
+    /// and returns its claim for the caller to run. The daemon does this
+    /// for a scenario whose every stage is already a cache hit, so the
+    /// submitting connection resolves it without a worker slot. Returns
+    /// `None` once `shutdown` fired. The token is read under the table
+    /// lock, so a job accepted here is in the table before
+    /// [`JobTable::cancel_all`] runs and gets its token fired with the
+    /// rest.
+    pub fn submit_running(
+        &self,
+        scenario: Scenario,
+        request_id: String,
+        shutdown: &CancelToken,
+    ) -> Option<Claim> {
+        let mut inner = self.inner.lock().expect("job table poisoned");
+        if shutdown.is_cancelled() {
+            return None;
+        }
+        let id = self.admit(&mut inner, scenario, request_id, JobState::Running);
+        Some(inner.jobs[&id].claim(id))
+    }
+
+    /// Mints the next id and inserts the job in `state`.
+    fn admit(&self, inner: &mut Inner, scenario: Scenario, request_id: String, state: JobState) -> u64 {
         inner.next_id += 1;
         let id = inner.next_id;
         // Ids restart at 1 with every daemon, so a manifest under this id
-        // belongs to a previous daemon's job. Remove it before any worker
-        // can see the job: the job may end without writing one, and the
+        // belongs to a previous daemon's job. Remove it before the job can
+        // run: the job may end without writing one, and the
         // evicted-status fallback must never read another job's.
         let _ = std::fs::remove_file(manifest_path(&self.jobs_dir, id));
         inner.jobs.insert(
             id,
             Job {
                 scenario,
-                state: JobState::Queued,
+                state,
                 cancel: CancelToken::new(),
                 events: EventBus::new(),
                 manifest: None,
@@ -192,8 +239,6 @@ impl JobTable {
                 request_id,
             },
         );
-        inner.queue.push_back(id);
-        self.cv.notify_one();
         id
     }
 
@@ -213,13 +258,7 @@ impl JobTable {
                     continue;
                 }
                 job.state = JobState::Running;
-                return Some(Claim {
-                    id,
-                    scenario: job.scenario.clone(),
-                    cancel: job.cancel.clone(),
-                    events: job.events.clone(),
-                    request_id: job.request_id.clone(),
-                });
+                return Some(job.claim(id));
             }
             if shutdown.is_cancelled() {
                 return None;
@@ -429,6 +468,40 @@ mod tests {
         assert!(status.get("manifest").is_some());
         let (_, closed) = claim.events.wait_from(0, std::time::Duration::ZERO);
         assert!(closed, "finish closes the bus");
+    }
+
+    #[test]
+    fn running_submissions_skip_the_queue_and_stop_at_shutdown() {
+        let dir = std::env::temp_dir().join(format!("pv3t1d_jobs_running_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A previous daemon's manifest under id 2 is cleared when the
+        // running job takes that id, as for a queued one.
+        std::fs::write(manifest_path(&dir, 2), "{}").unwrap();
+        let table = JobTable::new(dir.clone());
+        let shutdown = CancelToken::new();
+        let queued = table.submit(scenario("q"), "req-000001".into());
+        let claim = table
+            .submit_running(scenario("hit"), "req-000002".into(), &shutdown)
+            .unwrap();
+        assert_eq!(claim.id, queued + 1, "both paths share one id sequence");
+        assert_eq!(claim.request_id, "req-000002");
+        assert!(!manifest_path(&dir, 2).exists(), "stale manifest survived");
+        assert_eq!(table.counts(), (1, 1, 0));
+        assert_eq!(table.active_ids(), vec![queued, claim.id]);
+        // A worker claims the queued job, never the running one.
+        assert_eq!(table.claim(&shutdown).unwrap().id, queued);
+        assert_eq!(table.cancel(claim.id), Some(JobState::Running));
+        assert!(claim.cancel.is_cancelled(), "cancel reaches the claim's token");
+        table.finish(claim.id, JobState::Cancelled, None, None);
+        assert_eq!(table.counts(), (0, 1, 1));
+
+        shutdown.cancel();
+        assert!(table
+            .submit_running(scenario("late"), "req-000003".into(), &shutdown)
+            .is_none());
+        assert_eq!(table.counts(), (0, 1, 1), "a refused submission leaves no job");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

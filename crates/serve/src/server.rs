@@ -18,6 +18,7 @@
 //! | `GET /metrics.json`     | the same registry as JSON                         |
 //! | `GET /metrics/history`  | sampler ring as NDJSON (`?window=<seconds>`)      |
 //! | `POST /runs`            | submit a scenario document → `202 {"job": id}`    |
+//! |                         | (done at once when every stage is a cache hit)    |
 //! | `GET /jobs`             | list retained jobs                                |
 //! | `GET /jobs/<id>`        | job state (+ run manifest once terminal)          |
 //! | `DELETE /jobs/<id>`     | cancel (cooperative; the scheduler drains)        |
@@ -32,6 +33,18 @@
 //! line the request or its job emits — one grep follows a request end
 //! to end. Ids are execution metadata: they never enter cache keys or
 //! run fingerprints.
+//!
+//! ## Cache-resolved submissions
+//!
+//! `POST /runs` plans the scenario against the CAS first
+//! ([`orchestrator::plan_scenario`]). When every stage is a verified
+//! hit, the job enters the table as `running` and the connection thread
+//! that received it runs it through the same `run_job` a worker uses,
+//! then answers the 202: it never waits behind executing jobs for a
+//! worker slot. Its manifest, events, fingerprint, logs and metrics are
+//! those a worker would produce, with `execution.executed` 0, and
+//! `serve.jobs.cache_resolved_total` counts it. Any other submission is
+//! queued for the pool.
 //!
 //! ## Shared execution state
 //!
@@ -52,10 +65,10 @@
 
 use crate::http;
 use crate::janitor::{self, JanitorConfig, JanitorState};
-use crate::jobs::{self, JobState, JobTable};
+use crate::jobs::{self, Claim, JobState, JobTable};
 use crate::telemetry::{self, Telemetry};
 use obs::{CancelToken, Json, MetricsRegistry};
-use orchestrator::{run_scenario, FlightTable, RunOptions, Scenario};
+use orchestrator::{plan_scenario, run_scenario, FlightTable, RunOptions, Scenario};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -146,6 +159,12 @@ pub(crate) struct Shared {
     pub(crate) telemetry: Telemetry,
     workers: usize,
     busy_workers: AtomicUsize,
+    /// Connection threads inside `resolve_cached`; the drain waits for
+    /// them as it joins the workers. A thread raises it before its job
+    /// enters the table and lowers it (`Release`) after `finish`. The
+    /// drain reads it (`Acquire`) after `cancel_all` took the table
+    /// lock, so it sees every job inserted before that lock was taken.
+    resolving: AtomicUsize,
     active_connections: AtomicUsize,
     started: Instant,
     verbose: bool,
@@ -261,7 +280,7 @@ impl Server {
     /// Binds, spawns the accept loop + worker pool + janitor, and
     /// returns immediately.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        pin_mmap_threshold();
+        tune_malloc();
         let (listener, addr, unix_path) = Listener::bind(&config.listen)?;
         std::fs::create_dir_all(config.results_dir.join("jobs"))?;
         let shared = Arc::new(Shared {
@@ -274,6 +293,7 @@ impl Server {
             telemetry: Telemetry::new(),
             workers: config.workers.max(1),
             busy_workers: AtomicUsize::new(0),
+            resolving: AtomicUsize::new(0),
             active_connections: AtomicUsize::new(0),
             started: Instant::now(),
             verbose: config.verbose,
@@ -354,6 +374,12 @@ impl Server {
         for t in self.threads {
             let _ = t.join();
         }
+        // Cache-resolved jobs run on connection threads, which are not
+        // joined. Their tokens fired with the rest, so they end as
+        // promptly as a worker's job does.
+        while self.shared.resolving.load(Ordering::Acquire) > 0 {
+            std::thread::sleep(POLL);
+        }
         // Workers exit without draining the queue on shutdown; mark the
         // leftovers cancelled so their event streams terminate.
         for id in self.shared.jobs.active_ids() {
@@ -388,8 +414,8 @@ impl Server {
     }
 }
 
-/// Pins glibc's mmap threshold at its 128 KiB default, once per
-/// process.
+/// Pins glibc's mmap threshold at its 128 KiB default and caps its
+/// malloc arenas at one per CPU, once per process.
 ///
 /// glibc raises the threshold whenever a large mapped block is freed;
 /// from then on large blocks come from the allocating thread's arena
@@ -399,21 +425,34 @@ impl Server {
 /// those threads happened to overlap, and resident memory wandered by
 /// several MB from one run of the same load to the next. With the
 /// threshold pinned, blocks of 128 KiB and more are always mapped and
-/// go back to the system when freed. The setting is process-wide, so
-/// it also holds for a program that embeds the daemon.
-fn pin_mmap_threshold() {
+/// go back to the system when freed.
+///
+/// glibc also opens a new arena whenever a thread finds the others
+/// locked, up to eight per CPU. Cache-resolved jobs allocate on
+/// connection threads while a worker runs a campaign, and without a cap
+/// the daemon's peak RSS under perfbench's `serve_mixed` rose from
+/// 8.2–8.6 to 9.9–10.7 MB on a 2-vCPU host. More arenas than CPUs buy no
+/// parallelism. Both settings are process-wide, so they also hold for a
+/// program that embeds the daemon.
+fn tune_malloc() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
         const M_MMAP_THRESHOLD: i32 = -3;
+        const M_ARENA_MAX: i32 = -8;
         const THRESHOLD: i32 = 128 * 1024;
         extern "C" {
             fn mallopt(param: i32, value: i32) -> i32;
         }
-        static PINNED: std::sync::Once = std::sync::Once::new();
-        // SAFETY: mallopt takes no pointers; it only updates glibc's
-        // allocator tunables, under glibc's own lock.
-        PINNED.call_once(|| unsafe {
-            mallopt(M_MMAP_THRESHOLD, THRESHOLD);
+        static TUNED: std::sync::Once = std::sync::Once::new();
+        TUNED.call_once(|| {
+            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let arenas = i32::try_from(cpus).unwrap_or(i32::MAX);
+            // SAFETY: mallopt takes no pointers; it only updates glibc's
+            // allocator tunables, under glibc's own lock.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, THRESHOLD);
+                mallopt(M_ARENA_MAX, arenas);
+            }
         });
     }
 }
@@ -452,102 +491,111 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
 fn worker_loop(shared: Arc<Shared>) {
     while let Some(claim) = shared.jobs.claim(&shared.shutdown) {
         shared.busy_workers.fetch_add(1, Ordering::AcqRel);
-        if shared.verbose {
-            println!("serve: job {} ({}) started", claim.id, claim.scenario.name);
-        }
-        if obs::log::enabled(obs::log::Level::Info) {
-            obs::log::info(
-                "job started",
-                &[
-                    ("job", Json::Num(claim.id as f64)),
-                    ("scenario", Json::Str(claim.scenario.name.clone())),
-                    ("request_id", Json::Str(claim.request_id.clone())),
-                ],
-            );
-        }
-        let opts = RunOptions {
-            jobs: shared.stage_jobs,
-            results_dir: shared.results_dir.clone(),
-            cancel: Some(claim.cancel.clone()),
-            flight: Some(shared.flight.clone()),
-            events: Some(claim.events.clone()),
-            request_id: Some(claim.request_id.clone()),
-            ..RunOptions::default()
-        };
-        match run_scenario(&claim.scenario, &opts) {
-            Ok(summary) => {
-                // The per-job manifest is written even for cancelled and
-                // failed runs — it records which stages completed, so a
-                // restarted daemon (or operator) can see what resumed —
-                // and it is what status reads once the job is evicted.
-                let path = jobs::manifest_path(&shared.results_dir.join("jobs"), claim.id);
-                let _ = summary.write_to(&path);
-                let manifest = summary.to_json();
-                let state = JobState::of_manifest(&manifest);
-                if shared.verbose {
-                    println!("serve: job {} {}", claim.id, state.word());
-                }
-                if obs::log::enabled(obs::log::Level::Info) {
-                    obs::log::info(
-                        "job finished",
-                        &[
-                            ("job", Json::Num(claim.id as f64)),
-                            ("state", Json::Str(state.word().to_string())),
-                            ("wall_seconds", Json::Num(summary.wall_seconds)),
-                            ("request_id", Json::Str(claim.request_id.clone())),
-                        ],
-                    );
-                }
-                // Fold the job's scheduler metrics into the daemon-wide
-                // registry: counters add across jobs (daemon CAS totals),
-                // the job histogram and throughput gauge feed /metrics.
-                shared.telemetry.with_registry(|reg| {
-                    reg.merge(&summary.metrics);
-                    reg.inc("serve.jobs.finished_total", 1);
-                    reg.inc(&format!("serve.jobs.{}_total", state.word()), 1);
-                    let (name, lo, hi, n) = telemetry::JOB_SECONDS;
-                    reg.histogram(name, lo, hi, n).record(summary.wall_seconds);
-                    let units = summary
-                        .metrics
-                        .counter("orchestrator.checkpoint.stored_units")
-                        .unwrap_or(0)
-                        + summary
-                            .metrics
-                            .counter("orchestrator.checkpoint.resumed_units")
-                            .unwrap_or(0);
-                    if summary.wall_seconds > 0.0 {
-                        reg.set_gauge(
-                            "serve.job.units_per_s",
-                            units as f64 / summary.wall_seconds,
-                        );
-                    }
-                });
-                shared.jobs.finish(claim.id, state, Some(manifest), None);
-            }
-            Err(e) => {
-                if shared.verbose {
-                    println!("serve: job {} failed: {e}", claim.id);
-                }
-                if obs::log::enabled(obs::log::Level::Error) {
-                    obs::log::error(
-                        "job failed",
-                        &[
-                            ("job", Json::Num(claim.id as f64)),
-                            ("error", Json::Str(e.to_string())),
-                            ("request_id", Json::Str(claim.request_id.clone())),
-                        ],
-                    );
-                }
-                shared.telemetry.with_registry(|reg| {
-                    reg.inc("serve.jobs.finished_total", 1);
-                    reg.inc("serve.jobs.failed_total", 1);
-                });
-                shared
-                    .jobs
-                    .finish(claim.id, JobState::Failed, None, Some(e.to_string()));
-            }
-        }
+        run_job(&shared, claim);
         shared.busy_workers.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Runs a claimed job to its terminal state: the scheduler, the run
+/// manifest under `<results>/jobs`, the log lines, the registry merge
+/// and [`JobTable::finish`]. Workers run queued jobs through it, and
+/// [`submit`] runs cache-resolved ones on the submitting connection.
+fn run_job(shared: &Shared, claim: Claim) {
+    if shared.verbose {
+        println!("serve: job {} ({}) started", claim.id, claim.scenario.name);
+    }
+    if obs::log::enabled(obs::log::Level::Info) {
+        obs::log::info(
+            "job started",
+            &[
+                ("job", Json::Num(claim.id as f64)),
+                ("scenario", Json::Str(claim.scenario.name.clone())),
+                ("request_id", Json::Str(claim.request_id.clone())),
+            ],
+        );
+    }
+    let opts = RunOptions {
+        jobs: shared.stage_jobs,
+        results_dir: shared.results_dir.clone(),
+        cancel: Some(claim.cancel.clone()),
+        flight: Some(shared.flight.clone()),
+        events: Some(claim.events.clone()),
+        request_id: Some(claim.request_id.clone()),
+        ..RunOptions::default()
+    };
+    match run_scenario(&claim.scenario, &opts) {
+        Ok(summary) => {
+            // The per-job manifest is written even for cancelled and
+            // failed runs — it records which stages completed, so a
+            // restarted daemon (or operator) can see what resumed —
+            // and it is what status reads once the job is evicted. It is
+            // built once: the file and the table hold the same document.
+            let manifest = summary.to_json();
+            let path = jobs::manifest_path(&shared.results_dir.join("jobs"), claim.id);
+            let _ = std::fs::write(&path, manifest.render_pretty());
+            let state = JobState::of_manifest(&manifest);
+            if shared.verbose {
+                println!("serve: job {} {}", claim.id, state.word());
+            }
+            if obs::log::enabled(obs::log::Level::Info) {
+                obs::log::info(
+                    "job finished",
+                    &[
+                        ("job", Json::Num(claim.id as f64)),
+                        ("state", Json::Str(state.word().to_string())),
+                        ("wall_seconds", Json::Num(summary.wall_seconds)),
+                        ("request_id", Json::Str(claim.request_id.clone())),
+                    ],
+                );
+            }
+            // Fold the job's scheduler metrics into the daemon-wide
+            // registry: counters add across jobs (daemon CAS totals),
+            // the job histogram and throughput gauge feed /metrics.
+            shared.telemetry.with_registry(|reg| {
+                reg.merge(&summary.metrics);
+                reg.inc("serve.jobs.finished_total", 1);
+                reg.inc(&format!("serve.jobs.{}_total", state.word()), 1);
+                let (name, lo, hi, n) = telemetry::JOB_SECONDS;
+                reg.histogram(name, lo, hi, n).record(summary.wall_seconds);
+                let units = summary
+                    .metrics
+                    .counter("orchestrator.checkpoint.stored_units")
+                    .unwrap_or(0)
+                    + summary
+                        .metrics
+                        .counter("orchestrator.checkpoint.resumed_units")
+                        .unwrap_or(0);
+                if summary.wall_seconds > 0.0 {
+                    reg.set_gauge(
+                        "serve.job.units_per_s",
+                        units as f64 / summary.wall_seconds,
+                    );
+                }
+            });
+            shared.jobs.finish(claim.id, state, Some(manifest), None);
+        }
+        Err(e) => {
+            if shared.verbose {
+                println!("serve: job {} failed: {e}", claim.id);
+            }
+            if obs::log::enabled(obs::log::Level::Error) {
+                obs::log::error(
+                    "job failed",
+                    &[
+                        ("job", Json::Num(claim.id as f64)),
+                        ("error", Json::Str(e.to_string())),
+                        ("request_id", Json::Str(claim.request_id.clone())),
+                    ],
+                );
+            }
+            shared.telemetry.with_registry(|reg| {
+                reg.inc("serve.jobs.finished_total", 1);
+                reg.inc("serve.jobs.failed_total", 1);
+            });
+            shared
+                .jobs
+                .finish(claim.id, JobState::Failed, None, Some(e.to_string()));
+        }
     }
 }
 
@@ -710,7 +758,7 @@ fn route(
         ("GET", ["jobs", id, "events"]) => {
             let id = parse_id(id);
             match id.and_then(|id| shared.jobs.events(id)) {
-                Some(bus) => stream_events(w, &bus, shared).map(|()| 200),
+                Some(bus) => stream_events(w, &bus, &shared.shutdown).map(|()| 200),
                 None if id.is_some_and(|id| shared.jobs.is_evicted(id)) => {
                     respond(w, 404, &error_doc("events no longer retained"))
                 }
@@ -818,29 +866,108 @@ fn submit(
     }
     let mut doc = Json::object();
     doc.insert("scenario", Json::Str(scenario.name.clone()));
-    let id = shared.jobs.submit(scenario, request_id.to_string());
+    let id = if all_cached(&scenario, shared) {
+        match resolve_cached(scenario, shared, request_id) {
+            Some(id) => id,
+            None => return respond(w, 503, &error_doc("draining")),
+        }
+    } else {
+        shared.jobs.submit(scenario, request_id.to_string())
+    };
     doc.insert("job", Json::Num(id as f64));
     doc.insert("request_id", Json::Str(request_id.to_string()));
     respond(w, 202, &doc)
 }
 
+/// Whether every stage of `scenario` is a verified hit in the daemon's
+/// CAS.
+fn all_cached(scenario: &Scenario, shared: &Shared) -> bool {
+    let opts = RunOptions {
+        results_dir: shared.results_dir.clone(),
+        ..RunOptions::default()
+    };
+    plan_scenario(scenario, &opts).is_ok_and(|plan| plan.iter().all(|entry| entry.cached))
+}
+
+/// Runs a scenario whose every stage was a cache hit on the calling
+/// connection thread, without a worker slot, and returns its job id;
+/// `None` once the daemon drains. The job is `running` in the table
+/// throughout, so cancel, drain and eviction treat it like a worker's.
+///
+/// The janitor can evict a CAS entry between the plan and the run. The
+/// scheduler then executes that stage for this connection thread: the
+/// output is still correct, and at most [`MAX_CONNECTIONS`] such runs
+/// can be in flight.
+fn resolve_cached(scenario: Scenario, shared: &Shared, request_id: &str) -> Option<u64> {
+    shared.resolving.fetch_add(1, Ordering::AcqRel);
+    let claim = shared
+        .jobs
+        .submit_running(scenario, request_id.to_string(), &shared.shutdown);
+    let id = claim.map(|claim| {
+        let id = claim.id;
+        run_job(shared, claim);
+        shared
+            .telemetry
+            .with_registry(|reg| reg.inc("serve.jobs.cache_resolved_total", 1));
+        id
+    });
+    shared.resolving.fetch_sub(1, Ordering::AcqRel);
+    id
+}
+
 /// Tails a job's event bus as close-delimited NDJSON: replays history
 /// from cursor 0, then follows live until the bus closes (job terminal)
-/// or the daemon shuts down.
-fn stream_events(w: &mut impl Write, bus: &obs::EventBus, shared: &Shared) -> io::Result<()> {
+/// or the daemon shuts down. Each non-empty batch of events goes out in
+/// one `write_all`.
+fn stream_events(w: &mut impl Write, bus: &obs::EventBus, shutdown: &CancelToken) -> io::Result<()> {
     http::write_stream_head(w)?;
     let mut cursor = 0usize;
+    let mut batch = String::new();
     loop {
         let (events, closed) = bus.wait_from(cursor, Duration::from_millis(200));
         cursor += events.len();
-        for event in &events {
-            writeln!(w, "{}", event.render())?;
-        }
         if !events.is_empty() {
+            batch.clear();
+            for event in &events {
+                batch.push_str(&event.render());
+                batch.push('\n');
+            }
+            w.write_all(batch.as_bytes())?;
             w.flush()?;
         }
-        if closed || shared.shutdown.is_cancelled() {
+        if closed || shutdown.is_cancelled() {
             return w.flush();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::CountingWriter;
+
+    #[test]
+    fn each_event_batch_is_one_write_with_unchanged_framing() {
+        let bus = obs::EventBus::new();
+        for n in 1..=3 {
+            let mut event = Json::object();
+            event.insert("event", Json::Str("stage.finished".to_string()));
+            event.insert("n", Json::Num(f64::from(n)));
+            bus.publish(event);
+        }
+        bus.close();
+        let mut w = CountingWriter::default();
+        stream_events(&mut w, &bus, &CancelToken::new()).unwrap();
+        // The head, then the three replayed events as one batch.
+        assert_eq!(w.writes, 2);
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            concat!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
+                "{\"event\":\"stage.finished\",\"n\":1}\n",
+                "{\"event\":\"stage.finished\",\"n\":2}\n",
+                "{\"event\":\"stage.finished\",\"n\":3}\n",
+            )
+        );
     }
 }

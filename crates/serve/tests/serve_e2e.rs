@@ -12,6 +12,9 @@
 //!   manifests, and a restarted daemon serves the same stage keys from
 //!   cache with zero re-execution (campaigns resume from unit
 //!   checkpoints);
+//! * **cache-resolved submissions**: a resubmission whose every stage
+//!   is a cache hit finishes on the submitting connection while the
+//!   only worker is busy;
 //! * **liveness under chaos**: random interleavings of submit, cancel,
 //!   and cache GC terminate without deadlock (proptest).
 
@@ -69,6 +72,20 @@ fn await_terminal(addr: &str, id: u64) -> Json {
 
 fn healthz(addr: &str) -> Json {
     parse_body(&exchange(addr, "GET", "/healthz", None).unwrap())
+}
+
+fn status(addr: &str, id: u64) -> Json {
+    let resp = exchange(addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+    assert_eq!(resp.status, 200, "{resp:?}");
+    parse_body(&resp)
+}
+
+fn state(doc: &Json) -> &str {
+    doc.get("state").and_then(Json::as_str).unwrap()
+}
+
+fn manifest_field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+    doc.get("manifest").and_then(|m| m.get(key))
 }
 
 #[test]
@@ -668,6 +685,75 @@ fn finished_jobs_beyond_the_cap_fall_back_to_their_manifests() {
     let addr = server.addr().to_string();
     assert_eq!(exchange(&addr, "GET", "/jobs/1", None).unwrap().status, 404);
     assert_eq!(exchange(&addr, "GET", "/jobs/1/events", None).unwrap().status, 404);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resubmission whose every stage is already in the CAS finishes on
+/// the connection that submitted it: the 202 arrives with the job done,
+/// while the only worker is still busy and a fresh scenario waits in the
+/// queue behind it.
+#[test]
+fn cached_resubmission_finishes_without_a_worker() {
+    let dir = temp_results("cache_resolved");
+    let server = start_server(&dir, 1);
+    let addr = server.addr().to_string();
+
+    let scenario = sleep_scenario("resolved", 0.02);
+    let first_id = submit(&addr, &scenario);
+    let first = await_terminal(&addr, first_id);
+    assert_eq!(state(&first), "done", "{first:?}");
+    let fingerprint = manifest_field(&first, "fingerprint").unwrap().clone();
+
+    // The daemon's manifest file holds the very document the status
+    // endpoint serves.
+    let path = dir.join("jobs").join(format!("{first_id}.run.json"));
+    let on_disk = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert_eq!(Some(&on_disk), first.get("manifest"));
+
+    // Occupy the one worker.
+    let blocker = r#"{"schema": 2, "name": "blocker", "scale": "quick", "stages": [
+        {"id": "hold", "kind": "sleep", "params": {"seconds": 4.0}}
+    ]}"#;
+    let blocker_id = submit(&addr, blocker);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while state(&status(&addr, blocker_id)) != "running" {
+        assert!(Instant::now() < deadline, "the blocker never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let id = submit(&addr, &scenario);
+    let resolved = status(&addr, id);
+    assert_eq!(state(&resolved), "done", "{resolved:?}");
+    let execution = manifest_field(&resolved, "execution").unwrap();
+    assert_eq!(execution.get("executed").and_then(Json::as_u64), Some(0), "{execution:?}");
+    assert_eq!(manifest_field(&resolved, "fingerprint"), Some(&fingerprint));
+    let path = dir.join("jobs").join(format!("{id}.run.json"));
+    let on_disk = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert_eq!(Some(&on_disk), resolved.get("manifest"));
+
+    let events = exchange(&addr, "GET", &format!("/jobs/{id}/events"), None).unwrap();
+    assert_eq!(events.status, 200);
+    let kinds: Vec<String> = std::str::from_utf8(&events.body)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            let event = Json::parse(l).expect("each event line is a JSON document");
+            event.get("event").and_then(Json::as_str).unwrap().to_string()
+        })
+        .collect();
+    assert_eq!(kinds.first().map(String::as_str), Some("run.started"), "{kinds:?}");
+    assert_eq!(kinds.last().map(String::as_str), Some("run.finished"), "{kinds:?}");
+    assert_eq!(state(&status(&addr, blocker_id)), "running");
+
+    // A scenario with stages the CAS lacks still waits for the worker.
+    let fresh_id = submit(&addr, &sleep_scenario("fresh", 0.021));
+    assert_eq!(state(&status(&addr, fresh_id)), "queued");
+    assert_eq!(state(&status(&addr, blocker_id)), "running");
+
+    let workers = healthz(&addr).get("workers").unwrap().clone();
+    assert_eq!(workers.get("busy").and_then(Json::as_u64), Some(1), "{workers:?}");
+
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,6 +6,8 @@
 //!   when a job runs over HTTP;
 //! * **history**: the sampler thread fills `/metrics/history` with
 //!   timestamped NDJSON snapshots while the daemon serves;
+//! * **cache-resolved jobs**: a resubmission finished on its connection
+//!   moves `serve.jobs.cache_resolved_total`;
 //! * **correlation**: the request id minted at accept time is
 //!   followable from the `POST /runs` response through the job status
 //!   document, the scheduler's stage trace spans, and the structured
@@ -268,4 +270,38 @@ fn request_id_correlates_api_trace_and_logs_with_identical_fingerprints() {
     let _ = std::fs::remove_file(&log_path);
     let _ = std::fs::remove_dir_all(&dir_silent);
     let _ = std::fs::remove_dir_all(&dir_loud);
+}
+
+#[test]
+fn cache_resolved_resubmission_is_counted_in_the_exposition() {
+    let dir = temp_dir("cache_resolved");
+    let server = start_server(&dir, Duration::from_secs(3600));
+    let addr = server.addr().to_string();
+    let scenario = r#"{"schema": 2, "name": "tele_resolved", "scale": "quick", "stages": [
+        {"id": "rs_work", "kind": "sleep", "params": {"seconds": 0.02}}
+    ]}"#;
+    let submit = || {
+        let resp = exchange(&addr, "POST", "/runs", Some(scenario)).unwrap();
+        assert_eq!(resp.status, 202);
+        parse_body(&resp).get("job").unwrap().as_u64().unwrap()
+    };
+    let first = await_terminal(&addr, submit());
+    assert_eq!(first.get("state").unwrap().as_str(), Some("done"), "{first:?}");
+    let before = registry(&addr).counter("serve.jobs.cache_resolved_total").unwrap_or(0);
+
+    // Every stage is in the CAS now: the connection resolves the job
+    // before it answers.
+    let id = submit();
+    let status = parse_body(&get(&addr, &format!("/jobs/{id}")));
+    assert_eq!(status.get("state").unwrap().as_str(), Some("done"), "{status:?}");
+    assert_eq!(
+        registry(&addr).counter("serve.jobs.cache_resolved_total"),
+        Some(before + 1)
+    );
+    let text = String::from_utf8(get(&addr, "/metrics").body).unwrap();
+    obs::prom::validate(&text).expect("/metrics page is valid after a cache-resolved job");
+    assert!(text.contains("serve_jobs_cache_resolved_total 1"), "{text}");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
