@@ -17,7 +17,6 @@
 //! assert!(!profile.is_dead(0, &spec));
 //! ```
 
-use vlsi::tech::OperatingPoint;
 use vlsi::units::{Frequency, Time};
 
 /// The line-counter hardware parameters.
@@ -119,15 +118,6 @@ impl RetentionProfile {
             .map(|t| (t.value() * clock.value()).max(0.0) as u64)
             .collect();
         RetentionProfile::PerLine(per_line)
-    }
-
-    /// Builds a per-line profile at an explicit operating point: the same
-    /// cycle conversion, but against the point's clock instead of an
-    /// assumed nominal one. A DVFS point that halves the clock doubles
-    /// every line's retention *in cycles* — the architectural quantity the
-    /// counters see.
-    pub fn from_times_at(retentions: &[Time], op: OperatingPoint) -> Self {
-        Self::from_times(retentions, op.freq)
     }
 
     /// A profile where every line has the same retention (the global-scheme
@@ -257,25 +247,6 @@ mod tests {
         assert_eq!(p.cycles(0), 8170); // 1900 ns × 4.3 GHz
         assert_eq!(p.cycles(1), 0);
         assert_eq!(p.min_cycles(), 0);
-    }
-
-    #[test]
-    fn profile_at_operating_point_uses_its_clock() {
-        use vlsi::tech::TechNode;
-        let node = TechNode::N32;
-        let times = [Time::from_ns(1900.0), Time::from_us(5.0)];
-        // At the nominal point the profile is identical to the legacy path.
-        let nominal = RetentionProfile::from_times_at(&times, OperatingPoint::nominal(node));
-        assert_eq!(nominal, RetentionProfile::from_times(&times, node.chip_frequency()));
-        // Halving the clock doubles every line's retention in cycles
-        // (to within the truncation of the float→cycle conversion).
-        let half = OperatingPoint::nominal(node)
-            .with_freq(Frequency::from_ghz(node.chip_frequency().ghz() / 2.0));
-        let slow = RetentionProfile::from_times_at(&times, half);
-        for line in 0..2 {
-            let diff = slow.cycles(line) as i64 - (nominal.cycles(line) / 2) as i64;
-            assert!(diff.abs() <= 1, "line {line}: {diff}");
-        }
     }
 
     #[test]

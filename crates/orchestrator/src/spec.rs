@@ -23,53 +23,22 @@
 //! default. [`Scenario::validate`] enforces the structural invariants
 //! (unique filesystem-safe ids, known kinds, resolvable deps, acyclic
 //! graph) and returns a deterministic topological order.
-//!
-//! # DVFS grids (schema 3)
-//!
-//! A scenario may declare a `(cell technology × operating point)` grid
-//! and mark stages `"sweep": true`:
-//!
-//! ```json
-//! {
-//!   "schema": 3,
-//!   "name": "dvfs",
-//!   "technologies": ["3t1d", "6t-lv"],
-//!   "operating_points": [
-//!     { "vdd": 1.0, "freq_ghz": 4.3 },
-//!     { "vdd": 0.9, "freq_ghz": 3.2, "temp_c": 60 }
-//!   ],
-//!   "stages": [
-//!     { "id": "grid", "kind": "dvfs_point", "sweep": true },
-//!     { "id": "frontier", "kind": "dvfs_frontier", "deps": ["grid"] }
-//!   ]
-//! }
-//! ```
-//!
-//! [`Scenario::parse`] expands every sweep stage into one clone per grid
-//! cell (`grid.3t1d.v1000f4300t80`, …) with `technology` / `vdd` /
-//! `freq_ghz` / `temp_c` injected into its params — so the stage cache
-//! key changes whenever any grid coordinate does — and rewrites
-//! dependencies: a swept dependent follows its own grid cell, an
-//! unswept dependent (the frontier) fans in over every clone.
 
 use bench_harness::RunScale;
 use obs::{Json, JsonError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::str::FromStr;
-use vlsi::celltech::CellTechKind;
-use vlsi::tech::{OperatingPoint, SIM_TEMPERATURE_C};
-use vlsi::units::{Frequency, Voltage};
 
 /// Current scenario schema version. Schema 2 added per-stage `retries`
 /// and `backoff_ms`, which the parser now ignores like any other
 /// unknown member: every stage is a pure function of its inputs, so a
-/// stage launches once and a rerun is its retry. Schema 3 added the
-/// `technologies` × `operating_points` grid and per-stage `sweep`.
-/// Older documents still parse (the new members default to an empty
-/// grid and no sweep), so the version gates *documents that use the new
-/// members*, not old documents.
+/// stage launches once and a rerun is its retry. Schema 3 added a
+/// technology × operating-point grid (top-level `technologies` and
+/// `operating_points`, per-stage `sweep`), which was removed: a
+/// document that carries any of those members is rejected, since
+/// running it without its grid would run something else. Schema 1..=3
+/// documents without them parse.
 pub const SCENARIO_SCHEMA: u64 = 3;
 
 /// Oldest scenario schema still accepted by [`Scenario::parse`].
@@ -112,10 +81,6 @@ pub struct StageSpec {
     pub deps: Vec<String>,
     /// Wall-clock budget for this stage, overriding the scenario default.
     pub timeout_seconds: Option<f64>,
-    /// Whether this stage fans out across the scenario's
-    /// `(technology × operating point)` grid. Always `false` after
-    /// [`Scenario::expand_grid`] — the expansion consumes the flag.
-    pub sweep: bool,
 }
 
 impl StageSpec {
@@ -128,7 +93,6 @@ impl StageSpec {
             params: Json::object(),
             deps: Vec::new(),
             timeout_seconds: None,
-            sweep: false,
         }
     }
 
@@ -149,13 +113,6 @@ impl StageSpec {
         self.timeout_seconds = Some(seconds);
         self
     }
-
-    /// Marks this stage for grid fan-out (builder style); pair with
-    /// [`Scenario::expand_grid`].
-    pub fn with_sweep(mut self) -> Self {
-        self.sweep = true;
-        self
-    }
 }
 
 /// A parsed scenario: a named DAG of stages at one run scale.
@@ -167,11 +124,6 @@ pub struct Scenario {
     pub scale: RunScale,
     /// Default per-stage wall-clock budget, when set.
     pub default_timeout_seconds: Option<f64>,
-    /// Cell technologies of the sweep grid (empty when the scenario has
-    /// no grid).
-    pub technologies: Vec<CellTechKind>,
-    /// DVFS operating points of the sweep grid.
-    pub operating_points: Vec<OperatingPoint>,
     /// The stages, in document order.
     pub stages: Vec<StageSpec>,
 }
@@ -184,8 +136,6 @@ impl Scenario {
             name: name.to_string(),
             scale,
             default_timeout_seconds: None,
-            technologies: Vec::new(),
-            operating_points: Vec::new(),
             stages: Vec::new(),
         }
     }
@@ -218,8 +168,11 @@ impl Scenario {
             None | Some(Json::Null) => None,
             Some(t) => Some(parse_timeout(t, "default_timeout_seconds")?),
         };
-        let technologies = parse_technologies(&v)?;
-        let operating_points = parse_operating_points(&v)?;
+        for member in ["technologies", "operating_points"] {
+            if v.get(member).is_some() {
+                return Err(grid_removed(&format!("member {member:?}")));
+            }
+        }
         let stage_values = v
             .get("stages")
             .and_then(Json::as_arr)
@@ -228,16 +181,12 @@ impl Scenario {
         for (i, sv) in stage_values.iter().enumerate() {
             stages.push(parse_stage(sv, i)?);
         }
-        let mut scenario = Self {
+        Ok(Self {
             name,
             scale,
             default_timeout_seconds,
-            technologies,
-            operating_points,
             stages,
-        };
-        scenario.expand_grid()?;
-        Ok(scenario)
+        })
     }
 
     /// Reads and parses a scenario file.
@@ -278,13 +227,6 @@ impl Scenario {
             }
             if !matches!(s.params, Json::Obj(_)) {
                 return Err(invalid(format!("stage {:?} params must be an object", s.id)));
-            }
-            if s.sweep {
-                return Err(invalid(format!(
-                    "stage {:?} is marked sweep but the grid was never \
-                     expanded (call expand_grid before validate)",
-                    s.id
-                )));
             }
         }
         // Resolve deps and build in/out degree tables.
@@ -329,97 +271,6 @@ impl Scenario {
             )));
         }
         Ok(order)
-    }
-
-    /// Expands every `sweep: true` stage into one clone per
-    /// `(technology, operating point)` grid cell.
-    ///
-    /// A clone's id is `<id>.<tech>.<op-slug>` (all `[A-Za-z0-9._-]`,
-    /// so still a safe id) and its params gain `technology`, `vdd`,
-    /// `freq_ghz`, and `temp_c` — since params are part of the stage
-    /// fingerprint, two cells differing in any coordinate can never
-    /// share a cached artifact. Dependencies are rewritten so that a
-    /// swept stage depending on a swept stage follows its own grid
-    /// cell, while an unswept stage depending on a swept stage (a
-    /// frontier / report join) depends on *every* clone.
-    ///
-    /// [`Scenario::parse`] calls this automatically; builder-constructed
-    /// scenarios using [`StageSpec::with_sweep`] must call it before
-    /// [`Scenario::validate`]. Idempotent once expanded (clones carry
-    /// `sweep: false`).
-    pub fn expand_grid(&mut self) -> Result<(), SpecError> {
-        let invalid = |msg: String| SpecError::Invalid(msg);
-        if !self.stages.iter().any(|s| s.sweep) {
-            return Ok(());
-        }
-        if self.technologies.is_empty() || self.operating_points.is_empty() {
-            return Err(invalid(
-                "sweep stages need non-empty \"technologies\" and \
-                 \"operating_points\" grids"
-                    .into(),
-            ));
-        }
-        let swept: Vec<String> = self
-            .stages
-            .iter()
-            .filter(|s| s.sweep)
-            .map(|s| s.id.clone())
-            .collect();
-        let cell_ids = |base: &str| -> Vec<String> {
-            let mut ids = Vec::new();
-            for kind in &self.technologies {
-                for op in &self.operating_points {
-                    ids.push(format!("{base}.{}.{}", kind.slug(), op.slug()));
-                }
-            }
-            ids
-        };
-        let mut out = Vec::with_capacity(self.stages.len());
-        for s in &self.stages {
-            if !s.sweep {
-                // An unswept dependent of a swept stage joins over the
-                // whole grid.
-                let mut deps = Vec::new();
-                for d in &s.deps {
-                    if swept.contains(d) {
-                        deps.extend(cell_ids(d));
-                    } else {
-                        deps.push(d.clone());
-                    }
-                }
-                out.push(StageSpec {
-                    deps,
-                    ..s.clone()
-                });
-                continue;
-            }
-            for kind in &self.technologies {
-                for op in &self.operating_points {
-                    let suffix = format!("{}.{}", kind.slug(), op.slug());
-                    let mut clone = s.clone();
-                    clone.sweep = false;
-                    clone.id = format!("{}.{suffix}", s.id);
-                    clone.params.insert("technology", Json::Str(kind.slug().to_string()));
-                    clone.params.insert("vdd", Json::Num(op.vdd.volts()));
-                    clone.params.insert("freq_ghz", Json::Num(op.freq.ghz()));
-                    clone.params.insert("temp_c", Json::Num(op.temp_c));
-                    clone.deps = s
-                        .deps
-                        .iter()
-                        .map(|d| {
-                            if swept.contains(d) {
-                                format!("{d}.{suffix}")
-                            } else {
-                                d.clone()
-                            }
-                        })
-                        .collect();
-                    out.push(clone);
-                }
-            }
-        }
-        self.stages = out;
-        Ok(())
     }
 }
 
@@ -466,104 +317,12 @@ pub fn scale_to_json(s: RunScale) -> Json {
     o
 }
 
-/// Cap on `operating_points` entries — a fat-finger guard against
-/// accidentally fanning a scenario into thousands of stages.
-pub const MAX_OPERATING_POINTS: usize = 32;
-
-/// Parses the optional `technologies` array (distinct
-/// [`CellTechKind`] slugs).
-fn parse_technologies(v: &Json) -> Result<Vec<CellTechKind>, SpecError> {
-    let invalid = |msg: String| SpecError::Invalid(msg);
-    let Some(items) = v.get("technologies") else {
-        return Ok(Vec::new());
-    };
-    let items = items
-        .as_arr()
-        .ok_or_else(|| invalid("\"technologies\" must be an array of strings".into()))?;
-    let mut kinds = Vec::with_capacity(items.len());
-    for item in items {
-        let slug = item
-            .as_str()
-            .ok_or_else(|| invalid("\"technologies\" must be an array of strings".into()))?;
-        let kind = CellTechKind::from_str(slug).map_err(invalid)?;
-        if kinds.contains(&kind) {
-            return Err(invalid(format!("duplicate technology {slug:?}")));
-        }
-        kinds.push(kind);
-    }
-    Ok(kinds)
-}
-
-/// Parses the optional `operating_points` array: objects with finite
-/// `vdd` (volts) and `freq_ghz`, plus an optional `temp_c` defaulting
-/// to the paper's 80 °C corner. Points must be distinct (by slug —
-/// two points the grid cannot tell apart would collide as stage ids).
-fn parse_operating_points(v: &Json) -> Result<Vec<OperatingPoint>, SpecError> {
-    let invalid = |msg: String| SpecError::Invalid(msg);
-    let Some(items) = v.get("operating_points") else {
-        return Ok(Vec::new());
-    };
-    let items = items
-        .as_arr()
-        .ok_or_else(|| invalid("\"operating_points\" must be an array of objects".into()))?;
-    if items.len() > MAX_OPERATING_POINTS {
-        return Err(invalid(format!(
-            "at most {MAX_OPERATING_POINTS} operating_points (got {})",
-            items.len()
-        )));
-    }
-    let mut points: Vec<OperatingPoint> = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        if !matches!(item, Json::Obj(_)) {
-            return Err(invalid(format!("operating_points[{i}] must be an object")));
-        }
-        let num = |key: &str| -> Result<Option<f64>, SpecError> {
-            match item.get(key) {
-                None => Ok(None),
-                Some(n) => match n.as_f64() {
-                    Some(x) if x.is_finite() => Ok(Some(x)),
-                    _ => Err(invalid(format!(
-                        "operating_points[{i}].{key} must be a finite number"
-                    ))),
-                },
-            }
-        };
-        let vdd = num("vdd")?.ok_or_else(|| {
-            invalid(format!("operating_points[{i}] missing number \"vdd\""))
-        })?;
-        let freq_ghz = num("freq_ghz")?.ok_or_else(|| {
-            invalid(format!("operating_points[{i}] missing number \"freq_ghz\""))
-        })?;
-        let temp_c = num("temp_c")?.unwrap_or(SIM_TEMPERATURE_C);
-        if !(0.1..=2.0).contains(&vdd) {
-            return Err(invalid(format!(
-                "operating_points[{i}].vdd = {vdd} out of range [0.1, 2]"
-            )));
-        }
-        if !(0.01..=20.0).contains(&freq_ghz) {
-            return Err(invalid(format!(
-                "operating_points[{i}].freq_ghz = {freq_ghz} out of range [0.01, 20]"
-            )));
-        }
-        if !(-55.0..=150.0).contains(&temp_c) {
-            return Err(invalid(format!(
-                "operating_points[{i}].temp_c = {temp_c} out of range [-55, 150]"
-            )));
-        }
-        let op = OperatingPoint {
-            vdd: Voltage::new(vdd),
-            freq: Frequency::from_ghz(freq_ghz),
-            temp_c,
-        };
-        if points.iter().any(|p| p.slug() == op.slug()) {
-            return Err(invalid(format!(
-                "operating_points[{i}] duplicates point {}",
-                op.slug()
-            )));
-        }
-        points.push(op);
-    }
-    Ok(points)
+/// The error for a member of the removed technology × operating-point
+/// grid.
+fn grid_removed(what: &str) -> SpecError {
+    SpecError::Invalid(format!(
+        "{what} is not supported: the technology × operating-point grid was removed"
+    ))
 }
 
 fn parse_timeout(v: &Json, what: &str) -> Result<f64, SpecError> {
@@ -614,19 +373,15 @@ fn parse_stage(v: &Json, index: usize) -> Result<StageSpec, SpecError> {
         None | Some(Json::Null) => None,
         Some(t) => Some(parse_timeout(t, &format!("stage {id:?} timeout_seconds"))?),
     };
-    let sweep = match v.get("sweep") {
-        None | Some(Json::Null) => false,
-        Some(s) => s
-            .as_bool()
-            .ok_or_else(|| invalid(format!("stage {id:?} sweep must be a boolean")))?,
-    };
+    if v.get("sweep").is_some() {
+        return Err(grid_removed(&format!("stage {id:?} member \"sweep\"")));
+    }
     Ok(StageSpec {
         id,
         kind,
         params,
         deps,
         timeout_seconds,
-        sweep,
     })
 }
 
@@ -728,147 +483,41 @@ mod tests {
         assert_eq!(sc.validate().unwrap().len(), 3);
     }
 
-    fn dvfs_doc(points: &str) -> String {
-        format!(
-            r#"{{"schema": 3, "name": "dvfs", "scale": "quick",
-                "technologies": ["3t1d", "6t-lv"],
-                "operating_points": [{points}],
-                "stages": [
-                    {{"id": "grid", "kind": "dvfs_point", "sweep": true,
-                      "params": {{"corner": "typical", "chips": 3}}}},
-                    {{"id": "frontier", "kind": "dvfs_frontier", "deps": ["grid"]}}
-                ]}}"#
-        )
-    }
-
     #[test]
-    fn sweep_stages_fan_out_over_the_grid() {
-        let sc = Scenario::parse(&dvfs_doc(
-            r#"{"vdd": 1.0, "freq_ghz": 4.3}, {"vdd": 0.9, "freq_ghz": 3.2, "temp_c": 60}"#,
-        ))
-        .unwrap();
-        assert_eq!(sc.technologies.len(), 2);
-        assert_eq!(sc.operating_points.len(), 2);
-        // 2 technologies × 2 points + the unswept frontier.
-        assert_eq!(sc.stages.len(), 5);
-        let ids: Vec<&str> = sc.stages.iter().map(|s| s.id.as_str()).collect();
-        assert!(ids.contains(&"grid.3t1d.v1000f4300t80"), "{ids:?}");
-        assert!(ids.contains(&"grid.6t-lv.v900f3200t60"), "{ids:?}");
-        // Every clone carries its coordinates in params (hence in the
-        // stage cache key) and keeps the stage's own params.
-        let cell = sc
-            .stages
-            .iter()
-            .find(|s| s.id == "grid.6t-lv.v900f3200t60")
-            .unwrap();
-        assert_eq!(cell.params.get("technology").and_then(Json::as_str), Some("6t-lv"));
-        assert_eq!(cell.params.get("vdd").and_then(Json::as_f64), Some(0.9));
-        assert_eq!(cell.params.get("freq_ghz").and_then(Json::as_f64), Some(3.2));
-        assert_eq!(cell.params.get("temp_c").and_then(Json::as_f64), Some(60.0));
-        assert_eq!(cell.params.get("corner").and_then(Json::as_str), Some("typical"));
-        assert!(!cell.sweep);
-        // The unswept frontier depends on every clone.
-        let frontier = sc.stages.iter().find(|s| s.id == "frontier").unwrap();
-        assert_eq!(frontier.deps.len(), 4);
-        assert!(frontier.deps.contains(&"grid.3t1d.v900f3200t60".to_string()));
-        // And the expanded DAG is valid.
-        sc.validate().unwrap();
-    }
-
-    #[test]
-    fn changing_one_grid_coordinate_changes_the_stage_params() {
-        let a = Scenario::parse(&dvfs_doc(r#"{"vdd": 1.0, "freq_ghz": 4.3}"#)).unwrap();
-        let b = Scenario::parse(&dvfs_doc(r#"{"vdd": 0.9, "freq_ghz": 4.3}"#)).unwrap();
-        // Same kinds, same document — only vdd moved. Both the id and
-        // the params (the cache-key input) must differ.
-        assert_ne!(a.stages[0].id, b.stages[0].id);
-        assert_ne!(a.stages[0].params.render(), b.stages[0].params.render());
-        // And therefore the content-addressed stage cache key differs:
-        // a cached artifact can never be served across grid cells.
-        let key = |s: &StageSpec| {
-            crate::sched::stage_key(&s.kind, &s.params, RunScale::QUICK, &BTreeMap::new())
-        };
-        assert_ne!(key(&a.stages[0]), key(&b.stages[0]));
-    }
-
-    #[test]
-    fn swept_dependents_follow_their_own_grid_cell() {
-        let mut sc = Scenario::new("t", RunScale::QUICK);
-        sc.technologies = vec![CellTechKind::T3t1d];
-        sc.operating_points = vec![
-            OperatingPoint {
-                vdd: Voltage::new(1.0),
-                freq: Frequency::from_ghz(4.3),
-                temp_c: 80.0,
-            },
-            OperatingPoint {
-                vdd: Voltage::new(0.9),
-                freq: Frequency::from_ghz(3.2),
-                temp_c: 80.0,
-            },
-        ];
-        sc.stages.push(StageSpec::new("a", "sleep").with_sweep());
-        sc.stages
-            .push(StageSpec::new("b", "sleep").with_deps(&["a"]).with_sweep());
-        sc.expand_grid().unwrap();
-        assert_eq!(sc.stages.len(), 4);
-        let b0 = sc
-            .stages
-            .iter()
-            .find(|s| s.id == "b.3t1d.v900f3200t80")
-            .unwrap();
-        assert_eq!(b0.deps, vec!["a.3t1d.v900f3200t80".to_string()]);
-        sc.validate().unwrap();
-        // Idempotent: a second expansion is a no-op.
-        let before = sc.stages.len();
-        sc.expand_grid().unwrap();
-        assert_eq!(sc.stages.len(), before);
-    }
-
-    #[test]
-    fn bad_grids_are_rejected() {
-        // Sweep without a grid.
-        let no_grid = r#"{"schema": 3, "name": "t", "scale": "quick", "stages": [
-            {"id": "a", "kind": "sleep", "sweep": true}]}"#;
-        let err = Scenario::parse(no_grid).unwrap_err().to_string();
-        assert!(err.contains("technologies"), "{err}");
-
-        // Unknown technology slug, duplicate technology, malformed points.
-        for (tag, doc) in [
+    fn grid_members_are_rejected_by_name() {
+        // Each member of the removed technology × operating-point grid
+        // fails the parse on its own, whatever its value, and the error
+        // names it.
+        for (member, doc) in [
             (
-                "unknown tech",
-                r#"{"schema": 3, "name": "t", "technologies": ["5t"], "stages": []}"#,
+                "technologies",
+                r#"{"schema": 3, "name": "t", "technologies": ["3t1d"], "stages": []}"#,
             ),
             (
-                "dup tech",
-                r#"{"schema": 3, "name": "t", "technologies": ["3t1d", "3t1d"], "stages": []}"#,
+                "operating_points",
+                r#"{"schema": 3, "name": "t", "operating_points": [], "stages": []}"#,
             ),
             (
-                "missing vdd",
-                r#"{"schema": 3, "name": "t", "operating_points": [{"freq_ghz": 4.3}], "stages": []}"#,
-            ),
-            (
-                "vdd range",
-                r#"{"schema": 3, "name": "t", "operating_points": [{"vdd": 9.0, "freq_ghz": 4.3}], "stages": []}"#,
-            ),
-            (
-                "dup point",
-                r#"{"schema": 3, "name": "t", "operating_points": [
-                    {"vdd": 1.0, "freq_ghz": 4.3}, {"vdd": 1.0, "freq_ghz": 4.3}], "stages": []}"#,
-            ),
-            (
-                "sweep type",
-                r#"{"schema": 3, "name": "t", "stages": [{"id": "a", "kind": "sleep", "sweep": 1}]}"#,
+                "sweep",
+                r#"{"schema": 3, "name": "t", "stages": [
+                    {"id": "a", "kind": "sleep", "sweep": false}]}"#,
             ),
         ] {
-            assert!(Scenario::parse(doc).is_err(), "{tag}");
+            match Scenario::parse(doc) {
+                Err(SpecError::Invalid(msg)) => {
+                    assert!(msg.contains(member), "{member}: {msg}");
+                    assert!(msg.contains("grid"), "{member}: {msg}");
+                }
+                other => panic!("{member}: expected Invalid, got {other:?}"),
+            }
         }
-
-        // A builder scenario that skipped expand_grid fails validation.
-        let mut sc = Scenario::new("t", RunScale::QUICK);
-        sc.stages.push(StageSpec::new("a", "sleep").with_sweep());
-        let err = sc.validate().unwrap_err().to_string();
-        assert!(err.contains("expand_grid"), "{err}");
+        // A schema-3 document without them parses.
+        let sc = Scenario::parse(
+            r#"{"schema": 3, "name": "t", "scale": "quick", "stages": [
+                {"id": "a", "kind": "sleep", "params": {"seconds": 0}}]}"#,
+        )
+        .unwrap();
+        assert_eq!(sc.validate().unwrap(), vec![0]);
     }
 
     #[test]

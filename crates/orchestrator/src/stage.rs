@@ -29,11 +29,6 @@
 //!   cycle-level simulator and the golden reference model and reports the
 //!   per-counter divergence (the trace file participates in the cache
 //!   key by content digest, see [`effective_params`]);
-//! * `dvfs_point` — one `(cell technology, operating point)` cell of the
-//!   DVFS sweep grid: yield, retention, timing feasibility, and the
-//!   median chip's suite performance at that clock and rail;
-//! * `dvfs_frontier` — joins its `dvfs_point` dependencies into the
-//!   Pareto frontier on the (throughput, leakage) plane;
 //! * `sleep` — sleeps for its `seconds` param: the controllable slow
 //!   stage of the timeout tests, the daemon smoke scenario and the
 //!   serving load test.
@@ -50,11 +45,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use t3cache::campaign::{map_indexed_with_hooks, worker_count, UnitHooks};
 use t3cache::chip::ChipModel;
-use t3cache::dvfs::{evaluate_point, pareto_frontier, render_frontier, DvfsPointConfig, DvfsPointResult};
-use vlsi::celltech::CellTechKind;
 use vlsi::montecarlo::ChipFactory;
-use vlsi::tech::{OperatingPoint, TechNode, SIM_TEMPERATURE_C};
-use vlsi::units::{Energy, Frequency, Power, Time, Voltage};
+use vlsi::tech::TechNode;
 use vlsi::variation::VariationCorner;
 
 /// Stage fingerprint schema: folded into every cache key, so bumping it
@@ -66,13 +58,11 @@ pub const STAGE_SCHEMA: u64 = 1;
 type StageFn = fn(&StageCtx<'_>) -> Result<Json, String>;
 
 /// The non-figure stage kinds and their executors.
-const BUILTIN_KINDS: [(&str, StageFn); 7] = [
+const BUILTIN_KINDS: [(&str, StageFn); 5] = [
     ("chip_campaign", chip_campaign),
     ("retention_map", retention_map),
     ("report", report),
     ("trace_validate", trace_validate),
-    ("dvfs_point", dvfs_point),
-    ("dvfs_frontier", dvfs_frontier),
     ("sleep", sleep),
 ];
 
@@ -493,164 +483,6 @@ fn trace_validate(ctx: &StageCtx<'_>) -> Result<Json, String> {
     Ok(p)
 }
 
-/// `dvfs_point`: evaluates one `(cell technology, operating point)`
-/// grid cell — fabricates a Monte-Carlo population in that technology,
-/// sizes counters per chip, and runs the median chip's benchmark suite
-/// at the cell's clock and rail. Params: `node` (default 32nm),
-/// `technology` ([`CellTechKind`] slug, default `3t1d`), `corner`
-/// (default severe), `vdd` / `freq_ghz` / `temp_c` (defaulting to the
-/// node's nominal corner — scenario grid expansion injects all three,
-/// so every cell's coordinates live in its cache key), `chips` (default
-/// `scale.mc_chips`), `seed` (default 20245).
-fn dvfs_point(ctx: &StageCtx<'_>) -> Result<Json, String> {
-    let node: TechNode = ctx.str_param("node", "32nm")?.parse()?;
-    let kind: CellTechKind = ctx.str_param("technology", "3t1d")?.parse()?;
-    let corner: VariationCorner = ctx.str_param("corner", "severe")?.parse()?;
-    let vdd = ctx.f64_param("vdd", node.vdd().volts())?;
-    let freq_ghz = ctx.f64_param("freq_ghz", node.chip_frequency().ghz())?;
-    let temp_c = ctx.f64_param("temp_c", SIM_TEMPERATURE_C)?;
-    if !(0.1..=2.0).contains(&vdd) {
-        return Err(format!("param \"vdd\" = {vdd} out of range [0.1, 2]"));
-    }
-    if !(0.01..=20.0).contains(&freq_ghz) {
-        return Err(format!(
-            "param \"freq_ghz\" = {freq_ghz} out of range [0.01, 20]"
-        ));
-    }
-    if !(-55.0..=150.0).contains(&temp_c) {
-        return Err(format!(
-            "param \"temp_c\" = {temp_c} out of range [-55, 150]"
-        ));
-    }
-    let chips = ctx.u64_param("chips", u64::from(ctx.scale.mc_chips))?;
-    if chips == 0 || chips > 100_000 {
-        return Err(format!("param \"chips\" = {chips} out of range [1, 1e5]"));
-    }
-    let seed = ctx.u64_param("seed", 20_245)?;
-
-    let op = OperatingPoint {
-        vdd: Voltage::new(vdd),
-        freq: Frequency::from_ghz(freq_ghz),
-        temp_c,
-    };
-    let cfg = DvfsPointConfig {
-        node,
-        kind,
-        op,
-        params: corner.params(),
-        chips: chips as u32,
-        seed,
-        eval: ctx.scale.eval_config(node),
-    };
-    let r = evaluate_point(&cfg);
-
-    let mut p = Json::object();
-    p.insert("kind", Json::Str("dvfs_point".into()));
-    p.insert("node", Json::Str(node.to_string()));
-    p.insert("corner", Json::Str(corner.to_string()));
-    p.insert("technology", Json::Str(kind.slug().to_string()));
-    p.insert("slug", Json::Str(r.slug()));
-    p.insert("vdd", Json::Num(op.vdd.volts()));
-    p.insert("freq_ghz", Json::Num(op.freq.ghz()));
-    p.insert("temp_c", Json::Num(op.temp_c));
-    p.insert("chips", Json::Num(chips as f64));
-    p.insert("seed", Json::Num(seed as f64));
-    p.insert("yield_fraction", Json::Num(r.yield_fraction));
-    p.insert("mean_dead_fraction", Json::Num(r.mean_dead_fraction));
-    p.insert("median_retention_ns", Json::Num(r.median_cache_retention.ns()));
-    p.insert("access_ps", Json::Num(r.access_time.ps()));
-    p.insert("timing_feasible", Json::Bool(r.timing_feasible));
-    p.insert("normalized_perf", Json::Num(r.normalized_perf));
-    p.insert("bips", Json::Num(r.bips));
-    p.insert("leakage_mw", Json::Num(r.leakage.mw()));
-    p.insert("refresh_energy_pj", Json::Num(r.refresh_energy_per_line.pj()));
-    p.insert("needs_refresh", Json::Bool(r.needs_refresh));
-    Ok(p)
-}
-
-/// Rehydrates a [`DvfsPointResult`] from a `dvfs_point` payload.
-fn dvfs_payload_point(id: &str, p: &Json) -> Result<DvfsPointResult, String> {
-    let num = |key: &str| {
-        p.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("dependency {id:?} missing number {key:?}"))
-    };
-    let flag = |key: &str| {
-        p.get(key)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("dependency {id:?} missing boolean {key:?}"))
-    };
-    let kind: CellTechKind = p
-        .get("technology")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("dependency {id:?} missing string \"technology\""))?
-        .parse()?;
-    Ok(DvfsPointResult {
-        kind,
-        op: OperatingPoint {
-            vdd: Voltage::new(num("vdd")?),
-            freq: Frequency::from_ghz(num("freq_ghz")?),
-            temp_c: num("temp_c")?,
-        },
-        yield_fraction: num("yield_fraction")?,
-        mean_dead_fraction: num("mean_dead_fraction")?,
-        median_cache_retention: Time::from_ns(num("median_retention_ns")?),
-        access_time: Time::from_ps(num("access_ps")?),
-        timing_feasible: flag("timing_feasible")?,
-        normalized_perf: num("normalized_perf")?,
-        bips: num("bips")?,
-        leakage: Power::from_mw(num("leakage_mw")?),
-        refresh_energy_per_line: Energy::from_pj(num("refresh_energy_pj")?),
-        needs_refresh: flag("needs_refresh")?,
-    })
-}
-
-/// `dvfs_frontier`: joins every `dvfs_point` dependency into one grid
-/// report and marks the Pareto frontier on the (BIPS, leakage) plane.
-/// Dependencies that are not `dvfs_point` payloads are ignored, so a
-/// frontier can ride the same DAG as figure stages; at least one grid
-/// cell is required. Rows follow dependency-id order (deterministic —
-/// the inputs map is sorted).
-fn dvfs_frontier(ctx: &StageCtx<'_>) -> Result<Json, String> {
-    let mut ids: Vec<&str> = Vec::new();
-    let mut points: Vec<DvfsPointResult> = Vec::new();
-    for (id, payload) in ctx.inputs {
-        if payload.get("kind").and_then(Json::as_str) != Some("dvfs_point") {
-            continue;
-        }
-        points.push(dvfs_payload_point(id, payload)?);
-        ids.push(id);
-    }
-    if points.is_empty() {
-        return Err("dvfs_frontier needs at least one dvfs_point dependency".into());
-    }
-    let frontier = pareto_frontier(&points);
-    let text = render_frontier(&points);
-
-    let mut rows = Vec::with_capacity(points.len());
-    for ((id, point), &on_frontier) in ids.iter().zip(&points).zip(&frontier) {
-        let mut row = Json::object();
-        row.insert("source", Json::Str((*id).to_string()));
-        row.insert("slug", Json::Str(point.slug()));
-        row.insert("yield_fraction", Json::Num(point.yield_fraction));
-        row.insert("timing_feasible", Json::Bool(point.timing_feasible));
-        row.insert("bips", Json::Num(point.bips));
-        row.insert("leakage_mw", Json::Num(point.leakage.mw()));
-        row.insert("bips_per_watt", Json::Num(point.bips_per_watt()));
-        row.insert("on_frontier", Json::Bool(on_frontier));
-        rows.push(row);
-    }
-    let frontier_size = frontier.iter().filter(|&&f| f).count();
-
-    let mut p = Json::object();
-    p.insert("kind", Json::Str("dvfs_frontier".into()));
-    p.insert("points", Json::Arr(rows));
-    p.insert("count", Json::Num(points.len() as f64));
-    p.insert("frontier_size", Json::Num(frontier_size as f64));
-    p.insert("text", Json::Str(text));
-    Ok(p)
-}
-
 /// `sleep`: sleeps `seconds` (default 0.05) — the controllable slow
 /// stage. The payload records only the *requested* duration, keeping it
 /// deterministic; a `seconds` outside `[0, 3600]` fails every run.
@@ -910,80 +742,6 @@ mod tests {
         let _ = std::fs::remove_file(&b);
     }
 
-    /// A scale small enough that a grid cell's suite evaluation stays a
-    /// unit-test-sized workload.
-    fn tiny_scale() -> RunScale {
-        RunScale {
-            mc_chips: 3,
-            sim_chips: 1,
-            instructions: 5_000,
-            warmup: 2_000,
-        }
-    }
-
-    #[test]
-    fn dvfs_point_payload_is_deterministic() {
-        let params = Json::parse(
-            r#"{"technology": "3t1d", "corner": "typical", "chips": 3, "seed": 41,
-                "vdd": 1.0, "freq_ghz": 4.3, "temp_c": 80}"#,
-        )
-        .unwrap();
-        let inputs = BTreeMap::new();
-        let c = StageCtx {
-            scale: tiny_scale(),
-            ..ctx(&params, &inputs)
-        };
-        let a = execute("dvfs_point", &c).unwrap();
-        let b = execute("dvfs_point", &c).unwrap();
-        assert_eq!(a.render(), b.render());
-        assert_eq!(a.get("slug").and_then(Json::as_str), Some("3t1d.v1000f4300t80"));
-        assert_eq!(a.get("timing_feasible").and_then(Json::as_bool), Some(true));
-        let y = a.get("yield_fraction").and_then(Json::as_f64).unwrap();
-        assert!((0.0..=1.0).contains(&y), "yield {y}");
-        assert!(a.get("bips").and_then(Json::as_f64).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn dvfs_frontier_joins_its_points() {
-        let inputs_empty = BTreeMap::new();
-        let cell = |vdd: f64, ghz: f64| {
-            let mut params = Json::object();
-            params.insert("technology", Json::Str("3t1d".into()));
-            params.insert("corner", Json::Str("typical".into()));
-            params.insert("chips", Json::Num(3.0));
-            params.insert("seed", Json::Num(41.0));
-            params.insert("vdd", Json::Num(vdd));
-            params.insert("freq_ghz", Json::Num(ghz));
-            let c = StageCtx {
-                scale: tiny_scale(),
-                ..ctx(&params, &inputs_empty)
-            };
-            execute("dvfs_point", &c).unwrap()
-        };
-        let mut inputs = BTreeMap::new();
-        inputs.insert("grid.a".to_string(), cell(1.0, 4.3));
-        inputs.insert("grid.b".to_string(), cell(1.0, 2.0));
-        // A non-point dependency rides along and is ignored.
-        inputs.insert("figx".to_string(), Json::parse(r#"{"kind": "fig09"}"#).unwrap());
-
-        let params = Json::object();
-        let p = execute("dvfs_frontier", &ctx(&params, &inputs)).unwrap();
-        assert_eq!(p.get("count").and_then(Json::as_u64), Some(2));
-        // The slower clock at the same rail is dominated: the frontier is
-        // exactly the nominal point.
-        assert_eq!(p.get("frontier_size").and_then(Json::as_u64), Some(1));
-        let rows = p.get("points").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows[0].get("source").and_then(Json::as_str), Some("grid.a"));
-        assert_eq!(rows[0].get("on_frontier").and_then(Json::as_bool), Some(true));
-        assert_eq!(rows[1].get("on_frontier").and_then(Json::as_bool), Some(false));
-        let text = p.get("text").and_then(Json::as_str).unwrap();
-        assert!(text.contains("3t1d.v1000f4300t80"), "{text}");
-
-        // No grid cells at all → stage error.
-        let none = BTreeMap::new();
-        assert!(execute("dvfs_frontier", &ctx(&params, &none)).is_err());
-    }
-
     #[test]
     fn fail_stage_error_mode_errors() {
         let params = Json::parse(r#"{"mode": "error", "message": "boom"}"#).unwrap();
@@ -1007,12 +765,6 @@ mod tests {
             ("chip_campaign", r#"{"corner": "apocalyptic"}"#),
             ("chip_campaign", r#"{"chips": 0}"#),
             ("retention_map", r#"{"hi_ns": -1}"#),
-            ("dvfs_point", r#"{"technology": "5t"}"#),
-            ("dvfs_point", r#"{"corner": "apocalyptic"}"#),
-            ("dvfs_point", r#"{"vdd": 9.0}"#),
-            ("dvfs_point", r#"{"freq_ghz": 0}"#),
-            ("dvfs_point", r#"{"temp_c": 500}"#),
-            ("dvfs_point", r#"{"chips": 0}"#),
             ("sleep", r#"{"seconds": -2}"#),
         ] {
             let p = Json::parse(params).unwrap();

@@ -20,7 +20,6 @@
 //! pv3t1d loadtest [--addr HOST:PORT] [--clients N] [--requests N]
 //!                              [--label L] [--results DIR]
 //!                              [--compare PATH] [--threshold PCT]
-//! pv3t1d top    --addr HOST:PORT [--interval-secs S] [--once]
 //! ```
 //!
 //! Exit codes: `0` success; `1` at least one stage failed / timed out /
@@ -66,8 +65,6 @@ USAGE:
     pv3t1d loadtest [OPTIONS]                drive a daemon with concurrent
                                              clients, write serve.* metrics
                                              to BENCH_<label>.json
-    pv3t1d top    --addr HOST:PORT [OPTIONS] live dashboard over a running
-                                             daemon's /healthz + /metrics
     pv3t1d help                              this text
 
 OPTIONS:
@@ -125,11 +122,8 @@ OPTIONS:
                          (default 1)
     --addr <HOST:PORT>   (loadtest) daemon to drive; omitted = self-host
                          an in-process daemon on 127.0.0.1:0
-                         (top) daemon to watch; required
     --clients <N>        (loadtest) concurrent client threads (default 32)
     --requests <N>       (loadtest) requests per client (default 4)
-    --interval-secs <S>  (top) redraw cadence (default 2)
-    --once               (top) print one frame and exit (no ANSI clear)
 ";
 
 struct Cli {
@@ -163,8 +157,6 @@ struct Cli {
     log: Option<String>,
     log_level: String,
     sample_interval_secs: f64,
-    interval_secs: f64,
-    once: bool,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -202,8 +194,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         log: None,
         log_level: "info".to_string(),
         sample_interval_secs: 1.0,
-        interval_secs: 2.0,
-        once: false,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -297,15 +287,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     return Err("--sample-interval-secs must be a positive number".into());
                 }
             }
-            "--interval-secs" => {
-                cli.interval_secs = value_of("--interval-secs")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--interval-secs: {e}"))?;
-                if !cli.interval_secs.is_finite() || cli.interval_secs <= 0.0 {
-                    return Err("--interval-secs must be a positive number".into());
-                }
-            }
-            "--once" => cli.once = true,
             "--clients" => {
                 cli.clients = value_of("--clients")?
                     .parse::<usize>()
@@ -813,23 +794,6 @@ fn cmd_serve(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_top(cli: &Cli) -> Result<ExitCode, String> {
-    if !cli.positional.is_empty() {
-        return Err("top takes no positional arguments".into());
-    }
-    let addr = cli
-        .addr
-        .clone()
-        .ok_or("top needs --addr <HOST:PORT> (the daemon to watch)")?;
-    let config = serve::top::TopConfig {
-        addr,
-        interval: std::time::Duration::from_secs_f64(cli.interval_secs),
-        once: cli.once,
-    };
-    serve::top::run(&config).map_err(|e| format!("top: {e}"))?;
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_loadtest(cli: &Cli) -> Result<ExitCode, String> {
     if !cli.positional.is_empty() {
         return Err("loadtest takes no positional arguments".into());
@@ -934,7 +898,6 @@ fn main() -> ExitCode {
         "validate" => cmd_validate(&cli),
         "serve" => cmd_serve(&cli),
         "loadtest" => cmd_loadtest(&cli),
-        "top" => cmd_top(&cli),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;

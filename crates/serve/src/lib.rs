@@ -23,7 +23,7 @@
 //! * [`http`] — the zero-dependency HTTP/1.1 subset both sides speak.
 //!
 //! The `pv3t1d` binary (run/plan/gc/ls/report/trace/validate/serve/
-//! loadtest/top) lives here too, since it needs both the orchestrator
+//! loadtest) lives here too, since it needs both the orchestrator
 //! and the daemon.
 
 #![warn(missing_docs)]
@@ -34,7 +34,6 @@ pub mod jobs;
 pub mod loadtest;
 pub mod server;
 pub mod telemetry;
-pub mod top;
 
 pub use jobs::{JobState, JobTable};
 pub use loadtest::{LoadtestConfig, LoadtestOutcome};

@@ -106,7 +106,10 @@ pub fn exchange(
 pub fn round_scenario(round: usize, work_seconds: f64) -> String {
     // The round index perturbs `seconds` below float-visible noise for
     // the sleep itself but enough to give each round fresh stage keys.
-    let seconds = work_seconds + round as f64 * 1e-6;
+    // Round 0 is offset too, so its `work` stage never shares a key with
+    // a plain `sleep` of `work_seconds` that is already cached (such as
+    // the `warm` stage of `scenarios/serve_smoke.json`).
+    let seconds = work_seconds + (round + 1) as f64 * 1e-6;
     format!(
         concat!(
             "{{\"schema\": 2, \"name\": \"lt_r{round}\", \"scale\": \"quick\", \"stages\": [",
@@ -522,6 +525,16 @@ mod tests {
             b.stages[0].params.render(),
             "rounds must produce distinct stage keys"
         );
+        // Round 0's `work` stage must not hit the CAS entry that the
+        // smoke scenario's root `sleep` stage leaves behind: the CI
+        // loadtest runs against a daemon that already ran that scenario.
+        let smoke_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/serve_smoke.json");
+        let smoke = orchestrator::Scenario::load(std::path::Path::new(smoke_path)).unwrap();
+        let warm = smoke.stages.iter().find(|s| s.id == "warm").unwrap();
+        let key = |sc: &orchestrator::Scenario, s: &orchestrator::StageSpec| {
+            orchestrator::stage_key(&s.kind, &s.params, sc.scale, &Default::default())
+        };
+        assert_ne!(key(&a, &a.stages[0]), key(&smoke, warm));
     }
 
     #[test]

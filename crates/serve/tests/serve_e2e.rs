@@ -507,6 +507,47 @@ fn failure_injection_kinds_are_rejected_without_writing_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A scenario of the removed technology × operating-point grid (the old
+/// `scenarios/dvfs_smoke.json`) is a 400 that names the grid. It is not
+/// run as something else, and no job is created for it.
+#[test]
+fn grid_scenarios_are_rejected_without_a_job() {
+    const GRID_SCENARIO: &str = r#"{
+      "schema": 3,
+      "name": "dvfs_smoke",
+      "scale": "quick",
+      "default_timeout_seconds": 1800,
+      "technologies": ["3t1d", "6t-lv"],
+      "operating_points": [
+        { "vdd": 1.0, "freq_ghz": 4.3 },
+        { "vdd": 0.85, "freq_ghz": 3.0, "temp_c": 60 }
+      ],
+      "stages": [
+        { "id": "grid", "kind": "dvfs_point", "sweep": true,
+          "params": { "node": "32nm", "corner": "severe", "chips": 8, "seed": 20245 } },
+        { "id": "frontier", "kind": "dvfs_frontier", "deps": ["grid"] }
+      ]
+    }"#;
+    let dir = temp_results("grid");
+    let server = start_server(&dir, 1);
+    let addr = server.addr().to_string();
+    let jobs = |addr: &str| {
+        let list = parse_body(&exchange(addr, "GET", "/jobs", None).unwrap());
+        list.get("jobs").unwrap().as_arr().unwrap().len()
+    };
+    let before = jobs(&addr);
+
+    let resp = exchange(&addr, "POST", "/runs", Some(GRID_SCENARIO)).unwrap();
+    assert_eq!(resp.status, 400, "{resp:?}");
+    let doc = parse_body(&resp);
+    let msg = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(msg.contains("grid"), "{msg}");
+    assert_eq!(jobs(&addr), before);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn event_stream_replays_history_and_reports_lifecycle() {
     let dir = temp_results("events");

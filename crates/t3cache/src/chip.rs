@@ -7,7 +7,6 @@
 //! Monte-Carlo batches and selects the §4.3 *good/median/bad* exemplars.
 
 use cachesim::{CounterSpec, RetentionProfile};
-use vlsi::celltech::CellTechnology;
 use vlsi::cell6t::CellSize;
 use vlsi::montecarlo::{Chip, ChipFactory};
 use vlsi::stats::median;
@@ -34,28 +33,6 @@ impl ChipModel {
         let node = chip.node();
         let retention_times = chip.line_retentions();
         let profile = RetentionProfile::from_times(&retention_times, node.chip_frequency());
-        Self {
-            node,
-            index: chip.index(),
-            profile,
-            freq_mult_1x: chip.frequency_multiplier_6t(CellSize::X1),
-            freq_mult_2x: chip.frequency_multiplier_6t(CellSize::X2),
-            leakage_6t_1x: chip.leakage_6t(CellSize::X1),
-            leakage_3t1d: chip.leakage_3t1d(),
-            retention_times,
-        }
-    }
-
-    /// Builds the model of the same chip sample fabricated in an arbitrary
-    /// cell technology at its operating point: the technology's retention
-    /// solve over the same deviation planes, and the retention profile
-    /// converted at the operating point's clock. For the 3T1D technology
-    /// at the nominal point this is bit-identical to [`ChipModel::new`].
-    pub fn new_with_tech(chip: &Chip, tech: &dyn CellTechnology) -> Self {
-        let node = chip.node();
-        let retention_times = chip.line_retentions_tech(tech);
-        let profile =
-            RetentionProfile::from_times_at(&retention_times, tech.operating_point());
         Self {
             node,
             index: chip.index(),
@@ -193,27 +170,6 @@ impl ChipPopulation {
         Self { node, chips }
     }
 
-    /// [`ChipPopulation::generate`] for an arbitrary cell technology: the
-    /// same deterministic per-chip sampling with the technology's retention
-    /// solve. Populations across technologies and operating points share
-    /// the same deviation draws per `(seed, i)`, so sweep comparisons are
-    /// paired, not resampled.
-    pub fn generate_with_tech(
-        node: TechNode,
-        params: VariationParams,
-        count: u32,
-        seed: u64,
-        tech: &dyn CellTechnology,
-    ) -> Self {
-        let factory = ChipFactory::new(node, params, seed);
-        let (chips, _report) = crate::campaign::map_indexed_with_workers(
-            count as usize,
-            crate::campaign::worker_count(),
-            |i| ChipModel::new_with_tech(&factory.chip(i as u32), tech),
-        );
-        Self { node, chips }
-    }
-
     /// The technology node.
     pub fn node(&self) -> TechNode {
         self.node
@@ -300,26 +256,6 @@ mod tests {
         assert_eq!(a.len(), 12);
         for (x, y) in a.chips().iter().zip(b.chips()) {
             assert_eq!(x.retention_times(), y.retention_times());
-        }
-    }
-
-    #[test]
-    fn tech_population_at_nominal_matches_baseline() {
-        use vlsi::celltech::CellTechKind;
-        use vlsi::tech::OperatingPoint;
-        let base = small_pop(VariationCorner::Typical);
-        let tech =
-            CellTechKind::T3t1d.build(TechNode::N32, OperatingPoint::nominal(TechNode::N32));
-        let pop = ChipPopulation::generate_with_tech(
-            TechNode::N32,
-            VariationCorner::Typical.params(),
-            12,
-            99,
-            tech.as_ref(),
-        );
-        for (a, b) in base.chips().iter().zip(pop.chips()) {
-            assert_eq!(a.retention_times(), b.retention_times());
-            assert_eq!(a.retention_profile(), b.retention_profile());
         }
     }
 

@@ -33,11 +33,6 @@ pub struct EvalConfig {
     pub benchmarks: Vec<SpecBenchmark>,
     /// Machine configuration (default: Table 2; override for ablations).
     pub machine: MachineConfig,
-    /// DVFS operating point, or `None` for the node's nominal corner.
-    /// Stored unresolved so overriding `node` alone (the common ablation
-    /// pattern) cannot leave a stale nominal point from another node
-    /// behind; resolve through [`EvalConfig::op`].
-    pub operating_point: Option<OperatingPoint>,
 }
 
 impl Default for EvalConfig {
@@ -49,7 +44,6 @@ impl Default for EvalConfig {
             seed: 7,
             benchmarks: SpecBenchmark::ALL.to_vec(),
             machine: MachineConfig::TABLE2,
-            operating_point: None,
         }
     }
 }
@@ -64,13 +58,10 @@ impl EvalConfig {
         }
     }
 
-    /// The resolved operating point: the explicit one if set, else the
-    /// node's nominal corner (whose clock is bit-identical to
-    /// `node.chip_frequency()` — the fixed corner the pipeline assumed
-    /// before DVFS existed).
+    /// The operating point the suite runs at: the node's nominal corner,
+    /// whose clock is bit-identical to `node.chip_frequency()`.
     pub fn op(&self) -> OperatingPoint {
-        self.operating_point
-            .unwrap_or_else(|| OperatingPoint::nominal(self.node))
+        OperatingPoint::nominal(self.node)
     }
 }
 
@@ -90,8 +81,7 @@ pub struct BenchRun {
 pub struct SuiteResult {
     /// Technology node the suite ran at.
     pub node: TechNode,
-    /// Operating point the suite ran at (nominal unless the config set a
-    /// DVFS point).
+    /// Operating point the suite ran at (the node's nominal corner).
     pub op: OperatingPoint,
     /// Per-benchmark runs.
     pub runs: Vec<BenchRun>,
@@ -538,43 +528,6 @@ mod tests {
         let suite = e.run_scheme(chip.retention_profile(), Scheme::rsp_fifo(), 4);
         assert_eq!(perf, suite.normalized_performance(&ideal, 1.0));
         assert_eq!(power, suite.normalized_dynamic_power(&ideal, MemKind::Dram3t1d));
-    }
-
-    #[test]
-    fn nominal_operating_point_reproduces_the_fixed_corner() {
-        let e = quick_eval();
-        let implicit = e.run_ideal(4);
-        let mut cfg = e.config().clone();
-        cfg.operating_point = Some(OperatingPoint::nominal(cfg.node));
-        let explicit = Evaluator::new(cfg).run_ideal(4);
-        // The old fixed-corner math (node clock everywhere) and the
-        // explicit nominal point must agree bit-for-bit.
-        assert_eq!(implicit.hm_bips(1.0), explicit.hm_bips(1.0));
-        assert_eq!(implicit.total_time(), explicit.total_time());
-        assert_eq!(
-            implicit.mean_dynamic_power(MemKind::Sram6t).value(),
-            explicit.mean_dynamic_power(MemKind::Sram6t).value()
-        );
-    }
-
-    #[test]
-    fn scaled_operating_point_changes_bips_and_time() {
-        let e = quick_eval();
-        let mut cfg = e.config().clone();
-        let half = vlsi::units::Frequency::from_ghz(cfg.node.chip_frequency().ghz() / 2.0);
-        cfg.operating_point = Some(OperatingPoint::nominal(cfg.node).with_freq(half));
-        let slow = Evaluator::new(cfg).run_suite(|| {
-            DataCache::new(
-                CacheConfig::paper(Scheme::default()),
-                RetentionProfile::Infinite,
-            )
-        });
-        let fast = e.run_ideal(4);
-        // Same instruction streams, so IPC matches; BIPS halves and the
-        // simulated wall-clock doubles at half frequency.
-        assert_eq!(slow.hm_ipc(), fast.hm_ipc());
-        assert!((slow.hm_bips(1.0) - fast.hm_bips(1.0) / 2.0).abs() < 1e-9);
-        assert!((slow.total_time().value() - 2.0 * fast.total_time().value()).abs() < 1e-15);
     }
 
     #[test]

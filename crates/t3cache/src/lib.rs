@@ -14,8 +14,6 @@
 //!   good/median/bad exemplar selection of §4.3;
 //! * [`evaluate`] — scheme × chip × benchmark-suite evaluation with the
 //!   paper's normalization against an ideal 6T design;
-//! * [`dvfs`] — the (cell technology × operating point) sweep and its
-//!   Pareto frontier on the throughput/power plane;
 //! * [`sensitivity`] — the §5 µ–σ/µ retention sweep (Fig. 12);
 //! * [`table3`] — the per-node design-comparison table.
 //!
@@ -43,7 +41,6 @@
 
 pub mod campaign;
 pub mod chip;
-pub mod dvfs;
 pub mod evaluate;
 pub mod rescue;
 pub mod sensitivity;
@@ -52,7 +49,6 @@ pub mod wordlevel;
 
 pub use campaign::{evaluate_grid, map_indexed, CampaignReport, CampaignResult};
 pub use chip::{ChipGrade, ChipModel, ChipPopulation};
-pub use dvfs::{evaluate_point, pareto_frontier, DvfsPointConfig, DvfsPointResult};
 pub use rescue::{cache_yield, rescue_report, RescueMechanism, RescueReport};
 pub use wordlevel::{line_level_demand, word_level_demand, word_vs_line, RefreshDemand};
 pub use evaluate::{BenchRun, EvalConfig, Evaluator, SuiteResult, UnitEval};

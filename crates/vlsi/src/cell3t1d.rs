@@ -363,27 +363,6 @@ pub fn retention_vdd_factor(node: TechNode, vdd: Voltage) -> f64 {
     (v0 / vmin_nom).ln() / RETENTION_LOG_MARGIN
 }
 
-/// Combined retention multiplier for running at `op` instead of the
-/// node's nominal corner: the Arrhenius temperature factor times the
-/// supply-margin factor.
-///
-/// The factor is **exactly 1.0 at the nominal corner**: the temperature
-/// term is `exp(0.0)` at 80 °C, and the supply term is special-cased to
-/// 1.0 when `op.vdd` equals the node rail — the analytic
-/// [`retention_vdd_factor`] only lands within ~1e-9 of unity there
-/// (`ln(exp(m))/m` round-trips inexactly), which would silently break the
-/// bit-identity of every pinned golden. Since IEEE `x * 1.0 == x` for
-/// finite `x`, callers can multiply unconditionally in hot loops.
-pub fn op_retention_scale(node: TechNode, op: OperatingPoint) -> f64 {
-    let temp = retention_temperature_factor(op.temp_c);
-    let vdd = if op.vdd == node.vdd() {
-        1.0
-    } else {
-        retention_vdd_factor(node, op.vdd)
-    };
-    temp * vdd
-}
-
 /// The storage-node voltage `elapsed` after a write of "1".
 pub fn storage_voltage_at(node: TechNode, dev_t1: DeviceDeviation, elapsed: Time) -> Voltage {
     assert!(elapsed.value() >= 0.0, "elapsed time cannot be negative");
@@ -589,36 +568,6 @@ mod tests {
         assert!(retention_vdd_factor(node, Voltage::new(1.1)) > 1.0);
         // Below the usable floor, retention collapses to zero.
         assert_eq!(retention_vdd_factor(node, Voltage::new(0.70)), 0.0);
-    }
-
-    #[test]
-    fn op_retention_scale_is_exactly_unity_at_nominal() {
-        // Bit-exact unity, not approximately: the campaign hot loops
-        // multiply by this factor unconditionally, so any deviation at
-        // the nominal corner would shift every pinned golden.
-        for node in TechNode::ALL {
-            assert_eq!(op_retention_scale(node, OperatingPoint::nominal(node)), 1.0);
-        }
-    }
-
-    #[test]
-    fn op_retention_scale_composes_both_axes() {
-        let node = TechNode::N32;
-        let nominal = OperatingPoint::nominal(node);
-        let low_vdd = nominal.with_vdd(Voltage::new(0.9));
-        let cool = nominal.with_temp_c(50.0);
-        assert!((op_retention_scale(node, low_vdd)
-            - retention_vdd_factor(node, Voltage::new(0.9)))
-        .abs()
-            < 1e-15);
-        assert!((op_retention_scale(node, cool) - retention_temperature_factor(50.0)).abs()
-            < 1e-15);
-        let both = op_retention_scale(node, low_vdd.with_temp_c(50.0));
-        let product =
-            retention_vdd_factor(node, Voltage::new(0.9)) * retention_temperature_factor(50.0);
-        assert!((both - product).abs() / product < 1e-12);
-        // A collapsed rail zeroes retention regardless of temperature.
-        assert_eq!(op_retention_scale(node, nominal.with_vdd(Voltage::new(0.70))), 0.0);
     }
 
     #[test]

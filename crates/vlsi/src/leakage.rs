@@ -16,21 +16,10 @@ use crate::variation::DeviceDeviation;
 /// Leakage multiplier of one path relative to nominal, with a scalable
 /// DIBL exponent (`lambda_scale` < 1 models stacked/decayed 3T1D paths
 /// whose drain bias responds less steeply to channel length). Evaluated at
-/// the paper's nominal operating point; see [`path_leakage_ratio_at`].
+/// the paper's nominal operating point.
 pub fn path_leakage_ratio(node: TechNode, dev: DeviceDeviation, lambda_scale: f64) -> f64 {
-    path_leakage_ratio_at(node, OperatingPoint::nominal(node), dev, lambda_scale)
-}
-
-/// [`path_leakage_ratio`] at an explicit operating point (the subthreshold
-/// slope tracks the junction temperature via `n·kT/q`).
-pub fn path_leakage_ratio_at(
-    node: TechNode,
-    op: OperatingPoint,
-    dev: DeviceDeviation,
-    lambda_scale: f64,
-) -> f64 {
     assert!(lambda_scale >= 0.0, "lambda_scale must be non-negative");
-    let nvt = N_SUBTHRESHOLD * op.thermal_voltage().volts();
+    let nvt = N_SUBTHRESHOLD * OperatingPoint::nominal(node).thermal_voltage().volts();
     let x = -dev.vth_total(node).volts() / nvt
         - calib::lambda_dibl(node) * lambda_scale * dev.dl_frac;
     x.clamp(-30.0, 30.0).exp()

@@ -12,9 +12,6 @@
 //! * [`cell6t`] — 6T SRAM read delay and read-stability (bit-flip) model;
 //! * [`cell3t1d`] — the 3T1D cell: storage decay, boosted read, and the
 //!   paper's central quantity, the per-cell **retention time**;
-//! * [`celltech`] — pluggable cell technologies (3T1D, ARC-style STT-RAM,
-//!   low-voltage 6T with timing speculation) evaluated at explicit
-//!   [`tech::OperatingPoint`]s for DVFS sweeps;
 //! * [`variation`], [`quadtree`], [`montecarlo`] — die-to-die and
 //!   spatially correlated within-die Monte-Carlo sampling of whole chips;
 //! * [`leakage`], [`power`] — static and dynamic power accounting;
@@ -45,7 +42,6 @@ pub mod array;
 pub mod calib;
 pub mod cell3t1d;
 pub mod cell6t;
-pub mod celltech;
 pub mod leakage;
 pub mod math;
 pub mod montecarlo;
@@ -59,7 +55,6 @@ pub mod variation;
 pub mod wire;
 
 pub use array::ArrayLayout;
-pub use celltech::{CellTechKind, CellTechnology};
 pub use montecarlo::{Chip, ChipFactory};
 pub use tech::{OperatingPoint, TechNode};
 pub use units::{Energy, Frequency, Power, Time, Voltage};

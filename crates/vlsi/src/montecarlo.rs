@@ -210,37 +210,6 @@ impl Chip {
         self.sample_line_retentions(|dl, dvth1, dvth2| solver.retention(dl, dvth1, dvth2))
     }
 
-    /// Per-line retention times under an arbitrary cell technology at its
-    /// operating point, through the SoA [`batch`] kernels. Never cached —
-    /// sweep stages evaluate many `(technology, operating point)` pairs per
-    /// chip, so the caller owns any memoization. For the 3T1D technology at
-    /// the nominal operating point this is bit-identical to
-    /// [`Chip::line_retentions`].
-    pub fn line_retentions_tech(&self, tech: &dyn crate::celltech::CellTechnology) -> Vec<Time> {
-        batch::line_retentions_with(self, tech)
-    }
-
-    /// The scalar reference for [`Chip::line_retentions_tech`]: the same
-    /// stream contract, cell-at-a-time through the technology's scalar
-    /// solve, with the per-line [`line_scale`] applied after the fold.
-    /// Never cached. Test-only: a unit proptest pins the batch product
-    /// against it.
-    ///
-    /// [`line_scale`]: crate::celltech::CellTechnology::line_scale
-    #[cfg(test)]
-    pub(crate) fn line_retentions_tech_scalar(
-        &self,
-        tech: &dyn crate::celltech::CellTechnology,
-    ) -> Vec<Time> {
-        let lines = self.layout.lines();
-        let raw =
-            self.sample_line_retentions(|dl, dvth1, dvth2| tech.retention(dl, dvth1, dvth2));
-        raw.into_iter()
-            .enumerate()
-            .map(|(line, t)| t * tech.line_scale(line as u32, lines))
-            .collect()
-    }
-
     /// The exact reference path: every cell solved with
     /// [`cell3t1d::retention_time`], never cached. Consumes the RNG stream
     /// draw-for-draw like the fast path. Test-only: the memoization golden
@@ -521,9 +490,7 @@ impl WordRetentionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::celltech::CellTechKind;
     use crate::stats::Summary;
-    use crate::tech::OperatingPoint;
     use crate::variation::VariationCorner;
     use proptest::prelude::*;
 
@@ -880,42 +847,6 @@ mod tests {
             Just(TechNode::N45),
             Just(TechNode::N32)
         ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn batched_tech_line_retentions_match_scalar(node in node_strategy(),
-                                                     seed in 0u64..1_000_000,
-                                                     vdd_mv in 550f64..1150.0,
-                                                     temp in 0.0f64..125.0) {
-            // The SoA batch kernel must be bit-identical to the cell-at-a-time
-            // scalar reference for every technology, at off-nominal operating
-            // points, under both variation corners.
-            let layout = ArrayLayout {
-                subarrays: 2,
-                rows: 4,
-                cols: 16,
-                tag_bits: 2,
-                sense_amps_per_pair: 8,
-            };
-            let op = OperatingPoint::nominal(node)
-                .with_vdd(Voltage::from_mv(vdd_mv))
-                .with_temp_c(temp);
-            for params in [VariationParams::TYPICAL, VariationParams::SEVERE] {
-                let chip = ChipFactory::with_layout(node, params, layout, seed).chip(0);
-                for kind in CellTechKind::ALL {
-                    let tech = kind.build(node, op);
-                    let batch = chip.line_retentions_tech(tech.as_ref());
-                    let scalar = chip.line_retentions_tech_scalar(tech.as_ref());
-                    prop_assert_eq!(batch.len(), scalar.len());
-                    for (i, (b, s)) in batch.iter().zip(scalar.iter()).enumerate() {
-                        prop_assert_eq!(b, s, "{} line {}", kind.slug(), i);
-                    }
-                }
-            }
-        }
     }
 
     proptest! {

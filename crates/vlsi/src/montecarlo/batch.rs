@@ -15,9 +15,10 @@
 //! * the random-dopant Vth deviations are read line-at-a-time from a
 //!   `PairStream`: the polar method's accepted `(u, s)` pairs, drawn in
 //!   fixed blocks; and
-//! * the retention solve runs as [`RetentionSolver::retention_slice`], a
-//!   tight loop over the three planes. The 3T1D line kernel,
-//!   [`line_retentions`], goes further: a per-chip `RetentionScreen`
+//! * the word-map kernel's retention solve runs as
+//!   [`RetentionSolver::retention_slice`], a tight loop over the three
+//!   planes. The line kernel, [`line_retentions`], goes further: a
+//!   per-chip `RetentionScreen`
 //!   certifies most cells as no lower than their line's running minimum,
 //!   first from bounds on the cell's normals (a table over `s` brackets
 //!   the polar scale `√(−2 ln s / s)`), then from the exact normals, and
@@ -44,7 +45,6 @@
 use super::{Chip, WordRetentionMap, RETENTION_PURPOSE, WORD_RETENTION_PURPOSE};
 use crate::array::ArrayLayout;
 use crate::cell3t1d::RetentionSolver;
-use crate::celltech::CellTechnology;
 use crate::math::{polar_accepts, polar_candidate, polar_normal, polar_scale};
 use crate::quadtree::QuadTreeField;
 use crate::units::Time;
@@ -249,49 +249,6 @@ fn normal_range(u: f64, (g_lo, g_hi): (f64, f64)) -> (f64, f64) {
     (a.min(b), a.max(b))
 }
 
-/// [`line_retentions`] for an arbitrary [`CellTechnology`]: the same RNG
-/// streams, min-fold, and dead-line cut, with every cell's normals
-/// evaluated exactly and solved by the technology's slice kernel and its
-/// [`line_scale`] applied after the fold.
-///
-/// For the 3T1D technology at the nominal operating point this is
-/// bit-identical to [`line_retentions`] (the retention scale and line
-/// scale are both exactly 1.0, and IEEE `x * 1.0 == x`).
-///
-/// [`line_scale`]: CellTechnology::line_scale
-pub fn line_retentions_with(chip: &Chip, tech: &dyn CellTechnology) -> Vec<Time> {
-    let _span = obs::trace::span_with("vlsi", || format!("batch.retention:chip{}", chip.index));
-    let lines = chip.layout.lines();
-    let cells = chip.layout.cells_per_line() as usize;
-    let sigma_vth = chip.params.sigma_vth(chip.node).volts();
-    let dl = dl_plane(chip);
-    let mut dvth1 = vec![0.0f64; cells];
-    let mut dvth2 = vec![0.0f64; cells];
-    let mut rets: Vec<Time> = Vec::with_capacity(cells);
-    let out = fold_lines(chip, |line, pairs| {
-        fill_dvth(pairs, sigma_vth, &mut dvth1, &mut dvth2);
-        let base = line * cells;
-        tech.retention_slice(&dl[base..base + cells], &dvth1, &dvth2, &mut rets);
-        // Same reduction as the scalar loop, dead-line break included.
-        let mut min_ret = Time::from_us(f64::INFINITY);
-        for (bit, &r) in rets.iter().enumerate() {
-            if r < min_ret {
-                min_ret = r;
-                if min_ret == Time::ZERO {
-                    return (min_ret, Some(bit));
-                }
-            }
-        }
-        (min_ret, None)
-    });
-    obs::trace::counter("batch.retention", (out.len() * cells) as f64);
-    obs::trace::counter("batch.exact_normals", (out.len() * 2 * cells) as f64);
-    out.into_iter()
-        .enumerate()
-        .map(|(line, t)| t * tech.line_scale(line as u32, lines))
-        .collect()
-}
-
 /// Evaluates one line's normals exactly from its `2 · cells` pairs, in
 /// the scalar visit order (T1 then T2 per cell), as Vth deviations in
 /// volts.
@@ -302,7 +259,7 @@ fn fill_dvth(pairs: &[(f64, f64)], sigma_vth: f64, dvth1: &mut [f64], dvth2: &mu
     }
 }
 
-/// The line loop both line kernels share: shows `fold_line(line, pairs)`
+/// The line loop of [`line_retentions`]: shows `fold_line(line, pairs)`
 /// the next `2 · cells` pairs of the retention stream, and lets it reduce
 /// them to the line's minimum retention and the first dead cell (if any).
 /// A dead line at cell `j` consumes only its first `2 · (j + 1)` pairs,
@@ -700,25 +657,6 @@ mod tests {
             let batch = line_retentions(&chip);
             let dead = batch.iter().filter(|t| **t == Time::ZERO).count();
             assert_eq!(batch, chip.line_retentions_scalar(), "chip {i} ({dead} dead)");
-        }
-    }
-
-    #[test]
-    fn tech_path_at_nominal_is_bit_identical_to_the_baseline() {
-        use crate::celltech::{CellTechKind, T3t1dTech};
-        use crate::tech::OperatingPoint;
-        let f = ChipFactory::new(TechNode::N32, VariationCorner::Severe.params(), 23);
-        let chip = f.chip(0);
-        let tech = T3t1dTech::new(TechNode::N32, OperatingPoint::nominal(TechNode::N32));
-        assert_eq!(line_retentions_with(&chip, &tech), line_retentions(&chip));
-        // Other technologies consume the streams identically, so their line
-        // counts (and hence downstream geometry) always agree.
-        for kind in CellTechKind::ALL {
-            let t = kind.build(TechNode::N32, OperatingPoint::nominal(TechNode::N32));
-            assert_eq!(
-                line_retentions_with(&chip, t.as_ref()).len(),
-                chip.layout().lines() as usize
-            );
         }
     }
 

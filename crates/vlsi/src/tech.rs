@@ -41,11 +41,10 @@ pub fn thermal_voltage_at(temp_c: f64) -> Voltage {
     Voltage::new(K_OVER_Q * kelvin)
 }
 
-/// A DVFS operating point: the (supply, clock, temperature) triple every
-/// electrical model is evaluated at. The paper evaluates a single implicit
+/// An operating point: the (supply, clock, temperature) triple the
+/// electrical models are evaluated at. The paper evaluates a single
 /// corner — each node's nominal rail and frequency at 80 °C — which
-/// [`OperatingPoint::nominal`] reproduces exactly; sweeps build scaled
-/// points with the `with_*` constructors.
+/// [`OperatingPoint::nominal`] builds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Supply voltage the array and periphery run at.
@@ -68,21 +67,6 @@ impl OperatingPoint {
         }
     }
 
-    /// This point with a different supply voltage.
-    pub fn with_vdd(self, vdd: Voltage) -> Self {
-        OperatingPoint { vdd, ..self }
-    }
-
-    /// This point with a different clock frequency.
-    pub fn with_freq(self, freq: Frequency) -> Self {
-        OperatingPoint { freq, ..self }
-    }
-
-    /// This point with a different junction temperature (Celsius).
-    pub fn with_temp_c(self, temp_c: f64) -> Self {
-        OperatingPoint { temp_c, ..self }
-    }
-
     /// Thermal voltage `kT/q` at this point's junction temperature
     /// (≈30.4 mV at the 80 °C paper corner).
     ///
@@ -96,29 +80,6 @@ impl OperatingPoint {
     /// One clock period at this point's frequency.
     pub fn clock_period(&self) -> Time {
         self.freq.period()
-    }
-
-    /// A filesystem/stage-id-safe slug (`v900f3200t80`: millivolts,
-    /// megahertz, rounded Celsius) for naming swept artifacts.
-    pub fn slug(&self) -> String {
-        format!(
-            "v{}f{}t{}",
-            (self.vdd.volts() * 1000.0).round() as i64,
-            (self.freq.ghz() * 1000.0).round() as i64,
-            self.temp_c.round() as i64
-        )
-    }
-}
-
-impl fmt::Display for OperatingPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:.2} V / {:.2} GHz / {:.0} °C",
-            self.vdd.volts(),
-            self.freq.ghz(),
-            self.temp_c
-        )
     }
 }
 
@@ -317,20 +278,7 @@ mod tests {
             assert_eq!(op.freq.value(), node.chip_frequency().value());
             assert_eq!(op.temp_c, SIM_TEMPERATURE_C);
             assert_eq!(op.clock_period().value(), node.clock_period().value());
-            assert_ne!(op.with_vdd(Voltage::new(0.9)), op);
-            assert_ne!(op.with_temp_c(60.0), op);
         }
-    }
-
-    #[test]
-    fn operating_point_slug_and_display() {
-        let op = OperatingPoint::nominal(TechNode::N32);
-        assert_eq!(op.slug(), "v1000f4300t80");
-        assert_eq!(op.to_string(), "1.00 V / 4.30 GHz / 80 °C");
-        let scaled = op
-            .with_vdd(Voltage::new(0.85))
-            .with_freq(Frequency::from_ghz(3.2));
-        assert_eq!(scaled.slug(), "v850f3200t80");
     }
 
     #[test]

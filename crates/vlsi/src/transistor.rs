@@ -57,13 +57,7 @@ pub fn drive_ratio_at(node: TechNode, vgs: Voltage, dev: DeviceDeviation) -> f64
 /// with a DIBL-style exponential channel-length sensitivity
 /// (`λ =` [`calib::lambda_dibl`]): shorter channels leak exponentially more.
 pub fn leakage_ratio(node: TechNode, dev: DeviceDeviation) -> f64 {
-    leakage_ratio_at(node, OperatingPoint::nominal(node), dev)
-}
-
-/// [`leakage_ratio`] at an explicit operating point: the subthreshold slope
-/// softens with the junction temperature through `n·kT/q`.
-pub fn leakage_ratio_at(node: TechNode, op: OperatingPoint, dev: DeviceDeviation) -> f64 {
-    let nvt = N_SUBTHRESHOLD * op.thermal_voltage().volts();
+    let nvt = N_SUBTHRESHOLD * OperatingPoint::nominal(node).thermal_voltage().volts();
     let dvth = dev.vth_total(node).volts();
     let x = -dvth / nvt - calib::lambda_dibl(node) * dev.dl_frac;
     x.clamp(-30.0, 30.0).exp()

@@ -1,8 +1,6 @@
 //! Property-based tests for the device and statistics layers.
 
 use proptest::prelude::*;
-use vlsi::celltech::CellTechKind;
-use vlsi::tech::OperatingPoint;
 use vlsi::cell3t1d::{
     access_time, decay_tau, decay_tau_slice, min_storage_voltage, retention_time,
     storage_voltage_at, stored_one_voltage, stored_one_voltage_slice, RetentionSolver,
@@ -198,52 +196,6 @@ proptest! {
             let dev = DeviceDeviation { dl_frac: l, dvth_random: Voltage::new(v1) };
             prop_assert_eq!(v0[i], stored_one_voltage(node, dev), "v0 cell {}", i);
             prop_assert_eq!(tau[i], decay_tau(node, dev), "tau cell {}", i);
-        }
-    }
-
-    #[test]
-    fn tech_retention_non_increasing_in_temperature(node in node_strategy(),
-                                                    dl in -0.12f64..0.12,
-                                                    d1 in -0.25f64..0.25,
-                                                    d2 in -0.25f64..0.25,
-                                                    cool in -40.0f64..125.0,
-                                                    dt in 0.0f64..80.0) {
-        // Heat never lengthens retention, for any cell technology: 3T1D's
-        // Arrhenius leakage, STT's Δ ∝ 1/T barrier, and the low-voltage 6T
-        // margin slope all point the same way.
-        let hot = cool + dt;
-        for kind in CellTechKind::ALL {
-            let op = OperatingPoint::nominal(node);
-            let at_cool = kind.build(node, op.with_temp_c(cool));
-            let at_hot = kind.build(node, op.with_temp_c(hot));
-            let r_cool = at_cool.retention(dl, d1, d2);
-            let r_hot = at_hot.retention(dl, d1, d2);
-            prop_assert!(
-                r_hot.value() <= r_cool.value() * (1.0 + 1e-12),
-                "{}: {} °C → {} s, {} °C → {} s",
-                kind.slug(), cool, r_cool.value(), hot, r_hot.value()
-            );
-        }
-    }
-
-    #[test]
-    fn tech_access_time_non_increasing_in_vdd(node in node_strategy(),
-                                              v_lo in 0.4f64..1.1,
-                                              dv in 0.0f64..0.7) {
-        // More supply never slows a read: every technology's access path
-        // goes through the same alpha-power drive-slowdown law, which is
-        // non-increasing in Vdd (and +∞ below threshold for both rails).
-        let v_hi = v_lo + dv;
-        for kind in CellTechKind::ALL {
-            let op = OperatingPoint::nominal(node);
-            let slow = kind.build(node, op.with_vdd(Voltage::new(v_lo)));
-            let fast = kind.build(node, op.with_vdd(Voltage::new(v_hi)));
-            let (a_lo, a_hi) = (slow.access_time(), fast.access_time());
-            prop_assert!(
-                a_hi.value() <= a_lo.value() * (1.0 + 1e-12),
-                "{}: {} V → {} s, {} V → {} s",
-                kind.slug(), v_lo, a_lo.value(), v_hi, a_hi.value()
-            );
         }
     }
 
