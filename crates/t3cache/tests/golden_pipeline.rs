@@ -1,14 +1,17 @@
 //! Golden regression pinning every pipeline and cache counter of single
 //! benchmark runs: each `SimResult` field (the value-age histogram
-//! included) and each `CacheStats` field, for gzip and mcf at quick scale.
+//! included) and each `CacheStats` field, at quick scale.
 //!
-//! The configurations cover the ideal cache and three retention schemes
-//! on the median chip of a severe 32 nm population, out of order, plus
-//! the ideal cache, no-refresh/LRU and RSP-FIFO in order. So both issue
-//! disciplines, port retries, replay flushes (no-refresh/LRU drives the
-//! most) and the dispatch-blocked and ROB-full stall counts all sit under
-//! a pin. (Neither benchmark fills both issue queues; the uarch
-//! test `issue_queue_full_stalls_are_counted_exactly` pins that count.)
+//! The first table covers gzip and mcf under the ideal cache and three
+//! retention schemes on the median chip of a severe 32 nm population, out
+//! of order, plus the ideal cache, no-refresh/LRU and RSP-FIFO in order.
+//! So both issue disciplines, port retries, replay flushes
+//! (no-refresh/LRU drives the most) and the dispatch-blocked and ROB-full
+//! stall counts all sit under a pin. (Neither benchmark fills both issue
+//! queues; the uarch test `issue_queue_full_stalls_are_counted_exactly`
+//! pins that count.) The second table widens the pin: the six other
+//! benchmarks under the ideal cache and RSP-FIFO, and gzip and mcf under
+//! RSP-LRU (promotion line moves) and full refresh (the refresh queue).
 //! Any change to the cycle loop that is meant to be a pure speed-up must
 //! leave these values untouched.
 //!
@@ -17,7 +20,7 @@
 //! (the test prints every run's row and full counters) and update it in
 //! the same commit as the model change.
 
-use cachesim::{CacheStats, Scheme};
+use cachesim::{CacheStats, RefreshPolicy, ReplacementPolicy, RetentionProfile, Scheme};
 use t3cache::chip::{ChipGrade, ChipPopulation};
 use t3cache::evaluate::{EvalConfig, Evaluator, SuiteResult};
 use uarch::sim::SimResult;
@@ -89,6 +92,28 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64)] = &[
     ),
 ];
 
+/// The wider pin, in the same row format: the six other benchmarks under
+/// the ideal cache and RSP-FIFO, then gzip and mcf under RSP-LRU and full
+/// refresh with LRU placement, all out of order on the same chip.
+const GOLDEN_WIDE: &[(&str, &str, u64, u64, u64, u64)] = &[
+    ("ideal", "applu", 58843, 1693, 0, 0x1fa38d01d1ef7c29),
+    ("ideal", "crafty", 50566, 1425, 0, 0x7ba7b2ec3d67f06b),
+    ("ideal", "fma3d", 60555, 2019, 0, 0x166c415a74f08c99),
+    ("ideal", "gcc", 67877, 1775, 0, 0x377727e4d6a31aac),
+    ("ideal", "mesa", 39490, 1531, 0, 0x724b4468a702bf8d),
+    ("ideal", "twolf", 107031, 999, 0, 0x853bf30f8952338b),
+    ("rsp-fifo", "applu", 60163, 2806, 106, 0x412765541a9a8a56),
+    ("rsp-fifo", "crafty", 51356, 1627, 78, 0x8cb438b16a64d910),
+    ("rsp-fifo", "fma3d", 61439, 2923, 96, 0x9dbf32fcc0cf84cc),
+    ("rsp-fifo", "gcc", 68635, 2386, 60, 0x1d8e9b3cdd5e1fbe),
+    ("rsp-fifo", "mesa", 39757, 1569, 17, 0x8ded440d0ab8b0fa),
+    ("rsp-fifo", "twolf", 108688, 2113, 188, 0x064357ee5fcb865a),
+    ("rsp-lru", "gzip", 55312, 3507, 41, 0x4fa3320551eac551),
+    ("rsp-lru", "mcf", 157042, 6794, 362, 0x0549a5fb1a29e66d),
+    ("full-lru", "gzip", 55211, 5047, 0, 0x9e0aa5d18b22fd78),
+    ("full-lru", "mcf", 157139, 5437, 0, 0x62b3b8b237d9573f),
+];
+
 /// FNV-1a 64 over a byte string.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -99,45 +124,29 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn evaluator(machine: MachineConfig) -> Evaluator {
+/// The two benchmarks every configuration of the first table runs.
+const PAIR: [SpecBenchmark; 2] = [SpecBenchmark::Gzip, SpecBenchmark::Mcf];
+
+fn evaluator(benchmarks: &[SpecBenchmark], machine: MachineConfig) -> Evaluator {
     Evaluator::new(EvalConfig {
-        benchmarks: vec![SpecBenchmark::Gzip, SpecBenchmark::Mcf],
+        benchmarks: benchmarks.to_vec(),
         machine,
         ..EvalConfig::quick()
     })
 }
 
-#[test]
-fn pipeline_and_cache_counters_are_pinned() {
+/// The median chip of a severe 32 nm population.
+fn median_chip() -> RetentionProfile {
     let pop = ChipPopulation::generate(TechNode::N32, VariationCorner::Severe.params(), 8, 20_244);
-    let profile = pop.select(ChipGrade::Median).retention_profile();
-    let ooo = evaluator(MachineConfig::TABLE2);
-    let in_order = evaluator(MachineConfig::table2_in_order());
+    pop.select(ChipGrade::Median).retention_profile().clone()
+}
 
-    let suites: Vec<(&str, SuiteResult)> = vec![
-        ("ideal", ooo.run_ideal(4)),
-        (
-            "no-refresh-lru",
-            ooo.run_scheme(profile, Scheme::no_refresh_lru(), 4),
-        ),
-        (
-            "partial-dsp",
-            ooo.run_scheme(profile, Scheme::partial_refresh_dsp(), 4),
-        ),
-        ("rsp-fifo", ooo.run_scheme(profile, Scheme::rsp_fifo(), 4)),
-        ("in-order ideal", in_order.run_ideal(4)),
-        (
-            "in-order no-refresh-lru",
-            in_order.run_scheme(profile, Scheme::no_refresh_lru(), 4),
-        ),
-        (
-            "in-order rsp-fifo",
-            in_order.run_scheme(profile, Scheme::rsp_fifo(), 4),
-        ),
-    ];
+type Row = (String, String, u64, u64, u64, u64);
 
+/// Prints every run's golden row and full counters, and returns the rows.
+fn measure(suites: &[(&str, SuiteResult)]) -> Vec<Row> {
     let mut measured = Vec::new();
-    for (label, suite) in &suites {
+    for (label, suite) in suites {
         for run in &suite.runs {
             let pair: (SimResult, CacheStats) = (run.sim, run.cache);
             let digest = fnv1a64(format!("{pair:?}").as_bytes());
@@ -157,6 +166,59 @@ fn pipeline_and_cache_counters_are_pinned() {
             ));
         }
     }
+    measured
+}
+
+/// Asserts the measured rows equal a golden table, row by row.
+fn check(measured: &[Row], golden: &[(&str, &str, u64, u64, u64, u64)]) {
+    assert_eq!(measured.len(), golden.len(), "configuration set changed");
+    for (m, g) in measured.iter().zip(golden) {
+        let (label, bench, cycles, retries, flushes, digest) = m;
+        assert_eq!(
+            (label.as_str(), bench.as_str()),
+            (g.0, g.1),
+            "run order changed"
+        );
+        assert_eq!(
+            (*cycles, *retries, *flushes),
+            (g.2, g.3, g.4),
+            "{label}/{bench}: cycles, port retries or replay flushes drifted"
+        );
+        assert_eq!(
+            *digest, g.5,
+            "{label}/{bench}: a pipeline or cache counter drifted"
+        );
+    }
+}
+
+#[test]
+fn pipeline_and_cache_counters_are_pinned() {
+    let profile = median_chip();
+    let ooo = evaluator(&PAIR, MachineConfig::TABLE2);
+    let in_order = evaluator(&PAIR, MachineConfig::table2_in_order());
+
+    let suites: Vec<(&str, SuiteResult)> = vec![
+        ("ideal", ooo.run_ideal(4)),
+        (
+            "no-refresh-lru",
+            ooo.run_scheme(&profile, Scheme::no_refresh_lru(), 4),
+        ),
+        (
+            "partial-dsp",
+            ooo.run_scheme(&profile, Scheme::partial_refresh_dsp(), 4),
+        ),
+        ("rsp-fifo", ooo.run_scheme(&profile, Scheme::rsp_fifo(), 4)),
+        ("in-order ideal", in_order.run_ideal(4)),
+        (
+            "in-order no-refresh-lru",
+            in_order.run_scheme(&profile, Scheme::no_refresh_lru(), 4),
+        ),
+        (
+            "in-order rsp-fifo",
+            in_order.run_scheme(&profile, Scheme::rsp_fifo(), 4),
+        ),
+    ];
+    let measured = measure(&suites);
 
     // The configurations must exercise what they are here to pin.
     let by_label = |l: &str| {
@@ -179,22 +241,41 @@ fn pipeline_and_cache_counters_are_pinned() {
     assert!(sum(by_label("ideal"), |r| r.dispatch_blocked_cycles) > 0);
     assert!(sum(by_label("ideal"), |r| r.rob_full_stalls) > 0);
 
-    assert_eq!(measured.len(), GOLDEN.len(), "configuration set changed");
-    for (m, g) in measured.iter().zip(GOLDEN) {
-        let (label, bench, cycles, retries, flushes, digest) = m;
-        assert_eq!(
-            (label.as_str(), bench.as_str()),
-            (g.0, g.1),
-            "run order changed"
-        );
-        assert_eq!(
-            (*cycles, *retries, *flushes),
-            (g.2, g.3, g.4),
-            "{label}/{bench}: cycles, port retries or replay flushes drifted"
-        );
-        assert_eq!(
-            *digest, g.5,
-            "{label}/{bench}: a pipeline or cache counter drifted"
-        );
-    }
+    check(&measured, GOLDEN);
+}
+
+#[test]
+fn other_benchmarks_and_schemes_are_pinned() {
+    let profile = median_chip();
+    let others: Vec<SpecBenchmark> = SpecBenchmark::ALL
+        .into_iter()
+        .filter(|b| !PAIR.contains(b))
+        .collect();
+    let wide = evaluator(&others, MachineConfig::TABLE2);
+    let pair = evaluator(&PAIR, MachineConfig::TABLE2);
+    let full_lru = Scheme::new(RefreshPolicy::Full, ReplacementPolicy::Lru);
+
+    let suites: Vec<(&str, SuiteResult)> = vec![
+        ("ideal", wide.run_ideal(4)),
+        ("rsp-fifo", wide.run_scheme(&profile, Scheme::rsp_fifo(), 4)),
+        ("rsp-lru", pair.run_scheme(&profile, Scheme::rsp_lru(), 4)),
+        ("full-lru", pair.run_scheme(&profile, full_lru, 4)),
+    ];
+    let measured = measure(&suites);
+
+    // RSP-LRU must move lines and full refresh must refresh them.
+    let cache_sum = |l: &str, f: fn(&CacheStats) -> u64| {
+        let (_, s) = suites.iter().find(|(n, _)| *n == l).unwrap();
+        s.runs.iter().map(|r| f(&r.cache)).sum::<u64>()
+    };
+    assert!(
+        cache_sum("rsp-lru", |c| c.line_moves) > 0,
+        "no line moves pinned"
+    );
+    assert!(
+        cache_sum("full-lru", |c| c.refreshes) > 0,
+        "no refreshes pinned"
+    );
+
+    check(&measured, GOLDEN_WIDE);
 }
