@@ -18,14 +18,22 @@
 //! Port contention is explicit: demand accesses are rejected with
 //! [`PortBusy`] while refresh or move work holds the shared ports, which
 //! is how refresh overhead feeds back into pipeline performance.
+//!
+//! Dirty-line expiries and in-place refreshes wait in two event queues
+//! that hold at most one live event per line, in `(due, line)` order. A
+//! store that moves a line's deadline later leaves its queued event in
+//! place, and the event is requeued at the new deadline when it comes
+//! due, so the queues do not grow with the number of stores. An event
+//! whose line changed since it was scheduled (its epoch moved on) is
+//! dropped when it pops.
 
 use crate::geometry::Geometry;
 use crate::l2::{L2Cache, L2Outcome, WriteBuffer};
 use crate::policy::{RefreshPolicy, ReplacementPolicy, Scheme, WritePolicy};
+use crate::queue::LineQueue;
 use crate::retention::{CounterSpec, RetentionProfile};
 use crate::stats::CacheStats;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration of a [`DataCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,7 +128,7 @@ struct Line {
     deadline: u64,
     /// Cycle the current data was filled (for partial-refresh aging).
     filled_at: u64,
-    /// Bumped on every deadline change/invalidate; stales heap entries.
+    /// Bumped on every deadline change/invalidate; stales queued events.
     epoch: u32,
 }
 
@@ -151,11 +159,22 @@ pub struct DataCache {
     stats: CacheStats,
     /// Per-sub-array-pair busy windows `(start, end)`: refresh/move work
     /// blocks demand accesses mapping to that pair while a window is open.
+    /// A pair's windows are disjoint and sorted, so once the closed ones
+    /// are dropped, the pair is blocked exactly when its first window has
+    /// started.
     busy: [VecDeque<(u64, u64)>; PAIRS],
+    /// A lower bound on the earliest end of any pair's first window: no
+    /// window closes before it, so [`DataCache::advance`] skips the
+    /// per-pair check until then.
+    busy_closes: u64,
+    /// log2 of the lines per sub-array pair.
+    pair_shift: u32,
     /// Next cycle the duty-limited line-refresh engine may start a refresh.
     refresh_slot: u64,
-    refresh_q: BinaryHeap<Reverse<(u64, u32, u32)>>,
-    expiry_q: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// Pending in-place refreshes, one per line.
+    refresh_q: LineQueue,
+    /// Pending expiries of dirty lines, one per line.
+    expiry_q: LineQueue,
     cur_cycle: u64,
     loads_now: u8,
     stores_now: u8,
@@ -259,9 +278,13 @@ impl DataCache {
             wb: WriteBuffer::paper(),
             stats: CacheStats::default(),
             busy: std::array::from_fn(|_| VecDeque::new()),
+            busy_closes: u64::MAX,
+            pair_shift: (cfg.geometry.lines() / PAIRS as u32)
+                .max(1)
+                .trailing_zeros(),
             refresh_slot: 0,
-            refresh_q: BinaryHeap::new(),
-            expiry_q: BinaryHeap::new(),
+            refresh_q: LineQueue::new(cfg.geometry.lines() as usize),
+            expiry_q: LineQueue::new(cfg.geometry.lines() as usize),
             cur_cycle: 0,
             loads_now: 0,
             stores_now: 0,
@@ -362,10 +385,17 @@ impl DataCache {
         self.process_expiries(cycle);
         self.pump_refreshes(cycle);
         self.wb.tick(cycle);
-        for q in &mut self.busy {
-            while matches!(q.front(), Some(&(_, end)) if end <= cycle) {
-                q.pop_front();
+        if cycle >= self.busy_closes {
+            let mut closes = u64::MAX;
+            for q in &mut self.busy {
+                while matches!(q.front(), Some(&(_, end)) if end <= cycle) {
+                    q.pop_front();
+                }
+                if let Some(&(_, end)) = q.front() {
+                    closes = closes.min(end);
+                }
             }
+            self.busy_closes = closes;
         }
     }
 
@@ -391,8 +421,7 @@ impl DataCache {
     /// pair-major (256 consecutive rows per pair in the paper layout), so
     /// a set's ways all live in the same pair.
     fn pair_of(&self, idx: u32) -> usize {
-        let per_pair = (self.cfg.geometry.lines() as usize / PAIRS).max(1);
-        ((idx as usize) / per_pair).min(PAIRS - 1)
+        ((idx >> self.pair_shift) as usize).min(PAIRS - 1)
     }
 
     /// Opens a port-blocking window on a pair, merging with the previous
@@ -410,15 +439,15 @@ impl DataCache {
             return start + len;
         }
         q.push_back((start, start + len));
+        self.busy_closes = self.busy_closes.min(start + len);
         start + len
     }
 
-    /// Whether demand accesses to `pair` are blocked at `cycle`.
+    /// Whether demand accesses to `pair` are blocked at `cycle`. Valid
+    /// right after [`DataCache::advance`] to `cycle`, which drops the
+    /// windows closed by then.
     fn pair_blocked(&self, pair: usize, cycle: u64) -> bool {
-        self.busy[pair]
-            .iter()
-            .take_while(|w| w.0 <= cycle)
-            .any(|w| cycle < w.1)
+        matches!(self.busy[pair].front(), Some(&(start, _)) if start <= cycle)
     }
 
     /// §4.1 global scheme: every `global_interval` cycles all four
@@ -457,11 +486,7 @@ impl DataCache {
     }
 
     fn process_expiries(&mut self, cycle: u64) {
-        while let Some(&Reverse((due, idx, epoch))) = self.expiry_q.peek() {
-            if due > cycle {
-                break;
-            }
-            self.expiry_q.pop();
+        while let Some((due, idx, epoch)) = self.expiry_q.pop_due(cycle) {
             let line = &mut self.lines[idx as usize];
             if line.epoch != epoch || !line.valid || !line.dirty {
                 continue;
@@ -503,17 +528,13 @@ impl DataCache {
                 self.add_window(pair, due, self.cfg.refresh_cycles as u64);
                 let e = self.lines[idx as usize].epoch;
                 let d = self.lines[idx as usize].deadline;
-                self.expiry_q.push(Reverse((d, idx, e)));
+                self.expiry_q.schedule(idx, d, e);
             }
         }
     }
 
     fn pump_refreshes(&mut self, cycle: u64) {
-        while let Some(&Reverse((due, idx, epoch))) = self.refresh_q.peek() {
-            if due > cycle {
-                break;
-            }
-            self.refresh_q.pop();
+        while let Some((due, idx, epoch)) = self.refresh_q.pop_due(cycle) {
             let line = self.lines[idx as usize];
             if line.epoch != epoch || !line.valid {
                 continue;
@@ -549,7 +570,7 @@ impl DataCache {
             let filled_at = l.filled_at;
             self.arm_refresh(idx, deadline, epoch, filled_at);
             if dirty {
-                self.expiry_q.push(Reverse((deadline, idx, epoch)));
+                self.expiry_q.schedule(idx, deadline, epoch);
             }
         }
     }
@@ -570,7 +591,7 @@ impl DataCache {
         };
         if wants && deadline != u64::MAX {
             let due = deadline.saturating_sub(REFRESH_GUARD);
-            self.refresh_q.push(Reverse((due, idx, epoch)));
+            self.refresh_q.schedule(idx, due, epoch);
         }
     }
 
@@ -602,19 +623,18 @@ impl DataCache {
             self.pair_of(self.cfg.geometry.line_index(set, 0))
         };
         let pair_busy = self.pair_blocked(set_pair, cycle);
-        let (load_ports, store_ports) = if pair_busy { (1, 0) } else { (2, 1) };
-        match kind {
-            AccessKind::Load if self.loads_now >= load_ports => {
-                self.stats.port_conflicts += 1;
-                self.stall_run += 1;
-                return Err(PortBusy);
-            }
-            AccessKind::Store if self.stores_now >= store_ports => {
-                self.stats.port_conflicts += 1;
-                self.stall_run += 1;
-                return Err(PortBusy);
-            }
-            _ => {}
+        // Two read ports and one write port, one of each taken while the
+        // pair is busy. Counted without branching on the kind.
+        let store = (kind == AccessKind::Store) as u8;
+        let used = if store != 0 {
+            self.stores_now
+        } else {
+            self.loads_now
+        };
+        if used >= 2 - store - pair_busy as u8 {
+            self.stats.port_conflicts += 1;
+            self.stall_run += 1;
+            return Err(PortBusy);
         }
         // A granted access ends any run of consecutive port stalls.
         if self.stall_run > 0 {
@@ -622,31 +642,22 @@ impl DataCache {
             obs::trace::sim_value("cachesim", "stall.run", cycle, "len", self.stall_run as f64);
             self.stall_run = 0;
         }
-        match kind {
-            AccessKind::Load => {
-                self.loads_now += 1;
-                self.stats.loads += 1;
-            }
-            AccessKind::Store => {
-                self.stores_now += 1;
-                self.stats.stores += 1;
-            }
-        }
+        self.loads_now += 1 - store;
+        self.stores_now += store;
+        self.stats.loads += 1 - store as u64;
+        self.stats.stores += store as u64;
 
         let set = self.cfg.geometry.set_of(addr);
         let tag = self.cfg.geometry.tag_of(addr);
         let ways = self.cfg.geometry.ways();
 
-        // Tag search.
-        let mut matched: Option<(u32, bool)> = None; // (way, live)
-        for way in 0..ways {
-            let idx = self.cfg.geometry.line_index(set, way) as usize;
-            let line = &self.lines[idx];
-            if line.valid && line.tag == tag {
-                matched = Some((way, cycle < line.deadline));
-                break;
-            }
-        }
+        // Tag search over the set's lines, which sit side by side:
+        // (way, live) of the matching line.
+        let base = self.cfg.geometry.line_index(set, 0) as usize;
+        let matched = self.lines[base..base + ways as usize]
+            .iter()
+            .position(|line| line.valid & (line.tag == tag))
+            .map(|way| (way as u32, cycle < self.lines[base + way].deadline));
 
         match matched {
             Some((way, true)) => Ok(self.do_hit(cycle, set, way, kind)),
@@ -707,7 +718,7 @@ impl DataCache {
                 self.stats.writebacks += 1;
             }
             if dirty && deadline != u64::MAX {
-                self.expiry_q.push(Reverse((deadline, idx, epoch)));
+                self.expiry_q.schedule(idx, deadline, epoch);
             }
             self.arm_refresh(idx, deadline, epoch, filled_at);
         }
@@ -851,7 +862,7 @@ impl DataCache {
 
         self.touch_recency(set, way);
         if dirty && deadline != u64::MAX {
-            self.expiry_q.push(Reverse((deadline, idx, epoch)));
+            self.expiry_q.schedule(idx, deadline, epoch);
         }
         self.arm_refresh(idx, deadline, epoch, filled_at);
         extra
@@ -925,7 +936,7 @@ impl DataCache {
             l.epoch = l.epoch.wrapping_add(1);
             let (deadline, epoch, filled_at, dirty) = (l.deadline, l.epoch, l.filled_at, l.dirty);
             if dirty && deadline != u64::MAX {
-                self.expiry_q.push(Reverse((deadline, dst_idx, epoch)));
+                self.expiry_q.schedule(dst_idx, deadline, epoch);
             }
             self.arm_refresh(dst_idx, deadline, epoch, filled_at);
             moves += 1;
@@ -963,7 +974,7 @@ impl DataCache {
         let (deadline, epoch, filled_at, dirty) = (l.deadline, l.epoch, l.filled_at, l.dirty);
         self.touch_recency(set, top_way);
         if dirty && deadline != u64::MAX {
-            self.expiry_q.push(Reverse((deadline, top_idx, epoch)));
+            self.expiry_q.schedule(top_idx, deadline, epoch);
         }
         self.arm_refresh(top_idx, deadline, epoch, filled_at);
         extra
@@ -995,7 +1006,7 @@ impl DataCache {
                 (l.valid, l.dirty, l.deadline, l.epoch, l.filled_at);
             if valid {
                 if dirty && deadline != u64::MAX {
-                    cache.expiry_q.push(Reverse((deadline, dst, epoch)));
+                    cache.expiry_q.schedule(dst, deadline, epoch);
                 }
                 cache.arm_refresh(dst, deadline, epoch, filled_at);
             }

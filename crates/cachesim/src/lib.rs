@@ -33,6 +33,7 @@ pub mod cache;
 pub mod geometry;
 pub mod l2;
 pub mod policy;
+mod queue;
 pub mod replay;
 pub mod retention;
 pub mod stats;

@@ -273,27 +273,29 @@ pub fn counter(name: &str, value: f64) {
 
 /// Records a simulator domain event at an explicit simulated-cycle
 /// timestamp, on the [`SIM_PID`] timeline.
+///
+/// The simulators call this from their cycle loops, so the enabled check
+/// is inlined into the caller and only the recording is a call.
+#[inline]
 pub fn sim_instant(cat: &'static str, name: &str, cycle: u64) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        record_sim(cat, name, cycle, None);
     }
-    record(Phase::Instant, SIM_PID, Some(cycle), cat, name.to_string(), None);
 }
 
 /// [`sim_instant`] carrying one numeric argument (e.g. a line index or a
 /// measured run length), visible in the viewer's event details.
+#[inline]
 pub fn sim_value(cat: &'static str, name: &str, cycle: u64, key: &'static str, value: f64) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        record_sim(cat, name, cycle, Some((key, value)));
     }
-    record(
-        Phase::Instant,
-        SIM_PID,
-        Some(cycle),
-        cat,
-        name.to_string(),
-        Some((key, value)),
-    );
+}
+
+/// The out-of-line half of [`sim_instant`] and [`sim_value`].
+#[inline(never)]
+fn record_sim(cat: &'static str, name: &str, cycle: u64, arg: Option<(&'static str, f64)>) {
+    record(Phase::Instant, SIM_PID, Some(cycle), cat, name.to_string(), arg);
 }
 
 fn event_json(phase: &str, ev: &Event, name: &str, cat: &str) -> Json {

@@ -86,8 +86,8 @@ const POLL: Duration = Duration::from_millis(25);
 /// Pause after a failed `accept()` (e.g. `EMFILE`), so a persistent
 /// error does not spin the accept thread.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-/// Per-connection read timeout: a silent client cannot pin a handler
-/// thread forever.
+/// Time a client has to send its whole request, head and body: a silent
+/// or trickling client cannot pin a handler thread for longer.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Where the daemon listens.
@@ -201,13 +201,51 @@ impl Conn {
         }
     }
 
-    fn configure(&self) -> io::Result<()> {
+    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(READ_TIMEOUT)),
+            Conn::Tcp(s) => s.set_read_timeout(Some(timeout)),
             #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(Some(READ_TIMEOUT)),
+            Conn::Unix(s) => s.set_read_timeout(Some(timeout)),
         }
     }
+}
+
+/// A connection whose reads all end by one deadline: each read waits at
+/// most for the time left, and once it has passed, reads fail with
+/// [`io::ErrorKind::TimedOut`].
+struct DeadlineReader {
+    conn: Conn,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "request deadline passed");
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(timed_out());
+        }
+        self.conn.set_read_timeout(left)?;
+        match self.conn.read(buf) {
+            // A socket read timeout reports `WouldBlock` on Unix.
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                Err(timed_out())
+            }
+            r => r,
+        }
+    }
+}
+
+/// Reads one request from `conn`, all of it within `limit` of now.
+fn read_request_within(
+    conn: Conn,
+    limit: Duration,
+) -> io::Result<Result<Option<http::Request>, http::BadRequest>> {
+    let mut reader = BufReader::new(DeadlineReader {
+        conn,
+        deadline: Instant::now() + limit,
+    });
+    http::read_request(&mut reader)
 }
 
 impl Read for Conn {
@@ -661,11 +699,9 @@ fn sampler_loop(shared: Arc<Shared>, interval: Duration) {
 }
 
 fn handle_connection(conn: Conn, shared: &Shared) -> io::Result<()> {
-    conn.configure()?;
     let mut writer = conn.try_clone()?;
-    let mut reader = BufReader::new(conn);
     let t0 = Instant::now();
-    let request = match http::read_request(&mut reader)? {
+    let request = match read_request_within(conn, READ_TIMEOUT)? {
         Ok(Some(req)) => req,
         Ok(None) => return Ok(()),
         Err(bad) => {
@@ -945,6 +981,53 @@ fn stream_events(w: &mut impl Write, bus: &obs::EventBus, shutdown: &CancelToken
 mod tests {
     use super::*;
     use crate::http::CountingWriter;
+
+    /// A loopback connection pair: the client end and the accepted end.
+    fn loopback() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, Conn::Tcp(server))
+    }
+
+    #[test]
+    fn a_trickling_client_hits_the_request_deadline() {
+        let (mut client, conn) = loopback();
+        // One byte every 50 ms: each read returns well inside any
+        // per-read timeout, so only a deadline on the whole request ends
+        // it. The request would take 2 s to arrive.
+        let trickle = std::thread::spawn(move || {
+            for &b in b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" {
+                if client.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let t0 = Instant::now();
+        let err = read_request_within(conn, Duration::from_millis(200)).unwrap_err();
+        let waited = t0.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            waited >= Duration::from_millis(200) && waited < Duration::from_millis(1500),
+            "gave up after {waited:?}"
+        );
+        trickle.join().unwrap();
+    }
+
+    #[test]
+    fn a_prompt_request_parses_within_the_deadline() {
+        let (mut client, conn) = loopback();
+        client
+            .write_all(b"POST /runs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+            .unwrap();
+        let req = read_request_within(conn, Duration::from_millis(200))
+            .unwrap()
+            .unwrap()
+            .unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/runs"));
+        assert_eq!(req.body, b"{}");
+    }
 
     #[test]
     fn each_event_batch_is_one_write_with_unchanged_framing() {

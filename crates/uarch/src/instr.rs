@@ -25,7 +25,7 @@ pub enum OpClass {
 
 impl OpClass {
     /// Fixed execution latency, if independent of the memory system.
-    pub fn fixed_latency(self) -> Option<u32> {
+    pub const fn fixed_latency(self) -> Option<u32> {
         match self {
             OpClass::IntAlu | OpClass::Branch => Some(1),
             OpClass::IntMul => Some(7),
@@ -35,12 +35,12 @@ impl OpClass {
     }
 
     /// Whether the op issues to the floating-point cluster.
-    pub fn is_fp(self) -> bool {
+    pub const fn is_fp(self) -> bool {
         matches!(self, OpClass::Fp)
     }
 
     /// Whether the op references memory.
-    pub fn is_mem(self) -> bool {
+    pub const fn is_mem(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
     }
 }

@@ -24,10 +24,21 @@
 //!
 //! * the ROB is a power-of-two ring: entry `seq` lives at slot
 //!   `seq & mask`, so every lookup is a mask, not a deque offset;
+//! * one completion ring, a second power-of-two ring by `seq`, holds every
+//!   completion cycle: `u64::MAX` from dispatch until issue writes the
+//!   cycle. It covers the ROB plus the last [`COMMIT_RING`] committed
+//!   instructions, so commit, the idle skip and operand lookups all read
+//!   the same slot, and a producer further back reads as long done;
+//! * per-op bookkeeping is arithmetic: a table gives each op class its
+//!   unit pool and issue queue, its latency and 0/1 load, store and
+//!   branch counts, so dispatch, issue and commit add numbers instead of
+//!   branching on the class;
 //! * the scheduler is event-driven. Dispatched entries wait on their
 //!   producer, then on a calendar timing wheel (one bucket per cycle mod
 //!   1024, a bitmap of non-empty buckets, an overflow heap for wake-ups
-//!   further out), then in a seq-sorted ready list;
+//!   further out), then in a seq-sorted ready list. An entry stores its
+//!   producers' completion cycles when it leaves its wait chains, and
+//!   issue reads the operand value ages from there;
 //! * the `in_order` ablation walks the same ready list. Its issued entries
 //!   are a prefix of program order, so one counter names the oldest
 //!   unissued entry, and the walk stops at the first ready entry that is
@@ -187,10 +198,11 @@ struct Entry {
     op: OpClass,
     addr: u64,
     /// Producer sequence numbers (u64::MAX = none).
-    dep1: u64,
-    dep2: u64,
-    /// Completion cycle; u64::MAX until issued.
-    completing_at: u64,
+    dep: [u64; 2],
+    /// The producers' completion cycles (0 for none), stored once both
+    /// are known, when the entry leaves its wait chains. A completion time
+    /// never changes once set, so issue reads the value ages from here.
+    dep_done: [u64; 2],
     /// Head of this entry's wait chain: the youngest dispatched entry
     /// parked on this (still-unissued) producer, or u64::MAX. Drained the
     /// cycle this entry issues and its completion time becomes known.
@@ -205,13 +217,71 @@ impl Entry {
     const VACANT: Entry = Entry {
         op: OpClass::IntAlu,
         addr: 0,
-        dep1: u64::MAX,
-        dep2: u64::MAX,
-        completing_at: u64::MAX,
+        dep: [u64::MAX; 2],
+        dep_done: [0; 2],
         wait_head: u64::MAX,
         wait_next: u64::MAX,
     };
 }
+
+/// What issue, dispatch and commit need to know about an op class, as
+/// plain numbers, so the per-op bookkeeping is arithmetic, not `match`
+/// arms.
+#[derive(Debug, Clone, Copy)]
+struct ClassInfo {
+    /// Unit pool and issue queue: [`INT`] or [`FP`].
+    pool: usize,
+    /// Execution latency; memory ops take theirs from the cache.
+    latency: u64,
+    /// Whether issue goes through the data cache and the DTLB.
+    mem: bool,
+    /// 1 for a load (it holds an LQ entry), else 0.
+    load: u32,
+    /// 1 for a store (it holds an SQ entry), else 0.
+    store: u32,
+    /// 1 for a branch, else 0.
+    branch: u64,
+}
+
+/// Index of the integer unit pool and issue queue.
+const INT: usize = 0;
+/// Index of the floating-point unit pool and issue queue.
+const FP: usize = 1;
+
+impl ClassInfo {
+    const fn of(op: OpClass) -> ClassInfo {
+        ClassInfo {
+            pool: if op.is_fp() { FP } else { INT },
+            latency: match op.fixed_latency() {
+                Some(cycles) => cycles as u64,
+                None => 0,
+            },
+            mem: op.is_mem(),
+            load: matches!(op, OpClass::Load) as u32,
+            store: matches!(op, OpClass::Store) as u32,
+            branch: matches!(op, OpClass::Branch) as u64,
+        }
+    }
+}
+
+/// [`ClassInfo`] of every op class, indexed by `OpClass as usize`.
+const CLASS: [ClassInfo; 6] = {
+    let ops = [
+        OpClass::IntAlu,
+        OpClass::IntMul,
+        OpClass::Fp,
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::Branch,
+    ];
+    let mut table = [ClassInfo::of(OpClass::IntAlu); 6];
+    let mut i = 0;
+    while i < ops.len() {
+        table[ops[i] as usize] = ClassInfo::of(ops[i]);
+        i += 1;
+    }
+    table
+};
 
 /// The pipeline simulator. Borrows the cache and the source of fetched
 /// instructions.
@@ -222,6 +292,14 @@ pub struct Pipeline {
     /// `seq & rob_mask`; the live entries are `head_seq..next_seq`.
     rob: Vec<Entry>,
     rob_mask: u64,
+    /// Completion cycles by sequence number, at slot `seq & done_mask`:
+    /// `u64::MAX` from dispatch until issue sets the cycle. The ring holds
+    /// the ROB, [`COMMIT_RING`] committed entries and one more slot, so a
+    /// producer's time stays readable until it is more than `COMMIT_RING`
+    /// back, and the slot of `next_seq` reads `u64::MAX`: the head of an
+    /// empty ROB never completes.
+    done: Vec<u64>,
+    done_mask: u64,
     /// Event-driven scheduler: entries whose operands are available,
     /// sorted by sequence number so issue walks them in program order.
     /// Entries stay here while unit- or port-limited.
@@ -232,20 +310,16 @@ pub struct Pipeline {
     /// Timing wheel: entries whose operands become available at a known
     /// future cycle, bucketed by that cycle.
     wheel: Calendar,
-    /// Scratch buffers for the per-cycle wheel drain + ready merge.
-    wake_scratch: Vec<u64>,
-    merge_scratch: Vec<u64>,
+    /// Issue-queue capacities, by [`INT`] / [`FP`].
+    iq_cap: [u32; 2],
     /// Incremental occupancy counters, kept in lockstep with the ROB:
-    /// issue-queue entries drain at issue, LQ/SQ entries drain at commit.
-    int_iq_occ: u32,
-    fp_iq_occ: u32,
+    /// issue-queue entries (by [`INT`] / [`FP`]) drain at issue, LQ/SQ
+    /// entries drain at commit.
+    iq_occ: [u32; 2],
     lq_occ: u32,
     sq_occ: u32,
     head_seq: u64,
     next_seq: u64,
-    /// Completion cycles of recently committed instructions, for
-    /// cross-commit dependencies (ring keyed by seq).
-    committed_ring: Vec<u64>,
     fetch_blocked_until: u64,
     /// Dispatch is stalled until this branch seq resolves (misprediction).
     pending_redirect: Option<u64>,
@@ -258,22 +332,24 @@ impl Pipeline {
     /// Creates an empty pipeline.
     pub fn new(cfg: MachineConfig) -> Self {
         let rob_slots = (cfg.rob_entries as usize).next_power_of_two();
+        let done_slots = (rob_slots + COMMIT_RING + 1).next_power_of_two();
+        let mut done = vec![0; done_slots];
+        done[0] = u64::MAX;
         Self {
             cfg,
             rob: vec![Entry::VACANT; rob_slots],
             rob_mask: rob_slots as u64 - 1,
+            done,
+            done_mask: done_slots as u64 - 1,
             ready: Vec::with_capacity(cfg.rob_entries as usize),
             next_in_order: 0,
             wheel: Calendar::new(rob_slots),
-            wake_scratch: Vec::new(),
-            merge_scratch: Vec::new(),
-            int_iq_occ: 0,
-            fp_iq_occ: 0,
+            iq_cap: [cfg.int_iq_entries, cfg.fp_iq_entries],
+            iq_occ: [0; 2],
             lq_occ: 0,
             sq_occ: 0,
             head_seq: 0,
             next_seq: 0,
-            committed_ring: vec![0; COMMIT_RING],
             fetch_blocked_until: 0,
             pending_redirect: None,
             result: SimResult::default(),
@@ -361,15 +437,13 @@ impl Pipeline {
         if !self.ready.is_empty() || self.cfg.width == 0 {
             return;
         }
-        let head_done = self.rob_head().map_or(u64::MAX, |e| e.completing_at);
+        let head_done = self.head_done();
         let fetch_blocked = next < self.fetch_blocked_until;
         let stall = if self.pending_redirect.is_some() || fetch_blocked {
             &mut self.result.dispatch_blocked_cycles
         } else if self.rob_len() >= self.cfg.rob_entries as u64 {
             &mut self.result.rob_full_stalls
-        } else if self.int_iq_occ >= self.cfg.int_iq_entries
-            && self.fp_iq_occ >= self.cfg.fp_iq_entries
-        {
+        } else if self.iq_full() {
             &mut self.result.iq_full_stalls
         } else {
             return;
@@ -390,45 +464,38 @@ impl Pipeline {
     }
 
     fn commit(&mut self, cycle: u64, limit: u64) -> u64 {
+        let width = (self.cfg.width as u64).min(limit);
         let mut n = 0;
-        while n < (self.cfg.width as u64).min(limit) {
-            match self.rob_head() {
-                Some(e) if e.completing_at <= cycle => {
-                    self.committed_ring[(self.head_seq % COMMIT_RING as u64) as usize] =
-                        e.completing_at;
-                    self.head_seq += 1;
-                    match e.op {
-                        OpClass::Load => {
-                            self.result.loads += 1;
-                            self.lq_occ -= 1;
-                        }
-                        OpClass::Store => {
-                            self.result.stores += 1;
-                            self.sq_occ -= 1;
-                        }
-                        _ => {}
-                    }
-                    n += 1;
-                }
-                _ => break,
-            }
+        while n < width && self.head_done() <= cycle {
+            let class = CLASS[self.rob[self.slot(self.head_seq)].op as usize];
+            self.result.loads += class.load as u64;
+            self.result.stores += class.store as u64;
+            self.lq_occ -= class.load;
+            self.sq_occ -= class.store;
+            self.head_seq += 1;
+            n += 1;
         }
         n
     }
 
+    /// Completion cycle of the oldest in-flight entry: `u64::MAX` while it
+    /// is unissued or the ROB is empty.
+    #[inline]
+    fn head_done(&self) -> u64 {
+        self.done[(self.head_seq & self.done_mask) as usize]
+    }
+
+    /// Completion cycle of producer `dep`: `u64::MAX` while it is
+    /// unissued, 0 for no producer or one committed more than
+    /// [`COMMIT_RING`] instructions ago (long done).
+    #[inline]
     fn producer_done_at(&self, dep: u64) -> u64 {
-        if dep == u64::MAX {
-            return 0;
-        }
-        if dep < self.head_seq {
-            // Committed: look up the ring if recent, else long done.
-            if self.head_seq - dep <= COMMIT_RING as u64 {
-                self.committed_ring[(dep % COMMIT_RING as u64) as usize]
-            } else {
-                0
-            }
-        } else if dep < self.next_seq {
-            self.rob[self.slot(dep)].completing_at
+        // Read the slot unconditionally (`u64::MAX` masks to a valid one)
+        // and select, so the lookup takes no branch.
+        let done = self.done[(dep & self.done_mask) as usize];
+        let recent = (dep != u64::MAX) & (self.head_seq.saturating_sub(dep) <= COMMIT_RING as u64);
+        if recent {
+            done
         } else {
             0
         }
@@ -440,14 +507,14 @@ impl Pipeline {
         (seq & self.rob_mask) as usize
     }
 
-    /// The oldest in-flight entry, if any.
-    fn rob_head(&self) -> Option<Entry> {
-        (self.head_seq < self.next_seq).then(|| self.rob[self.slot(self.head_seq)])
-    }
-
     /// Entries in flight.
     fn rob_len(&self) -> u64 {
         self.next_seq - self.head_seq
+    }
+
+    /// Whether both issue queues are full.
+    fn iq_full(&self) -> bool {
+        self.iq_occ[INT] >= self.iq_cap[INT] && self.iq_occ[FP] >= self.iq_cap[FP]
     }
 
     /// Event-driven issue: drain the timing wheel into the ready list and
@@ -464,35 +531,14 @@ impl Pipeline {
     /// it.
     fn issue(&mut self, cycle: u64, cache: &mut DataCache) {
         // Wake entries whose operands became available by this cycle.
+        // The ready list is short and stays sorted but for the few
+        // entries appended, so the sort is an insertion pass.
         if self.wheel.has_due(cycle) {
-            let mut woken = std::mem::take(&mut self.wake_scratch);
-            self.wheel.drain_due(cycle, &mut woken);
-            woken.sort_unstable();
-            if self.ready.is_empty() {
-                std::mem::swap(&mut self.ready, &mut woken);
-            } else {
-                // Merge the two seq-sorted runs.
-                self.merge_scratch.clear();
-                let (mut i, mut j) = (0, 0);
-                while i < self.ready.len() && j < woken.len() {
-                    if self.ready[i] < woken[j] {
-                        self.merge_scratch.push(self.ready[i]);
-                        i += 1;
-                    } else {
-                        self.merge_scratch.push(woken[j]);
-                        j += 1;
-                    }
-                }
-                self.merge_scratch.extend_from_slice(&self.ready[i..]);
-                self.merge_scratch.extend_from_slice(&woken[j..]);
-                std::mem::swap(&mut self.ready, &mut self.merge_scratch);
-            }
-            woken.clear();
-            self.wake_scratch = woken;
+            self.wheel.drain_due(cycle, &mut self.ready);
+            self.ready.sort_unstable();
         }
 
-        let mut int_units = self.cfg.int_units;
-        let mut fp_units = self.cfg.fp_units;
+        let mut units = [self.cfg.int_units, self.cfg.fp_units];
         let mut mem_tries = 4u32; // bounded port probing per cycle
         let in_order = self.cfg.in_order;
 
@@ -501,7 +547,7 @@ impl Pipeline {
         let mut kept = 0;
         let mut walked = 0;
         while walked < self.ready.len() {
-            if int_units == 0 && fp_units == 0 {
+            if units[INT] == 0 && units[FP] == 0 {
                 break;
             }
             let seq = self.ready[walked];
@@ -510,86 +556,36 @@ impl Pipeline {
             }
             walked += 1;
             let idx = self.slot(seq);
-            let e = self.rob[idx];
-            let issued = match e.op {
-                OpClass::Fp if fp_units == 0 => false,
-                OpClass::Fp => {
-                    fp_units -= 1;
-                    self.fp_iq_occ -= 1;
-                    self.rob[idx].completing_at = cycle + 4;
-                    let done1 = self.producer_done_at(e.dep1);
-                    let done2 = self.producer_done_at(e.dep2);
-                    self.record_value_ages(cycle, &e, done1, done2);
-                    self.wake_dependents(seq);
-                    true
-                }
-                OpClass::IntAlu | OpClass::Branch | OpClass::IntMul if int_units == 0 => false,
-                OpClass::IntAlu | OpClass::Branch | OpClass::IntMul => {
-                    int_units -= 1;
-                    self.int_iq_occ -= 1;
-                    let lat = e.op.fixed_latency().unwrap_or(1);
-                    self.rob[idx].completing_at = cycle + lat as u64;
-                    let done1 = self.producer_done_at(e.dep1);
-                    let done2 = self.producer_done_at(e.dep2);
-                    self.record_value_ages(cycle, &e, done1, done2);
-                    self.wake_dependents(seq);
-                    // A resolving mispredicted branch re-opens fetch.
-                    if self.pending_redirect == Some(seq) {
-                        self.fetch_blocked_until =
-                            self.rob[idx].completing_at + self.cfg.redirect_penalty as u64;
-                        self.pending_redirect = None;
-                    }
-                    true
-                }
-                OpClass::Load | OpClass::Store if int_units == 0 || mem_tries == 0 => false,
-                OpClass::Load | OpClass::Store => {
-                    mem_tries -= 1;
-                    let kind = if e.op == OpClass::Load {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    };
-                    match cache.access(cycle, e.addr, kind) {
-                        Ok(r) => {
-                            int_units -= 1;
-                            self.int_iq_occ -= 1;
-                            let tlb_extra = if self.dtlb.access(e.addr) {
-                                0
-                            } else {
-                                self.result.dtlb_misses += 1;
-                                self.cfg.dtlb_miss_penalty as u64
-                            };
-                            self.rob[idx].completing_at = cycle + r.latency as u64 + tlb_extra;
-                            let done1 = self.producer_done_at(e.dep1);
-                            let done2 = self.producer_done_at(e.dep2);
-                            self.record_value_ages(cycle, &e, done1, done2);
-                            self.wake_dependents(seq);
-                            if r.expired {
-                                // The scheduler speculated a hit on a line
-                                // whose retention had expired: dependents
-                                // replay and the front-end stalls while the
-                                // pipeline recovers (§4.3.2).
-                                self.result.replay_flushes += 1;
-                                self.fetch_blocked_until = self
-                                    .fetch_blocked_until
-                                    .max(cycle + self.cfg.replay_flush_cycles as u64);
-                                obs::trace::sim_instant("uarch", "replay.flush", cycle);
-                            }
-                            true
-                        }
-                        Err(_) => {
-                            self.result.port_retries += 1;
-                            obs::trace::sim_instant("uarch", "port.retry", cycle);
-                            // Stay in the ready list; retry next cycle.
-                            false
-                        }
-                    }
-                }
+            let op = self.rob[idx].op;
+            let class = CLASS[op as usize];
+            let latency = if units[class.pool] == 0 {
+                None
+            } else if !class.mem {
+                Some(class.latency)
+            } else if mem_tries == 0 {
+                None
+            } else {
+                mem_tries -= 1;
+                self.access_memory(cycle, cache, op, self.rob[idx].addr)
             };
-            if !issued {
+            let Some(latency) = latency else {
+                // Stay in the ready list; retry next cycle.
                 self.ready[kept] = seq;
                 kept += 1;
-            } else if in_order {
+                continue;
+            };
+            units[class.pool] -= 1;
+            self.iq_occ[class.pool] -= 1;
+            let done = cycle + latency;
+            self.done[(seq & self.done_mask) as usize] = done;
+            self.record_value_ages(cycle, idx);
+            self.wake_dependents(seq);
+            // A resolving mispredicted branch re-opens fetch.
+            if self.pending_redirect == Some(seq) {
+                self.fetch_blocked_until = done + self.cfg.redirect_penalty as u64;
+                self.pending_redirect = None;
+            }
+            if in_order {
                 self.next_in_order += 1;
             }
         }
@@ -597,6 +593,45 @@ impl Pipeline {
         self.ready.copy_within(walked.., kept);
         let len = self.ready.len() - (walked - kept);
         self.ready.truncate(len);
+    }
+
+    /// Issues a load or store to the cache and the DTLB. Returns its
+    /// latency, or `None` when the cache refused the port (the retry is
+    /// counted).
+    fn access_memory(
+        &mut self,
+        cycle: u64,
+        cache: &mut DataCache,
+        op: OpClass,
+        addr: u64,
+    ) -> Option<u64> {
+        let kind = if op == OpClass::Load {
+            AccessKind::Load
+        } else {
+            AccessKind::Store
+        };
+        let Ok(r) = cache.access(cycle, addr, kind) else {
+            self.result.port_retries += 1;
+            obs::trace::sim_instant("uarch", "port.retry", cycle);
+            return None;
+        };
+        let tlb_extra = if self.dtlb.access(addr) {
+            0
+        } else {
+            self.result.dtlb_misses += 1;
+            self.cfg.dtlb_miss_penalty as u64
+        };
+        if r.expired {
+            // The scheduler speculated a hit on a line whose retention had
+            // expired: dependents replay and the front-end stalls while
+            // the pipeline recovers (§4.3.2).
+            self.result.replay_flushes += 1;
+            self.fetch_blocked_until = self
+                .fetch_blocked_until
+                .max(cycle + self.cfg.replay_flush_cycles as u64);
+            obs::trace::sim_instant("uarch", "replay.flush", cycle);
+        }
+        Some(r.latency as u64 + tlb_extra)
     }
 
     /// Producer `pseq` just received a finite completion time: move each
@@ -608,20 +643,33 @@ impl Pipeline {
         while w != u64::MAX {
             let widx = self.slot(w);
             let next = std::mem::replace(&mut self.rob[widx].wait_next, u64::MAX);
-            let (dep1, dep2) = (self.rob[widx].dep1, self.rob[widx].dep2);
-            let done1 = self.producer_done_at(dep1);
-            let done2 = self.producer_done_at(dep2);
-            if done1 == u64::MAX {
-                self.park_on(w, dep1);
-            } else if done2 == u64::MAX {
-                self.park_on(w, dep2);
-            } else {
-                // The waking producer completes at cycle+latency ≥ cycle+1,
-                // so the dependent's ready time is always in the future.
-                let at = done1.max(done2);
+            // The waking producer completes at cycle+latency ≥ cycle+1,
+            // so the dependent's ready time is always in the future.
+            if let Some(at) = self.resolve_operands(w) {
                 self.wheel.push(self.cycle, at, w);
             }
             w = next;
+        }
+    }
+
+    /// Looks up entry `seq`'s producers. If one is still unissued, parks
+    /// the entry on it and returns `None`; otherwise stores both
+    /// completion times on the entry and returns the cycle its operands
+    /// are available.
+    fn resolve_operands(&mut self, seq: u64) -> Option<u64> {
+        let idx = self.slot(seq);
+        let [dep1, dep2] = self.rob[idx].dep;
+        let done1 = self.producer_done_at(dep1);
+        let done2 = self.producer_done_at(dep2);
+        if done1 == u64::MAX {
+            self.park_on(seq, dep1);
+            None
+        } else if done2 == u64::MAX {
+            self.park_on(seq, dep2);
+            None
+        } else {
+            self.rob[idx].dep_done = [done1, done2];
+            Some(done1.max(done2))
         }
     }
 
@@ -638,16 +686,7 @@ impl Pipeline {
     /// sequence numbers only grow), onto the timing wheel, or parked on an
     /// unissued producer.
     fn schedule_dispatched(&mut self, seq: u64, cycle: u64) {
-        let idx = self.slot(seq);
-        let (dep1, dep2) = (self.rob[idx].dep1, self.rob[idx].dep2);
-        let done1 = self.producer_done_at(dep1);
-        let done2 = self.producer_done_at(dep2);
-        if done1 == u64::MAX {
-            self.park_on(seq, dep1);
-        } else if done2 == u64::MAX {
-            self.park_on(seq, dep2);
-        } else {
-            let at = done1.max(done2);
+        if let Some(at) = self.resolve_operands(seq) {
             if at <= cycle {
                 self.ready.push(seq);
             } else {
@@ -656,15 +695,14 @@ impl Pipeline {
         }
     }
 
-    /// Records the ages of the operand values an issuing instruction
-    /// consumes (cycles since their producers completed).
-    fn record_value_ages(&mut self, cycle: u64, e: &Entry, done1: u64, done2: u64) {
-        for (dep, done) in [(e.dep1, done1), (e.dep2, done2)] {
-            if dep != u64::MAX {
-                let age = cycle.saturating_sub(done);
-                let bucket = (64 - age.max(1).leading_zeros() as usize).min(15);
-                self.result.value_age_hist[bucket] += 1;
-            }
+    /// Records the ages of the operand values the entry at ROB slot `idx`
+    /// consumes as it issues (cycles since their producers completed).
+    fn record_value_ages(&mut self, cycle: u64, idx: usize) {
+        let e = &self.rob[idx];
+        for (dep, done) in e.dep.into_iter().zip(e.dep_done) {
+            let age = cycle.saturating_sub(done);
+            let bucket = (64 - age.max(1).leading_zeros() as usize).min(15);
+            self.result.value_age_hist[bucket] += (dep != u64::MAX) as u64;
         }
     }
 
@@ -688,22 +726,19 @@ impl Pipeline {
             }
 
             // Peek capacity for the worst case before consuming the trace.
-            if self.int_iq_occ >= self.cfg.int_iq_entries
-                && self.fp_iq_occ >= self.cfg.fp_iq_entries
-            {
+            if self.iq_full() {
                 self.result.iq_full_stalls += 1;
                 break;
             }
 
             let f = fetch.next_fetched();
-            if f.op == OpClass::Load && self.lq_occ >= self.cfg.load_queue {
-                // LQ full: model a stall by blocking further dispatch this
-                // cycle after placing this load next cycle — simplest is
-                // to block fetch one cycle.
-                self.fetch_blocked_until = cycle + 1;
-                self.result.lsq_full_stalls += 1;
-            }
-            if f.op == OpClass::Store && self.sq_occ >= self.cfg.store_queue {
+            let class = CLASS[f.op as usize];
+            let lq_full = class.load & (self.lq_occ >= self.cfg.load_queue) as u32;
+            let sq_full = class.store & (self.sq_occ >= self.cfg.store_queue) as u32;
+            if lq_full | sq_full != 0 {
+                // LQ or SQ full: model a stall by blocking further
+                // dispatch this cycle after placing this op next cycle —
+                // simplest is to block fetch one cycle.
                 self.fetch_blocked_until = cycle + 1;
                 self.result.lsq_full_stalls += 1;
             }
@@ -722,40 +757,36 @@ impl Pipeline {
                 self.fetch_blocked_until = cycle + stall;
                 self.result.icache_stall_cycles += stall;
             }
-            if f.op == OpClass::Branch {
-                self.result.branches += 1;
-                if f.has(Fetched::MISPREDICTED) {
-                    self.result.mispredictions += 1;
-                    self.pending_redirect = Some(seq);
-                }
+            self.result.branches += class.branch;
+            if (class.branch != 0) & f.has(Fetched::MISPREDICTED) {
+                self.result.mispredictions += 1;
+                self.pending_redirect = Some(seq);
             }
 
-            if f.op.is_fp() {
-                self.fp_iq_occ += 1;
-            } else {
-                self.int_iq_occ += 1;
-            }
-            match f.op {
-                OpClass::Load => self.lq_occ += 1,
-                OpClass::Store => self.sq_occ += 1,
-                _ => {}
-            }
+            self.iq_occ[class.pool] += 1;
+            self.lq_occ += class.load;
+            self.sq_occ += class.store;
             // The front end already dropped producers beyond the commit
             // ring (long since done); 0 means none.
-            let dep = |d: u16| match d {
-                0 => u64::MAX,
-                d => seq.checked_sub(d as u64).unwrap_or(u64::MAX),
+            let dep = |d: u16| {
+                let (producer, before_start) = seq.overflowing_sub(d as u64);
+                if d == 0 || before_start {
+                    u64::MAX
+                } else {
+                    producer
+                }
             };
             let idx = self.slot(seq);
             self.rob[idx] = Entry {
                 op: f.op,
                 addr: f.addr,
-                dep1: dep(f.dep1),
-                dep2: dep(f.dep2),
-                completing_at: u64::MAX,
+                dep: [dep(f.dep1), dep(f.dep2)],
+                dep_done: [0; 2],
                 wait_head: u64::MAX,
                 wait_next: u64::MAX,
             };
+            self.done[(seq & self.done_mask) as usize] = u64::MAX;
+            self.done[((seq + 1) & self.done_mask) as usize] = u64::MAX;
             self.schedule_dispatched(seq, cycle);
         }
     }
@@ -987,6 +1018,65 @@ mod tests {
         );
         assert_eq!(r.instructions, 5_000);
         assert!(r.ipc() > 1.0);
+
+        // A serial chain of 7-cycle multiplies, each also reading the
+        // result from exactly COMMIT_RING instructions back. The chain's
+        // producer is still in flight when its consumer dispatches; the
+        // far one committed long ago and is read from the completion
+        // ring. Instruction i issues 7 cycles after i - 1, so the far
+        // value is 7 × 512 - 7 = 3577 cycles old (bucket 12) and the near
+        // one 0 cycles old (bucket 1). Reading the far producer as long
+        // done would age it by the whole run; reading a recycled slot
+        // would park the chain forever.
+        struct Chain;
+        impl FetchSource for Chain {
+            fn next_fetched(&mut self) -> Fetched {
+                Fetched {
+                    addr: 0,
+                    dep1: COMMIT_RING as u16,
+                    dep2: 1,
+                    op: OpClass::IntMul,
+                    flags: 0,
+                }
+            }
+        }
+        let n = 5_000u64;
+        let r = Pipeline::new(MachineConfig::TABLE2).run(&mut Chain, &mut DataCache::ideal(), n);
+        assert_eq!(r.instructions, n);
+        assert!((r.ipc() - 1.0 / 7.0).abs() < 0.01, "ipc={}", r.ipc());
+        let h = r.value_age_hist;
+        let far = n - COMMIT_RING as u64;
+        assert!(h[12] >= far && h[1] >= n - 1, "{h:?}");
+        assert_eq!(h.iter().sum::<u64>(), h[1] + h[12], "{h:?}");
+        // At most the one issued but uncommitted multiply past the end.
+        assert!(h[12] <= far + 1 && h[1] <= n, "{h:?}");
+
+        // Mispredicted branches drain the ROB before each dispatch, so
+        // every branch's producer sits exactly COMMIT_RING instructions
+        // behind the ROB head: the last one the ring still answers for.
+        // Each branch takes the same number of cycles, so every value is
+        // the same age and lands in one bucket; reading the producer as
+        // long done would age it by the whole run, across several.
+        struct Redirects;
+        impl FetchSource for Redirects {
+            fn next_fetched(&mut self) -> Fetched {
+                Fetched {
+                    addr: 0,
+                    dep1: COMMIT_RING as u16,
+                    dep2: 0,
+                    op: OpClass::Branch,
+                    flags: Fetched::MISPREDICTED,
+                }
+            }
+        }
+        let n = 3_000u64;
+        let r = Pipeline::new(MachineConfig::TABLE2).run(&mut Redirects, &mut DataCache::ideal(), n);
+        assert_eq!(r.mispredictions, r.branches);
+        let h = r.value_age_hist;
+        let far = n - COMMIT_RING as u64;
+        let total: u64 = h.iter().sum();
+        assert!(total == far || total == far + 1, "{h:?}");
+        assert_eq!(h.iter().filter(|&&c| c > 0).count(), 1, "{h:?}");
     }
 
     #[test]

@@ -44,9 +44,15 @@ impl Tlb {
     }
 
     /// Translates `addr`, updating LRU state. Returns `true` on a hit.
+    ///
+    /// Most accesses repeat the most recent page, so that entry is checked
+    /// before the scan; a hit there leaves the LRU order as it is.
     pub fn access(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
+        if self.entries.first() == Some(&page) {
+            self.hits += 1;
+            true
+        } else if let Some(pos) = self.entries.iter().position(|&p| p == page) {
             self.entries[..=pos].rotate_right(1);
             self.hits += 1;
             true

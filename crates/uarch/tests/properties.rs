@@ -4,6 +4,7 @@ use cachesim::DataCache;
 use proptest::prelude::*;
 use uarch::instr::{Instruction, OpClass};
 use uarch::sim::{simulate, Pipeline};
+use uarch::tlb::Tlb;
 use uarch::{FrontEnd, MachineConfig};
 
 /// Random but well-formed instruction generator driven by a byte stream.
@@ -135,5 +136,45 @@ proptest! {
         // of in-flight ops may exceed the committed count.
         prop_assert!(accesses >= r.loads + r.stores);
         prop_assert!(accesses <= r.loads + r.stores + MachineConfig::TABLE2.rob_entries as u64);
+    }
+
+    #[test]
+    fn tlb_matches_a_true_lru_list(
+        steps in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..400),
+        small in any::<bool>(),
+    ) {
+        // A small TLB over a few more pages than it holds evicts often;
+        // the paper's 128 entries over 160 pages exercises the full scan.
+        let (capacity, pages) = if small { (4, 6u64) } else { (128, 160u64) };
+        let mut tlb = Tlb::new(capacity, 13);
+        // Most recent page first.
+        let mut lru: Vec<u64> = Vec::new();
+        let mut page = 0u64;
+        for (i, &(choice, p)) in steps.iter().enumerate() {
+            // Half the accesses repeat the most recent page.
+            if choice % 2 == 1 {
+                page = p as u64 % pages;
+            }
+            let addr = (page << 13) | (p as u64 & 0x1fff);
+            let hit = match lru.iter().position(|&q| q == page) {
+                Some(pos) => {
+                    lru.remove(pos);
+                    true
+                }
+                None => {
+                    lru.truncate(capacity - 1);
+                    false
+                }
+            };
+            lru.insert(0, page);
+            prop_assert_eq!(tlb.access(addr), hit, "access {}", i);
+        }
+        let hits = steps.len() as u64 - tlb.misses();
+        prop_assert_eq!(tlb.hits(), hits);
+        // The resident set, probed oldest first, must all still hit: each
+        // probe re-touches one page without evicting any.
+        for &q in lru.iter().rev() {
+            prop_assert!(tlb.access(q << 13), "page {} not resident", q);
+        }
     }
 }
