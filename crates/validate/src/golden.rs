@@ -935,4 +935,43 @@ mod tests {
             }
         }
     }
+
+    /// The windows of `scans_stay_below_half_the_accesses`, with `scans`
+    /// and every counter (in [`GoldenCounters::rows`] order) pinned: a
+    /// reworked engine pass must find the same events in the same order,
+    /// and as many times.
+    #[test]
+    fn pinned_windows_keep_their_scans_and_counters() {
+        #[rustfmt::skip]
+        const PINNED: [(SpecBenchmark, &str, u64, [u64; 19]); 6] = [
+            (SpecBenchmark::Gzip, "no-refresh-lru", 1866,
+             [13261, 4793, 16030, 1205, 819, 1095, 0, 698, 1326, 0, 0, 1103, 1099, 0, 1510, 0, 0, 1918, 1510]),
+            (SpecBenchmark::Gzip, "partial-dsp", 3909,
+             [13261, 4793, 17201, 841, 12, 0, 0, 698, 155, 1022, 0, 752, 661, 0, 6343, 8176, 14, 687, 4210]),
+            (SpecBenchmark::Gzip, "rsp-fifo", 1102,
+             [13261, 4793, 17119, 919, 16, 0, 0, 698, 237, 0, 860, 825, 745, 0, 1835, 996, 0, 761, 1745]),
+            (SpecBenchmark::Mcf, "no-refresh-lru", 4438,
+             [19032, 5451, 15164, 5203, 4116, 6064, 0, 3301, 6018, 0, 0, 3264, 2382, 23, 3881, 184, 34, 6532, 3830]),
+            (SpecBenchmark::Mcf, "partial-dsp", 6789,
+             [19032, 5451, 19834, 4649, 0, 0, 0, 3301, 1348, 1550, 0, 2277, 468, 0, 12808, 12400, 875, 1343, 10024]),
+            (SpecBenchmark::Mcf, "rsp-fifo", 1280,
+             [19032, 5451, 19842, 4609, 32, 0, 0, 3301, 1340, 0, 8371, 2815, 834, 17, 13245, 16080, 0, 866, 11204]),
+        ];
+        let retention = named_retention("mixed", 1024).unwrap();
+        let mut got = Vec::new();
+        for bench in [SpecBenchmark::Gzip, SpecBenchmark::Mcf] {
+            let mut trace = SyntheticTrace::new(bench.profile(), 1);
+            let instrs: Vec<_> = (0..60_000).map(|_| trace.next_instr()).collect();
+            for (name, scheme) in default_schemes() {
+                let cfg = CacheConfig::paper(scheme);
+                let mut dut = DataCache::new(cfg, retention.clone());
+                let mut golden = GoldenCache::new(cfg, retention.clone());
+                run_differential_models(&mut dut, &mut golden, instrs.iter().copied(), 0);
+                let counters: Vec<u64> = golden.counters().rows().iter().map(|r| r.1).collect();
+                got.push((bench, name, golden.scans, counters));
+            }
+        }
+        let pinned: Vec<_> = PINNED.iter().map(|&(b, n, s, c)| (b, n, s, c.to_vec())).collect();
+        assert_eq!(got, pinned);
+    }
 }
