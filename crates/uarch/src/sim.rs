@@ -1007,17 +1007,31 @@ mod tests {
 
     #[test]
     fn commit_ring_boundary_dependencies_resolve() {
-        // Dependencies pointing exactly at and beyond the commit-ring
-        // horizon must both resolve (beyond = treated as long done).
-        let (r, _) = run_trace(
-            |i| {
-                let d = if i % 2 == 0 { 511 } else { 513 };
-                Instruction::int_alu().with_src1(d.min(64))
-            },
-            5_000,
-        );
-        assert_eq!(r.instructions, 5_000);
+        // Dependencies just inside and just past the commit-ring horizon
+        // must both resolve. Even instructions name a producer 511 back,
+        // odd ones 513 back. The front end keeps the first once the
+        // stream is 511 instructions long and drops the second as long
+        // done, so the value ages count exactly the even instructions from
+        // 512 on. Instructions fetched past the run's end name no producer,
+        // so the ones issued before it stops add nothing.
+        let n = 5_000u64;
+        let trace = |far: u32| {
+            move |i: u64| match i {
+                i if i >= n => Instruction::int_alu(),
+                i if i % 2 == 0 => Instruction::int_alu().with_src1(511),
+                _ => Instruction::int_alu().with_src1(far),
+            }
+        };
+        let (r, _) = run_trace(trace(513), n);
+        assert_eq!(r.instructions, n);
         assert!(r.ipc() > 1.0);
+        let readers = (511..n).filter(|i| i % 2 == 0).count() as u64;
+        let h = r.value_age_hist;
+        assert_eq!(h.iter().sum::<u64>(), readers, "{h:?}");
+        // The same stream with the odd producers 511 back reads both.
+        let (r, _) = run_trace(trace(511), n);
+        let h = r.value_age_hist;
+        assert_eq!(h.iter().sum::<u64>(), n - 511, "{h:?}");
 
         // A serial chain of 7-cycle multiplies, each also reading the
         // result from exactly COMMIT_RING instructions back. The chain's

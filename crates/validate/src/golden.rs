@@ -9,13 +9,21 @@
 //!   until none is. Passes run only when `wake`, one lower bound over
 //!   every line's expiry and refresh key, says a key may be due; debug
 //!   builds re-scan on every skipped access and assert the bound held;
-//! * refresh scheduling is one `Option<u64>` per line (`refresh_due`),
-//!   re-derived from the line's own state at every arming point — no
-//!   shared queue to corrupt;
+//! * every such pass, of either engine or of that debug check, is one
+//!   reduction (`earliest`) that reads every line's key, every time: no
+//!   index, heap or cached minimum lets it skip a line. Only its shape
+//!   is chosen for the host: four interleaved partial minima, each
+//!   updated by a select rather than a branch, then merged by
+//!   `(key, index)`;
+//! * refresh scheduling is one `refresh_due` cycle per line
+//!   (`u64::MAX` when unarmed), re-derived from the line's own state at
+//!   every arming point — no shared queue to corrupt;
 //! * recency and retention orders are per-set `Vec`s, not flattened
 //!   arrays;
 //! * the write buffer and the tag-only L2 are re-implemented here from
-//!   their documented behavior, not imported from the simulator.
+//!   their documented behavior, not imported from the simulator. The
+//!   L2's sets start empty and fill up to their ways, so building the
+//!   model allocates no L2 set.
 //!
 //! Hardware constants (refresh guard, duty gap, sub-array pair count,
 //! write-buffer size, L2 geometry) are deliberately *hard-coded copies*
@@ -51,17 +59,30 @@ const WRITE_BUFFER_CAPACITY: usize = 8;
 const WRITE_BUFFER_DRAIN: u64 = 4;
 
 /// One cache line of the golden model. `refresh_due` is this model's own
-/// refresh bookkeeping: `Some(cycle)` when the line-refresh engine owes
-/// this line a service.
-#[derive(Debug, Clone, Copy, Default)]
+/// refresh bookkeeping: the cycle at which the line-refresh engine owes
+/// this line a service, or [`NOT_ARMED`].
+#[derive(Debug, Clone, Copy)]
 struct GLine {
     tag: u64,
     valid: bool,
     dirty: bool,
     deadline: u64,
     filled_at: u64,
-    refresh_due: Option<u64>,
+    refresh_due: u64,
 }
+
+/// `refresh_due` of a line the refresh engine owes nothing.
+const NOT_ARMED: u64 = u64::MAX;
+
+/// An invalid line.
+const EMPTY_LINE: GLine = GLine {
+    tag: 0,
+    valid: false,
+    dirty: false,
+    deadline: 0,
+    filled_at: 0,
+    refresh_due: NOT_ARMED,
+};
 
 /// Event counters of the golden model, named after their
 /// [`cachesim::CacheStats`] counterparts. `dead_lines` counts every line
@@ -119,8 +140,9 @@ impl GoldenCounters {
     }
 }
 
-/// A naive tag-only set-associative LRU cache: per-set `Vec`s ordered
-/// MRU-first, `u64::MAX` marking empty slots.
+/// A naive tag-only set-associative LRU cache: per-set `Vec`s of at most
+/// `ways` tags, ordered MRU-first. Every set starts empty, so only the
+/// sets an access touches ever allocate.
 #[derive(Debug, Clone)]
 struct GoldenL2 {
     geometry: Geometry,
@@ -132,9 +154,7 @@ struct GoldenL2 {
 impl GoldenL2 {
     fn paper() -> Self {
         let geometry = Geometry::paper_l2();
-        let sets = (0..geometry.sets())
-            .map(|_| vec![u64::MAX; geometry.ways() as usize])
-            .collect();
+        let sets = (0..geometry.sets()).map(|_| Vec::new()).collect();
         Self {
             geometry,
             sets,
@@ -154,8 +174,7 @@ impl GoldenL2 {
             self.hits += 1;
             true
         } else {
-            slots.pop();
-            slots.insert(0, tag);
+            self.insert(set, tag);
             self.misses += 1;
             false
         }
@@ -170,9 +189,17 @@ impl GoldenL2 {
             let t = slots.remove(pos);
             slots.insert(0, t);
         } else {
-            slots.pop();
-            slots.insert(0, tag);
+            self.insert(set, tag);
         }
+    }
+
+    /// Makes `tag` the MRU of `set`, evicting the LRU tag of a full set.
+    fn insert(&mut self, set: usize, tag: u64) {
+        let slots = &mut self.sets[set];
+        if slots.len() == self.geometry.ways() as usize {
+            slots.pop();
+        }
+        slots.insert(0, tag);
     }
 }
 
@@ -288,7 +315,7 @@ impl GoldenCache {
             ret_order.push(order);
         }
         Self {
-            lines: vec![GLine::default(); cfg.geometry.lines() as usize],
+            lines: vec![EMPTY_LINE; cfg.geometry.lines() as usize],
             recency: (0..sets).map(|_| (0..ways as u8).collect()).collect(),
             ret_order,
             alive,
@@ -334,7 +361,7 @@ impl GoldenCache {
     fn invalidate(&mut self, idx: u32) {
         let l = &mut self.lines[idx as usize];
         l.valid = false;
-        l.refresh_due = None;
+        l.refresh_due = NOT_ARMED;
     }
 
     fn add_window(&mut self, pair: usize, start: u64, len: u64) -> u64 {
@@ -375,16 +402,16 @@ impl GoldenCache {
         };
         let l = &mut self.lines[idx as usize];
         l.refresh_due = if wants && deadline != u64::MAX {
-            Some(deadline.saturating_sub(REFRESH_GUARD))
+            deadline.saturating_sub(REFRESH_GUARD)
         } else {
-            None
+            NOT_ARMED
         };
         self.wake = self.wake.min(line_key(l));
     }
 
     /// The earliest expiry or refresh key over the whole cache.
     fn earliest_key(&self) -> u64 {
-        self.lines.iter().map(line_key).min().unwrap_or(u64::MAX)
+        earliest(&self.lines, line_key).0
     }
 
     /// Advances the refresh/expiry/write-buffer engines to `cycle`.
@@ -416,7 +443,12 @@ impl GoldenCache {
         }
         self.wb.tick(cycle);
         for q in &mut self.windows {
-            q.retain(|w| w.1 > cycle);
+            // Ends rise along a pair's list, so none has closed unless the
+            // first has. (A closed window kept longer never blocks: time
+            // only moves on.)
+            if q.first().is_some_and(|w| w.1 <= cycle) {
+                q.retain(|w| w.1 > cycle);
+            }
         }
     }
 
@@ -426,18 +458,7 @@ impl GoldenCache {
     fn drain_expiries(&mut self, cycle: u64) -> u64 {
         loop {
             self.scans += 1;
-            let mut next: Option<(u64, u32)> = None;
-            for (idx, l) in self.lines.iter().enumerate() {
-                if l.valid && l.dirty {
-                    let key = (l.deadline, idx as u32);
-                    if next.is_none_or(|cur| key < cur) {
-                        next = Some(key);
-                    }
-                }
-            }
-            let Some((due, idx)) = next else {
-                return u64::MAX;
-            };
+            let (due, idx) = earliest(&self.lines, expiry_key);
             if due > cycle {
                 return due;
             }
@@ -464,7 +485,7 @@ impl GoldenCache {
                 // evicting. The line drops off the refresh schedule.
                 let l = &mut self.lines[idx as usize];
                 l.deadline = due + usable;
-                l.refresh_due = None;
+                l.refresh_due = NOT_ARMED;
                 self.counters.writeback_stall_refreshes += 1;
                 let pair = self.pair_of(idx);
                 self.add_window(pair, due, self.cfg.refresh_cycles as u64);
@@ -484,21 +505,7 @@ impl GoldenCache {
         }
         loop {
             self.scans += 1;
-            let mut next: Option<(u64, u32)> = None;
-            for (idx, l) in self.lines.iter().enumerate() {
-                if !l.valid {
-                    continue;
-                }
-                if let Some(due) = l.refresh_due {
-                    let key = (due, idx as u32);
-                    if next.is_none_or(|cur| key < cur) {
-                        next = Some(key);
-                    }
-                }
-            }
-            let Some((due, idx)) = next else {
-                return u64::MAX;
-            };
+            let (due, idx) = earliest(&self.lines, refresh_key);
             if due > cycle {
                 return due;
             }
@@ -861,7 +868,7 @@ impl GoldenCache {
         l.dirty = src.dirty && l.valid;
         l.deadline = cycle.saturating_add(usable);
         l.filled_at = src.filled_at;
-        l.refresh_due = None;
+        l.refresh_due = NOT_ARMED;
         let (valid, deadline, filled_at) = (l.valid, l.deadline, l.filled_at);
         if valid {
             self.arm_refresh(dst, deadline, filled_at);
@@ -877,14 +884,69 @@ impl GoldenCache {
     }
 }
 
+/// The expiry engine's key: the deadline of a valid dirty line, else
+/// `u64::MAX` (never due).
+fn expiry_key(l: &GLine) -> u64 {
+    if l.valid & l.dirty {
+        l.deadline
+    } else {
+        u64::MAX
+    }
+}
+
+/// The refresh engine's key: the booking of a valid armed line, else
+/// `u64::MAX` (never due).
+fn refresh_key(l: &GLine) -> u64 {
+    if l.valid {
+        l.refresh_due
+    } else {
+        u64::MAX
+    }
+}
+
 /// The earliest cycle at which `l` can need engine work: its expiry if it
 /// is valid and dirty, or its refresh booking if it is valid and armed.
 fn line_key(l: &GLine) -> u64 {
-    if !l.valid {
-        return u64::MAX;
+    let (expiry, refresh) = (expiry_key(l), refresh_key(l));
+    if expiry < refresh {
+        expiry
+    } else {
+        refresh
     }
-    let expiry = if l.dirty { l.deadline } else { u64::MAX };
-    expiry.min(l.refresh_due.unwrap_or(u64::MAX))
+}
+
+/// Interleaved partial minima in [`earliest`].
+const LANES: usize = 4;
+
+/// The earliest `(key(line), index)` over all `lines`, ties going to the
+/// lowest index, or `(u64::MAX, u32::MAX)` when every key is `u64::MAX`
+/// (a line so keyed is never due and never picked).
+///
+/// Still a naive full pass: every line's key is read, every time. It is
+/// only written for the host. Line `i` updates lane `i % LANES` with a
+/// select rather than a branch, so the loop has no data-dependent branch
+/// and the lanes' compare chains overlap; the lanes' minima are then
+/// combined by `(key, index)`. Within a lane indices rise, so a strict
+/// `<` keeps a tie on the lower index.
+fn earliest(lines: &[GLine], key: impl Fn(&GLine) -> u64) -> (u64, u32) {
+    let mut best = [(u64::MAX, u32::MAX); LANES];
+    let mut i = 0;
+    while i + LANES <= lines.len() {
+        let chunk = &lines[i..i + LANES];
+        let mut lane = 0;
+        while lane < LANES {
+            let (k, b) = (key(&chunk[lane]), best[lane]);
+            best[lane] = if k < b.0 { (k, (i + lane) as u32) } else { b };
+            lane += 1;
+        }
+        i += LANES;
+    }
+    while i < lines.len() {
+        let (k, b) = (key(&lines[i]), best[i % LANES]);
+        best[i % LANES] = if k < b.0 { (k, i as u32) } else { b };
+        i += 1;
+    }
+    best.into_iter().min().unwrap_or((u64::MAX, u32::MAX))
 }
 
 impl DemandSink for GoldenCache {
@@ -903,8 +965,94 @@ mod tests {
     use super::*;
     use crate::harness::{default_schemes, named_retention, run_differential_models};
     use cachesim::DataCache;
+    use proptest::prelude::*;
     use uarch::instr::TraceSource;
     use workloads::{SpecBenchmark, SyntheticTrace};
+
+    /// Valid dirty lines whose deadlines are `keys`.
+    fn lines_keyed(keys: &[u64]) -> Vec<GLine> {
+        keys.iter()
+            .map(|&deadline| GLine {
+                valid: true,
+                dirty: true,
+                deadline,
+                ..EMPTY_LINE
+            })
+            .collect()
+    }
+
+    /// The reference for [`earliest`]: one `Option` fold over the lines
+    /// in order, skipping `u64::MAX` keys and keeping the first of equals.
+    fn earliest_by_fold(keys: &[u64]) -> (u64, u32) {
+        let mut next: Option<(u64, u32)> = None;
+        for (idx, &key) in keys.iter().enumerate() {
+            let key = (key, idx as u32);
+            if key.0 != u64::MAX && next.is_none_or(|cur| key < cur) {
+                next = Some(key);
+            }
+        }
+        next.unwrap_or((u64::MAX, u32::MAX))
+    }
+
+    #[test]
+    fn earliest_finds_a_lone_key_in_every_lane_and_the_remainder() {
+        for len in (0..=13).chain(1021..=1030) {
+            let mut lines = lines_keyed(&vec![u64::MAX; len]);
+            assert_eq!(earliest(&lines, expiry_key), (u64::MAX, u32::MAX));
+            for pos in 0..len {
+                lines[pos].deadline = 7;
+                assert_eq!(earliest(&lines, expiry_key), (7, pos as u32), "len {len}");
+                lines[pos].deadline = u64::MAX;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Keys `k * span` for draws `k` below `cut` and `u64::MAX` for
+        /// the rest: small keys tie across lanes, and `cut == 0` leaves no
+        /// line keyed.
+        #[test]
+        fn earliest_matches_the_option_fold(
+            raw in proptest::collection::vec(0u64..12, 0..=1030),
+            cut in 0u64..=12,
+            span in prop_oneof![Just(1u64), Just(3), Just(1u64 << 40)],
+        ) {
+            let keys: Vec<u64> = raw
+                .iter()
+                .map(|&k| if k < cut { k * span } else { u64::MAX })
+                .collect();
+            prop_assert_eq!(earliest(&lines_keyed(&keys), expiry_key), earliest_by_fold(&keys));
+        }
+
+        /// Demand accesses and write-back fills over a few sets of the
+        /// paper L2, with several times `ways` tags each, against a plain
+        /// true-LRU list per set: every access hits or misses alike, and
+        /// each set holds the same tags in the same order.
+        #[test]
+        fn l2_matches_a_true_lru_list(
+            ops in proptest::collection::vec((0u32..3, 0u64..20, any::<bool>()), 0..400),
+        ) {
+            let mut l2 = GoldenL2::paper();
+            let ways = l2.geometry.ways() as usize;
+            let mut lru: Vec<Vec<u64>> = vec![Vec::new(); 3];
+            for (set, tag, fill) in ops {
+                let addr = l2.geometry.address_of(tag, set);
+                let list = &mut lru[set as usize];
+                let hit = list.contains(&tag);
+                list.retain(|&t| t != tag);
+                list.insert(0, tag);
+                list.truncate(ways);
+                if fill {
+                    l2.fill_writeback(addr);
+                } else {
+                    prop_assert_eq!(l2.access(addr), hit);
+                }
+                prop_assert_eq!(&l2.sets[set as usize], &*list);
+            }
+        }
+    }
 
     /// The wake bound keeps whole-cache passes well below one per access
     /// on benchmark-sized windows; scanning on every access (at least one
@@ -971,7 +1119,10 @@ mod tests {
                 got.push((bench, name, golden.scans, counters));
             }
         }
-        let pinned: Vec<_> = PINNED.iter().map(|&(b, n, s, c)| (b, n, s, c.to_vec())).collect();
+        let pinned: Vec<_> = PINNED
+            .iter()
+            .map(|&(b, n, s, c)| (b, n, s, c.to_vec()))
+            .collect();
         assert_eq!(got, pinned);
     }
 }
