@@ -16,17 +16,13 @@
 //! pv3t1d serve  --listen <addr|unix:PATH> [--results DIR] [--workers N]
 //!                              [--jobs N] [--gc-interval-secs S]
 //!                              [--gc-max-bytes B] [--log <PATH|stderr>]
-//!                              [--log-level LVL] [--sample-interval-secs S]
-//! pv3t1d loadtest [--addr HOST:PORT] [--clients N] [--requests N]
-//!                              [--label L] [--results DIR]
-//!                              [--compare PATH] [--threshold PCT]
+//!                              [--log-level LVL]
 //! ```
 //!
 //! Exit codes: `0` success; `1` at least one stage failed / timed out /
-//! was skipped / was cancelled, `--expect-cached` was violated,
-//! `loadtest --compare` found a regression,
-//! `loadtest` saw failed requests, or `validate` found divergence
-//! beyond the tolerance; `2` usage, spec, or I/O errors.
+//! was skipped / was cancelled, `--expect-cached` was violated, or
+//! `validate` found divergence beyond the tolerance; `2` usage, spec,
+//! or I/O errors.
 //!
 //! `run` and `serve` install SIGINT/SIGTERM handlers that cancel the
 //! scheduler cooperatively: in-flight campaigns stop at the next unit
@@ -36,7 +32,6 @@
 
 use obs::Json;
 use orchestrator::{plan_scenario, report, run_scenario, ArtifactStore, RunOptions, Scenario};
-use serve::loadtest::{compare, BenchReport};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -62,9 +57,6 @@ USAGE:
                                              scenario submissions over HTTP,
                                              coalesce concurrent work, stream
                                              progress, GC the cache
-    pv3t1d loadtest [OPTIONS]                drive a daemon with concurrent
-                                             clients, write serve.* metrics
-                                             to BENCH_<label>.json
     pv3t1d help                              this text
 
 OPTIONS:
@@ -83,12 +75,6 @@ OPTIONS:
     --json               (gc) print the machine-readable GcReport instead
                          of the text summary
     --traces             (ls) list *.trace.json files instead of artifacts
-    --label <L>          (loadtest) report label (default \"local\")
-    --compare <PATH>     (loadtest) diff against a baseline
-                         BENCH_*.json; exit 1 on regression beyond the
-                         threshold
-    --threshold <PCT>    (loadtest) regression noise threshold
-                         (default 30)
     --out <PATH>         (report) write markdown here instead of stdout
                          (validate) also write the JSON divergence report
     --seed <N>           (trace record) generator seed (default 42)
@@ -106,7 +92,7 @@ OPTIONS:
                          unix:<path> for a Unix domain socket
                          (default 127.0.0.1:0)
     --workers <N>        (serve) concurrent jobs (default 2)
-                         (serve/loadtest) --jobs is per-run stage concurrency
+                         (serve) --jobs is per-run stage concurrency
     --gc-interval-secs <S>
                          (serve) CAS janitor cadence; 0 disables
                          (default 30)
@@ -117,13 +103,6 @@ OPTIONS:
                          omitted
     --log-level <LVL>    (serve) debug | info | warn | error
                          (default info)
-    --sample-interval-secs <S>
-                         (serve) /metrics/history sampler cadence
-                         (default 1)
-    --addr <HOST:PORT>   (loadtest) daemon to drive; omitted = self-host
-                         an in-process daemon on 127.0.0.1:0
-    --clients <N>        (loadtest) concurrent client threads (default 32)
-    --requests <N>       (loadtest) requests per client (default 4)
 ";
 
 struct Cli {
@@ -134,11 +113,7 @@ struct Cli {
     dry_run: bool,
     trace: Option<PathBuf>,
     traces: bool,
-    label: String,
-    compare: Option<PathBuf>,
-    threshold: f64,
     out: Option<PathBuf>,
-    quick: bool,
     keep_going: bool,
     seed: u64,
     len: u64,
@@ -151,12 +126,8 @@ struct Cli {
     workers: usize,
     gc_interval_secs: u64,
     gc_max_bytes: u64,
-    addr: Option<String>,
-    clients: usize,
-    requests: usize,
     log: Option<String>,
     log_level: String,
-    sample_interval_secs: f64,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -171,11 +142,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         dry_run: false,
         trace: None,
         traces: false,
-        label: "local".to_string(),
-        compare: None,
-        threshold: 30.0,
         out: None,
-        quick: true,
         keep_going: false,
         seed: 42,
         len: 200_000,
@@ -188,12 +155,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         workers: 2,
         gc_interval_secs: 30,
         gc_max_bytes: 256 * 1024 * 1024,
-        addr: None,
-        clients: 32,
-        requests: 4,
         log: None,
         log_level: "info".to_string(),
-        sample_interval_secs: 1.0,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -203,14 +166,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match a.as_str() {
-            "--quick" => {
-                cli.opts.scale_override = Some(bench_harness::RunScale::QUICK);
-                cli.quick = true;
-            }
-            "--full" => {
-                cli.opts.scale_override = Some(bench_harness::RunScale::FULL);
-                cli.quick = false;
-            }
+            "--quick" => cli.opts.scale_override = Some(bench_harness::RunScale::QUICK),
+            "--full" => cli.opts.scale_override = Some(bench_harness::RunScale::FULL),
             "--jobs" => {
                 cli.opts.jobs = value_of("--jobs")?
                     .parse::<usize>()
@@ -225,16 +182,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--dry-run" => cli.dry_run = true,
             "--trace" => cli.trace = Some(PathBuf::from(value_of("--trace")?)),
             "--traces" => cli.traces = true,
-            "--label" => cli.label = value_of("--label")?,
-            "--compare" => cli.compare = Some(PathBuf::from(value_of("--compare")?)),
-            "--threshold" => {
-                cli.threshold = value_of("--threshold")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                if !cli.threshold.is_finite() || cli.threshold < 0.0 {
-                    return Err("--threshold must be a non-negative percent".into());
-                }
-            }
             "--out" => cli.out = Some(PathBuf::from(value_of("--out")?)),
             "--seed" => {
                 cli.seed = value_of("--seed")?
@@ -276,29 +223,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     .parse::<u64>()
                     .map_err(|e| format!("--gc-max-bytes: {e}"))?;
             }
-            "--addr" => cli.addr = Some(value_of("--addr")?),
             "--log" => cli.log = Some(value_of("--log")?),
             "--log-level" => cli.log_level = value_of("--log-level")?,
-            "--sample-interval-secs" => {
-                cli.sample_interval_secs = value_of("--sample-interval-secs")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--sample-interval-secs: {e}"))?;
-                if !cli.sample_interval_secs.is_finite() || cli.sample_interval_secs <= 0.0 {
-                    return Err("--sample-interval-secs must be a positive number".into());
-                }
-            }
-            "--clients" => {
-                cli.clients = value_of("--clients")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--clients: {e}"))?
-                    .max(1);
-            }
-            "--requests" => {
-                cli.requests = value_of("--requests")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--requests: {e}"))?
-                    .max(1);
-            }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             path => cli.positional.push(PathBuf::from(path)),
         }
@@ -545,38 +471,6 @@ fn cmd_ls_traces(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Prints a `--compare` table against the baseline at `base_path` and
-/// returns whether any gated metric regressed beyond the threshold.
-fn print_compare(
-    base_path: &Path,
-    report: &BenchReport,
-    threshold: f64,
-) -> Result<bool, String> {
-    let base = BenchReport::read_from(base_path)
-        .map_err(|e| format!("reading {}: {e}", base_path.display()))?;
-    let (lines, regressed) = compare(&base, report, threshold);
-    println!(
-        "compare vs {} (label {}, threshold {}%):",
-        base_path.display(),
-        base.label,
-        threshold
-    );
-    for l in &lines {
-        let delta = match (l.delta_pct, l.base) {
-            (Some(d), _) => format!("{d:+8.1}%"),
-            // A baseline exists but no meaningful ratio (zero or
-            // non-finite endpoint, or missing from this run) —
-            // distinct from a brand-new metric.
-            (None, Some(_)) => "     n/a".to_string(),
-            (None, None) => "     new".to_string(),
-        };
-        let current = l.current.map_or("missing".to_string(), |v| format!("{v:.4}"));
-        let verdict = if l.regressed { "REGRESSED" } else { "ok" };
-        println!("  {:<36} {current:>14} {delta}  {verdict}", l.name);
-    }
-    Ok(regressed)
-}
-
 fn cmd_report(cli: &Cli) -> Result<ExitCode, String> {
     let [path] = cli.positional.as_slice() else {
         return Err("report needs exactly one run-manifest file".into());
@@ -786,93 +680,11 @@ fn cmd_serve(cli: &Cli) -> Result<ExitCode, String> {
         // unit boundary, partial manifests are written), then exit.
         shutdown: interrupt::install(),
         verbose: true,
-        sample_interval: std::time::Duration::from_secs_f64(cli.sample_interval_secs),
     };
     let server = serve::Server::start(config).map_err(|e| format!("serve: {e}"))?;
     server.wait();
     obs::log::shutdown();
     Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_loadtest(cli: &Cli) -> Result<ExitCode, String> {
-    if !cli.positional.is_empty() {
-        return Err("loadtest takes no positional arguments".into());
-    }
-    // Without --addr, self-host a daemon on a loopback port for the
-    // duration of the test (this is what CI's baseline refresh uses).
-    let hosted = match &cli.addr {
-        Some(_) => None,
-        None => {
-            let config = serve::ServerConfig {
-                listen: serve::Listen::Tcp("127.0.0.1:0".to_string()),
-                results_dir: cli.opts.results_dir.clone(),
-                workers: cli.workers.max(4),
-                stage_jobs: cli.opts.jobs,
-                ..serve::ServerConfig::default()
-            };
-            Some(serve::Server::start(config).map_err(|e| format!("loadtest: {e}"))?)
-        }
-    };
-    let addr = match (&cli.addr, &hosted) {
-        (Some(addr), _) => addr.clone(),
-        (None, Some(server)) => server.addr().to_string(),
-        (None, None) => unreachable!("hosted covers the no-addr case"),
-    };
-
-    let config = serve::LoadtestConfig {
-        addr,
-        clients: cli.clients,
-        requests: cli.requests,
-        label: cli.label.clone(),
-        quick: cli.quick,
-        ..serve::LoadtestConfig::default()
-    };
-    let outcome = serve::loadtest::run(&config);
-    if let Some(server) = hosted {
-        server.shutdown();
-    }
-    let outcome = outcome.map_err(|e| format!("loadtest: {e}"))?;
-
-    let path = cli
-        .opts
-        .results_dir
-        .join(format!("BENCH_{}.json", outcome.report.label));
-    outcome
-        .report
-        .write_to(&path)
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!(
-        "loadtest {}: {} requests ({} clients), {} failed, {} coalesced, \
-         {:.1} req/s, p50 {:.1} ms, p99 {:.1} ms ({:.1}s) -> {}",
-        config.label,
-        outcome.total_requests,
-        cli.clients,
-        outcome.failed,
-        outcome.coalesced,
-        outcome.report.metrics["serve.requests_per_s"],
-        outcome.report.metrics["serve.p50_ms"],
-        outcome.report.metrics["serve.p99_ms"],
-        outcome.wall_seconds,
-        path.display()
-    );
-    println!(
-        "loadtest {}: daemon /metrics cross-check: {} jobs finished, \
-         {} http requests observed",
-        config.label, outcome.daemon_jobs_finished, outcome.daemon_http_requests
-    );
-
-    let mut failing = false;
-    if outcome.failed > 0 {
-        eprintln!("error: {} request(s) failed", outcome.failed);
-        failing = true;
-    }
-    if let Some(base_path) = &cli.compare {
-        if print_compare(base_path, &outcome.report, cli.threshold)? {
-            eprintln!("error: serving regression beyond {}%", cli.threshold);
-            failing = true;
-        }
-    }
-    Ok(if failing { ExitCode::from(1) } else { ExitCode::SUCCESS })
 }
 
 fn main() -> ExitCode {
@@ -897,7 +709,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&cli),
         "validate" => cmd_validate(&cli),
         "serve" => cmd_serve(&cli),
-        "loadtest" => cmd_loadtest(&cli),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;

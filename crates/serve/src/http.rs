@@ -1,6 +1,6 @@
 //! A deliberately small HTTP/1.1 implementation — just enough protocol
-//! for the daemon's JSON API and the loadtest client, with no external
-//! dependencies.
+//! for the daemon's JSON API and its one-request client ([`exchange`]),
+//! with no external dependencies.
 //!
 //! Scope: request line + headers + `Content-Length` bodies. No chunked
 //! transfer encoding, no keep-alive pipelining (every response carries
@@ -10,7 +10,9 @@
 //! closing the connection — the one HTTP/1.0-style framing that needs
 //! no encoder on either side.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Largest accepted request head (request line + headers) in bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -144,7 +146,7 @@ pub fn write_response<W: Write>(stream: &mut W, status: u16, body: &str) -> io::
 }
 
 /// [`write_response`] with an explicit `Content-Type` — the `/metrics`
-/// exposition is `text/plain` and `/metrics/history` is NDJSON. The
+/// exposition is `text/plain`. The
 /// head and body are rendered into one buffer and sent with one
 /// `write_all`, so the socket sees one `write` rather than one per
 /// formatted piece.
@@ -172,7 +174,7 @@ pub fn write_stream_head<W: Write>(stream: &mut W) -> io::Result<()> {
     stream.flush()
 }
 
-/// A parsed response, as consumed by the loadtest client.
+/// A parsed response, as returned by [`exchange`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -221,6 +223,21 @@ pub fn read_response<R: BufRead>(stream: &mut R) -> io::Result<Response> {
         }
     }
     Ok(Response { status, body })
+}
+
+/// One round-trip HTTP exchange over a fresh connection (the daemon is
+/// `Connection: close` only).
+pub fn exchange(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::Result<Response> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+    let body = body.unwrap_or("");
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: pv3t1d\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    )?;
+    stream.flush()?;
+    read_response(&mut BufReader::new(stream))
 }
 
 /// A writer that records every `write` call it receives.

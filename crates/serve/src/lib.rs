@@ -16,25 +16,25 @@
 //! * [`janitor`] — a continuous CAS garbage collector holding the
 //!   artifact store under a size budget (LRU eviction, freshness race
 //!   guard);
-//! * [`loadtest`] — `pv3t1d loadtest`: a concurrent client fleet
-//!   measuring `serve.requests_per_s` / `serve.p50_ms` /
-//!   `serve.p99_ms` / `serve.coalesced_total` into a
-//!   `BENCH_<label>.json` baseline, gated by `--compare`;
-//! * [`http`] — the zero-dependency HTTP/1.1 subset both sides speak.
+//! * [`http`] — the zero-dependency HTTP/1.1 subset the daemon speaks,
+//!   and [`http::exchange`], a one-request client for it.
 //!
-//! The `pv3t1d` binary (run/plan/gc/ls/report/trace/validate/serve/
-//! loadtest) lives here too, since it needs both the orchestrator
-//! and the daemon.
+//! The `pv3t1d` binary (run/plan/gc/ls/report/trace/validate/serve)
+//! lives here too, since it needs both the orchestrator and the daemon.
 
 #![warn(missing_docs)]
 
 pub mod http;
 pub mod janitor;
 pub mod jobs;
-pub mod loadtest;
 pub mod server;
 pub mod telemetry;
 
+/// perfbench's `serve_mixed` workload imports [`http::exchange`] from
+/// this path.
+pub mod loadtest {
+    pub use crate::http::exchange;
+}
+
 pub use jobs::{JobState, JobTable};
-pub use loadtest::{LoadtestConfig, LoadtestOutcome};
 pub use server::{Listen, Server, ServerConfig};

@@ -6,8 +6,8 @@
 //! as it connects. [`Server::shutdown`] cancels the token and then
 //! opens one connection to the daemon's own listener; the accept loop
 //! checks the token after every accept, so that wake connection (or any
-//! connection queued ahead of it) ends the loop. Only the metrics
-//! sampler and [`Server::wait`] poll the token on a timer.
+//! connection queued ahead of it) ends the loop. Only [`Server::wait`]
+//! polls the token on a timer.
 //!
 //! ## Endpoints
 //!
@@ -16,7 +16,6 @@
 //! | `GET /healthz`          | liveness + job counts + coalescing totals + last gc |
 //! | `GET /metrics`          | daemon registry, Prometheus text exposition       |
 //! | `GET /metrics.json`     | the same registry as JSON                         |
-//! | `GET /metrics/history`  | sampler ring as NDJSON (`?window=<seconds>`)      |
 //! | `POST /runs`            | submit a scenario document → `202 {"job": id}`    |
 //! |                         | (done at once when every stage is a cache hit)    |
 //! | `GET /jobs`             | list retained jobs                                |
@@ -79,9 +78,8 @@ use std::time::{Duration, Instant};
 /// Concurrent connection cap; excess connections get a 503 and are
 /// closed immediately rather than queueing behind slow handlers.
 const MAX_CONNECTIONS: usize = 1024;
-/// How often the loops that sleep on a timer — the metrics sampler and
-/// [`Server::wait`] — re-check the shutdown token. The accept loop does
-/// not poll: it blocks in `accept()` and shutdown wakes it.
+/// How often [`Server::wait`] re-checks the shutdown token. The accept
+/// loop does not poll: it blocks in `accept()` and shutdown wakes it.
 const POLL: Duration = Duration::from_millis(25);
 /// Pause after a failed `accept()` (e.g. `EMFILE`), so a persistent
 /// error does not spin the accept thread.
@@ -128,8 +126,6 @@ pub struct ServerConfig {
     pub shutdown: CancelToken,
     /// Print a line per lifecycle event to stdout.
     pub verbose: bool,
-    /// Cadence of the metrics sampler feeding `GET /metrics/history`.
-    pub sample_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -143,7 +139,6 @@ impl Default for ServerConfig {
             gc_max_bytes: 256 * 1024 * 1024,
             shutdown: CancelToken::new(),
             verbose: false,
-            sample_interval: Duration::from_secs(1),
         }
     }
 }
@@ -352,13 +347,6 @@ impl Server {
                     .spawn(move || worker_loop(worker_shared))?,
             );
         }
-        let sampler_shared = shared.clone();
-        let sample_interval = config.sample_interval.max(Duration::from_millis(50));
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-sampler".into())
-                .spawn(move || sampler_loop(sampler_shared, sample_interval))?,
-        );
         if let Some(interval) = config.gc_interval {
             let janitor_shared = shared.clone();
             let jc = JanitorConfig {
@@ -640,8 +628,8 @@ fn run_job(shared: &Shared, claim: Claim) {
 /// The daemon-wide registry with live gauges overlaid: the base
 /// registry (HTTP counters + merged job metrics) plus queue depth,
 /// worker occupancy, CAS hit ratio, flight totals, janitor lifetime
-/// counters, and uptime — recomputed at scrape/sample time so every
-/// consumer (`/metrics`, `/metrics.json`, the sampler) sees one shape.
+/// counters, and uptime — recomputed at scrape time so `/metrics` and
+/// `/metrics.json` show one shape.
 pub(crate) fn registry_snapshot(shared: &Shared) -> MetricsRegistry {
     let mut reg = shared.telemetry.registry_clone();
     let (queued, running, finished) = shared.jobs.counts();
@@ -677,25 +665,6 @@ pub(crate) fn registry_snapshot(shared: &Shared) -> MetricsRegistry {
     reg.set_gauge("serve.uptime_seconds", shared.started.elapsed().as_secs_f64());
     telemetry::set_process_memory(&mut reg);
     reg
-}
-
-/// The sampler thread: capture one registry snapshot per interval into
-/// the bounded history ring until the daemon drains.
-fn sampler_loop(shared: Arc<Shared>, interval: Duration) {
-    while !shared.shutdown.is_cancelled() {
-        let mut sample = Json::object();
-        sample.insert("ts_ms", Json::Num(telemetry::now_ms() as f64));
-        sample.insert("metrics", registry_snapshot(&shared).to_json());
-        shared.telemetry.push_sample(sample);
-        // Interruptible sleep, same dance as the janitor.
-        let wake = Instant::now() + interval;
-        while Instant::now() < wake {
-            if shared.shutdown.is_cancelled() {
-                return;
-            }
-            std::thread::sleep(POLL.min(interval));
-        }
-    }
 }
 
 fn handle_connection(conn: Conn, shared: &Shared) -> io::Result<()> {
@@ -751,11 +720,11 @@ fn route(
     request_id: &str,
 ) -> io::Result<u16> {
     // Query strings arrive verbatim in the target; split them off before
-    // segment matching (`/metrics/history?window=60`).
-    let (path, query) = req
+    // segment matching.
+    let path = req
         .path
         .split_once('?')
-        .unwrap_or((req.path.as_str(), ""));
+        .map_or(req.path.as_str(), |(path, _)| path);
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => respond(w, 200, &healthz(shared)),
@@ -766,15 +735,6 @@ fn route(
         }
         ("GET", ["metrics.json"]) => {
             respond(w, 200, &registry_snapshot(shared).to_json())
-        }
-        ("GET", ["metrics", "history"]) => {
-            let window = match telemetry::parse_window_ms(query) {
-                Ok(window) => window,
-                Err(msg) => return respond(w, 400, &error_doc(&msg)),
-            };
-            let body = shared.telemetry.history_ndjson(window);
-            http::write_response_typed(w, 200, "application/x-ndjson", &body)?;
-            Ok(200)
         }
         ("POST", ["runs"]) => submit(req, w, shared, request_id),
         ("GET", ["jobs"]) => respond(w, 200, &shared.jobs.list_json()),
@@ -801,9 +761,13 @@ fn route(
                 None => respond(w, 404, &error_doc("no such job")),
             }
         }
-        (_, ["healthz" | "runs" | "jobs" | "metrics" | "metrics.json", ..]) => {
-            respond(w, 405, &error_doc("method not allowed"))
-        }
+        // A route above, asked with another method.
+        (
+            _,
+            ["healthz" | "runs" | "jobs" | "metrics" | "metrics.json"]
+            | ["jobs", _]
+            | ["jobs", _, "events"],
+        ) => respond(w, 405, &error_doc("method not allowed")),
         _ => respond(w, 404, &error_doc("no such route")),
     }
 }

@@ -1,10 +1,8 @@
 //! Subprocess tests for the observability CLI surface: `run --trace`
-//! (Chrome trace capture across the whole stack), `loadtest` (baseline
-//! writing + `--compare` regression gating), `report`, and
+//! (Chrome trace capture across the whole stack), `report`, and
 //! `ls --traces`.
 
 use obs::Json;
-use serve::loadtest::BenchReport;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
@@ -161,72 +159,6 @@ fn run_trace_report_and_ls_traces_round_trip() {
         "ls --traces output:\n{stdout}"
     );
     assert!(stdout.contains("1 traces in"), "ls --traces output:\n{stdout}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn loadtest_writes_baseline_and_compare_gates_regressions() {
-    let dir = temp_dir("loadtest");
-    let results = dir.join("results");
-    let results_arg = results.to_str().unwrap().to_string();
-    let loadtest = |label: &str, extra: &[&str]| {
-        pv3t1d()
-            .args(["loadtest", "--clients", "2", "--requests", "1"])
-            .args(["--label", label, "--results", &results_arg])
-            .args(extra)
-            .output()
-            .unwrap()
-    };
-
-    // A self-hosted loadtest writes a schema-versioned baseline with the
-    // gated serve metrics.
-    let out = loadtest("base", &[]);
-    assert!(
-        out.status.success(),
-        "loadtest failed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let baseline_path = results.join("BENCH_base.json");
-    let baseline = BenchReport::read_from(&baseline_path).unwrap();
-    assert_eq!(baseline.label, "base");
-    for required in ["serve.requests_per_s", "serve.p50_ms", "serve.p99_ms"] {
-        assert!(baseline.metrics.contains_key(required), "missing {required}");
-    }
-
-    // Re-running against that fresh baseline with a generous noise
-    // threshold is regression-free (exit 0).
-    let out = loadtest(
-        "cur",
-        &["--compare", baseline_path.to_str().unwrap(), "--threshold", "10000"],
-    );
-    assert!(
-        out.status.success(),
-        "self-ish compare regressed:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Doctor the baseline so the tail latency looks like it exploded
-    // (lower-is-better metric): compare must exit non-zero.
-    let mut doctored = baseline.clone();
-    doctored.metrics.insert("serve.p99_ms".into(), 1e-12);
-    let doctored_path = results.join("BENCH_doctored.json");
-    doctored.write_to(&doctored_path).unwrap();
-    let out = loadtest(
-        "cur2",
-        &["--compare", doctored_path.to_str().unwrap(), "--threshold", "10000"],
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "doctored baseline must gate:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSED"), "no verdict in:\n{stdout}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,7 +19,7 @@
 //!   and cache GC terminate without deadlock (proptest).
 
 use obs::Json;
-use serve::loadtest::exchange;
+use serve::http::exchange;
 use serve::{Listen, Server, ServerConfig};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

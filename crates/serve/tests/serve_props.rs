@@ -9,7 +9,7 @@
 use obs::Json;
 use orchestrator::ArtifactStore;
 use proptest::prelude::*;
-use serve::loadtest::exchange;
+use serve::http::exchange;
 use serve::{Listen, Server, ServerConfig};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant, SystemTime};

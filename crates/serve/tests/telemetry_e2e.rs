@@ -4,8 +4,6 @@
 //! * **exposition**: `/metrics` renders valid Prometheus text and
 //!   `/metrics.json` a parseable registry document whose counters move
 //!   when a job runs over HTTP;
-//! * **history**: the sampler thread fills `/metrics/history` with
-//!   timestamped NDJSON snapshots while the daemon serves;
 //! * **cache-resolved jobs**: a resubmission finished on its connection
 //!   moves `serve.jobs.cache_resolved_total`;
 //! * **correlation**: the request id minted at accept time is
@@ -15,10 +13,9 @@
 //!   fingerprint bit-identical to a silent run.
 
 use obs::Json;
-use serve::loadtest::exchange;
+use serve::http::exchange;
 use serve::{Listen, Server, ServerConfig};
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pv3t1d_tele_{tag}_{}", std::process::id()));
@@ -26,13 +23,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start_server(results: &std::path::Path, sample_interval: Duration) -> Server {
+fn start_server(results: &std::path::Path) -> Server {
     Server::start(ServerConfig {
         listen: Listen::Tcp("127.0.0.1:0".to_string()),
         results_dir: results.to_path_buf(),
         workers: 2,
         stage_jobs: 2,
-        sample_interval,
         ..ServerConfig::default()
     })
     .expect("daemon starts")
@@ -62,9 +58,9 @@ fn registry(addr: &str) -> obs::MetricsRegistry {
 }
 
 #[test]
-fn metrics_exposition_history_and_healthz_cover_the_job_lifecycle() {
+fn metrics_exposition_and_healthz_cover_the_job_lifecycle() {
     let dir = temp_dir("metrics");
-    let server = start_server(&dir, Duration::from_millis(100));
+    let server = start_server(&dir);
     let addr = server.addr().to_string();
 
     // Before: the exposition is valid Prometheus text even on a daemon
@@ -114,34 +110,9 @@ fn metrics_exposition_history_and_healthz_cover_the_job_lifecycle() {
         }
     }
 
-    // History: the 100 ms sampler has had ample time; every NDJSON
-    // line is a timestamped registry snapshot.
-    std::thread::sleep(Duration::from_millis(300));
-    let history = String::from_utf8(get(&addr, "/metrics/history?window=3600").body).unwrap();
-    let samples: Vec<Json> = history
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| Json::parse(l).expect("history line parses"))
-        .collect();
-    assert!(!samples.is_empty(), "sampler must have captured snapshots");
-    for sample in &samples {
-        assert!(sample.get("ts_ms").and_then(Json::as_u64).is_some(), "{sample:?}");
-        let snap = sample.get("metrics").expect("sample carries a registry");
-        assert!(obs::MetricsRegistry::from_json(snap).is_some(), "{snap:?}");
-    }
-    // A broken window parameter is an HTTP 400 with a structured error,
-    // never a silent whole-ring fallback: zero, negative, and
-    // non-numeric values are all rejected.
-    for bad in ["nope", "0", "-4"] {
-        let resp = exchange(&addr, "GET", &format!("/metrics/history?window={bad}"), None)
-            .unwrap();
-        assert_eq!(resp.status, 400, "window={bad} must be rejected");
-        let err = parse_body(&resp);
-        assert!(
-            err.get("error").and_then(Json::as_str).is_some_and(|e| e.contains("window")),
-            "window={bad} error names the parameter: {err:?}"
-        );
-    }
+    // `/metrics` is the one exposition: there is no history route.
+    let history = exchange(&addr, "GET", "/metrics/history", None).unwrap();
+    assert_eq!(history.status, 404, "GET /metrics/history");
 
     // Satellite: /healthz folds in CAS totals and pool occupancy.
     let health = parse_body(&get(&addr, "/healthz"));
@@ -180,7 +151,7 @@ fn request_id_correlates_api_trace_and_logs_with_identical_fingerprints() {
 
     // Silent run: no tracer, no logger.
     let dir_silent = temp_dir("corr_silent");
-    let server = start_server(&dir_silent, Duration::from_secs(3600));
+    let server = start_server(&dir_silent);
     let addr = server.addr().to_string();
     let resp = exchange(&addr, "POST", "/runs", Some(scenario)).unwrap();
     assert_eq!(resp.status, 202);
@@ -202,7 +173,7 @@ fn request_id_correlates_api_trace_and_logs_with_identical_fingerprints() {
     obs::log::init_file(log_path.to_str().unwrap(), obs::log::Level::Debug, 64 * 1024 * 1024)
         .expect("log file opens");
 
-    let server = start_server(&dir_loud, Duration::from_secs(3600));
+    let server = start_server(&dir_loud);
     let addr = server.addr().to_string();
     let resp = exchange(&addr, "POST", "/runs", Some(scenario)).unwrap();
     assert_eq!(resp.status, 202);
@@ -275,7 +246,7 @@ fn request_id_correlates_api_trace_and_logs_with_identical_fingerprints() {
 #[test]
 fn cache_resolved_resubmission_is_counted_in_the_exposition() {
     let dir = temp_dir("cache_resolved");
-    let server = start_server(&dir, Duration::from_secs(3600));
+    let server = start_server(&dir);
     let addr = server.addr().to_string();
     let scenario = r#"{"schema": 2, "name": "tele_resolved", "scale": "quick", "stages": [
         {"id": "rs_work", "kind": "sleep", "params": {"seconds": 0.02}}
